@@ -11,8 +11,9 @@ Exit statuses
 All file output is deterministic byte-for-byte for a fixed config: floats are
 written with 17 significant digits, lines end with LF, and files appear
 atomically (temp file + rename) so an error never leaves a partial file.
-``PDM_DIRAC_THREADS`` caps worker threads for grid evaluation; results do not
-depend on it.
+``surface`` evaluates f one eta row at a time through the vectorized grid
+evaluator that the verdict's supremum scan also uses; ``potential`` samples
+the profile on its whole x grid in one call.
 """
 
 from __future__ import annotations
@@ -29,9 +30,10 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import ConfigKeyError, ParameterError, PdmDiracError
+from .errors import ConfigKeyError, InvalidBox, NegativeLambda, ParameterError, PdmDiracError
 from .feasibility import (
     Box,
+    _f_grid,
     evaluate_point,
     f_direct,
     f_factored,
@@ -169,22 +171,12 @@ class RunConfig:
         return json.dumps(self.to_json_doc(), sort_keys=True, indent=2) + "\n"
 
 
-def _parse_floats(text: str, count: int, what: str) -> tuple:
+def _parse_values(text: str, count: int, what: str, cast) -> tuple:
     parts = text.split(",")
     if len(parts) != count:
         raise ConfigKeyError(f"{what} needs {count} comma-separated values, got {text!r}")
     try:
-        return tuple(float(p) for p in parts)
-    except ValueError as exc:
-        raise ConfigKeyError(f"bad {what} value in {text!r}: {exc}") from None
-
-
-def _parse_ints(text: str, count: int, what: str) -> tuple:
-    parts = text.split(",")
-    if len(parts) != count:
-        raise ConfigKeyError(f"{what} needs {count} comma-separated values, got {text!r}")
-    try:
-        return tuple(int(p) for p in parts)
+        return tuple(cast(p) for p in parts)
     except ValueError as exc:
         raise ConfigKeyError(f"bad {what} value in {text!r}: {exc}") from None
 
@@ -324,12 +316,12 @@ def resolve_config(ns: argparse.Namespace) -> RunConfig:
 
     box = run_key(getattr(ns, "box", None), "box", None)
     if isinstance(box, str):
-        box = _parse_floats(box, 4, "--box")
+        box = _parse_values(box, 4, "--box", float)
     elif isinstance(box, list):
         box = tuple(float(v) for v in box)
     grid = run_key(getattr(ns, "grid", None), "grid", None)
     if isinstance(grid, str):
-        grid = _parse_ints(grid, 2, "--grid")
+        grid = _parse_values(grid, 2, "--grid", int)
     elif isinstance(grid, list):
         grid = tuple(int(v) for v in grid)
 
@@ -372,19 +364,6 @@ def resolve_config(ns: argparse.Namespace) -> RunConfig:
     return cfg
 
 
-def _thread_cap() -> int:
-    raw = os.environ.get("PDM_DIRAC_THREADS")
-    if raw is None:
-        return 1
-    try:
-        threads = int(raw)
-    except ValueError:
-        raise ConfigKeyError(f"PDM_DIRAC_THREADS must be an integer, got {raw!r}") from None
-    if threads < 1:
-        raise ConfigKeyError(f"PDM_DIRAC_THREADS must be >= 1, got {threads}")
-    return threads
-
-
 # --- subcommands ------------------------------------------------------------
 
 
@@ -397,20 +376,29 @@ def cmd_surface(cfg: RunConfig) -> int:
     # unique() collapses a degenerate axis (min == max) to one node
     eta_nodes = np.unique(np.linspace(scan_box.eta_min, scan_box.eta_max, grid[0]))
     lam_nodes = np.unique(np.linspace(scan_box.lam_min, scan_box.lam_max, grid[1]))
-    snap = DEFAULT_POLICY.eta_zero_snap
+    lam_text = [_fmt(lam) for lam in lam_nodes]
+    boundary = lam_nodes == 0.0
     lines = ["eta,lambda,f"]
     rows = 0
-    for eta in eta_nodes:
-        if abs(eta) <= snap:
+    for eta in eta_nodes.tolist():
+        if abs(eta) <= DEFAULT_POLICY.eta_zero_snap:
             lines.append(f"# eta node {_fmt(eta)} skipped: f undefined on the eta=0 line")
             continue
-        for lam in lam_nodes:
-            if lam == 0.0:
-                value = 0.0  # exact boundary identity f(eta, 0) = 0
-            else:
-                value = f_factored(float(eta), float(lam))
-            lines.append(f"{_fmt(eta)},{_fmt(lam)},{_fmt(value)}")
-            rows += 1
+        if lam_nodes[0] < 0.0:
+            raise NegativeLambda(f"lambda must be >= 0, got {float(lam_nodes[0])}")
+        # row by row: whole-grid temporaries would raise the peak memory
+        with np.errstate(all="ignore"):  # non-finite values are rejected below
+            values = _f_grid(np.array([eta]), lam_nodes)[0]
+        values[boundary] = 0.0  # exact boundary identity f(eta, 0) = 0
+        if not np.isfinite(values).all():
+            lam = lam_nodes[~np.isfinite(values)][0]
+            raise InvalidBox(
+                f"f is not finite at eta={_fmt(eta)}, lambda={_fmt(lam)}: "
+                "the box leaves the representable range"
+            )
+        eta_text = _fmt(eta)
+        lines.extend(f"{eta_text},{lam},{_fmt(v)}" for lam, v in zip(lam_text, values.tolist()))
+        rows += values.size
     _emit(cfg.out, "\n".join(lines) + "\n")
     if cfg.out != "-":
         print(f"wrote {cfg.out} ({rows} rows)")
@@ -446,10 +434,10 @@ def cmd_potential(cfg: RunConfig) -> int:
     count = cfg.num_points if cfg.num_points is not None else 401
     if count < 2:
         raise ConfigKeyError(f"potential sampling needs N >= 2, got {count}")
+    s = potential_sample(params, np.linspace(-half_width, half_width, count))
+    columns = (s.x, s.mass, s.vector_potential.imag, s.v_eff)
     lines = ["x,mass,im_v,v_eff"]
-    for x in np.linspace(-half_width, half_width, count):
-        s = potential_sample(params, float(x))
-        lines.append(f"{_fmt(s.x)},{_fmt(s.mass)},{_fmt(s.vector_potential.imag)},{_fmt(s.v_eff)}")
+    lines.extend(",".join(map(_fmt, row)) for row in zip(*(c.tolist() for c in columns)))
     _emit(cfg.out, "\n".join(lines) + "\n")
     if cfg.out != "-":
         print(f"wrote {cfg.out} ({count} rows)")
@@ -482,7 +470,6 @@ def _route_agreement_check(box: Box, seed: int, samples: int = 256) -> dict:
 
 
 def cmd_verdict(cfg: RunConfig) -> int:
-    threads = _thread_cap()  # env errors are bad parameters, not Inconclusive
     report: dict = {"config": cfg.to_json_doc()}
     errors: list[str] = []
     evidence_points: list[list[float]] = []
@@ -498,7 +485,7 @@ def cmd_verdict(cfg: RunConfig) -> int:
     # 1. feasibility: supremum scan, point certificate, route spot check
     try:
         scan_box = Box(*box_values)
-        scan = supremum_scan(scan_box, grid=grid, threads=threads)
+        scan = supremum_scan(scan_box, grid=grid)
         scan_doc = scan.to_dict()
         del scan_doc["refinement_trace"]  # summary only; trace length is kept
         if scan.sup_estimate >= 0.0:

@@ -26,7 +26,6 @@ from __future__ import annotations
 
 import enum
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -248,25 +247,17 @@ class SupremumReport:
         }
 
 
-def _f_grid(eta_nodes: np.ndarray, lam_nodes: np.ndarray, threads: int) -> np.ndarray:
+def _f_grid(eta_nodes: np.ndarray, lam_nodes: np.ndarray) -> np.ndarray:
     """Vectorized factored route on the (eta, lambda) product grid.
 
-    Node values are independent, so splitting rows across worker threads
-    cannot change any value; the reduction below is order-insensitive.
+    Rows follow ``eta_nodes`` and columns ``lam_nodes``; every node is
+    evaluated, so callers drop or override singular nodes themselves.
     """
-    def rows(eta_chunk: np.ndarray) -> np.ndarray:
-        e2 = (eta_chunk * eta_chunk)[:, None]
-        lam = lam_nodes[None, :]
-        u = 2.0 * e2 / (lam + np.hypot(lam, 2.0 * np.abs(eta_chunk)[:, None]))
-        u2 = u * u
-        return (1.0 - u2) * (u2 - e2) / u2
-
-    if threads <= 1 or eta_nodes.size < 2 * threads:
-        return rows(eta_nodes)
-    chunks = np.array_split(eta_nodes, threads)
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        parts = list(pool.map(rows, chunks))
-    return np.vstack(parts)
+    e2 = (eta_nodes * eta_nodes)[:, None]
+    lam = lam_nodes[None, :]
+    u = 2.0 * e2 / (lam + np.hypot(lam, 2.0 * np.abs(eta_nodes)[:, None]))
+    u2 = u * u
+    return (1.0 - u2) * (u2 - e2) / u2
 
 
 def _better(a: tuple[float, float, float], b: tuple[float, float, float]) -> bool:
@@ -318,7 +309,6 @@ def supremum_scan(
     refine_steps: int = 60,
     top_k: int = 5,
     policy: NumericPolicy = DEFAULT_POLICY,
-    threads: int = 1,
 ) -> SupremumReport:
     """Estimate sup f over the box: product grid, then local refinement.
 
@@ -330,7 +320,7 @@ def supremum_scan(
     shrink steps per seed) searches the surrounding grid cells.  The reported
     supremum is the maximum over *all* evaluations, with the deterministic
     tie-break documented in :func:`_better`, so the result is independent of
-    evaluation order and thread count.
+    evaluation order.
     """
     if grid[0] < 2 or grid[1] < 2:
         raise InvalidBox(f"grid must be at least 2x2, got {grid}")
@@ -339,8 +329,6 @@ def supremum_scan(
             "scan requires lam_min > 0; the lam = 0 boundary is handled by "
             "the exact identity f(eta, 0) = 0"
         )
-    if threads < 1:
-        raise InvalidBox(f"threads must be >= 1, got {threads}")
 
     eta_all = np.linspace(box.eta_min, box.eta_max, grid[0])
     eta_all[np.abs(eta_all) <= policy.eta_zero_snap] = 0.0
@@ -353,7 +341,7 @@ def supremum_scan(
         )
     lam_nodes = np.linspace(box.lam_min, box.lam_max, grid[1])
 
-    values = _f_grid(eta_nodes, lam_nodes, threads)
+    values = _f_grid(eta_nodes, lam_nodes)
 
     # Grid best with deterministic tie-break: among exact maxima, order by
     # (lambda, |eta|, eta) and take the first.

@@ -109,7 +109,7 @@ class NumericPolicy:
     ``abs_tol`` is the dimensionless classification band: an energy-squared
     value within ``abs_tol * M0**2`` of zero counts as the threshold case, and
     a level index within ``abs_tol`` of a formula pole is rejected as such.
-    ``rel_tol`` governs route-agreement checks and eigenvalue refinement.
+    ``rel_tol`` governs route-agreement checks between the two f routes.
     """
 
     abs_tol: float = 1e-12

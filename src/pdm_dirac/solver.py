@@ -12,11 +12,12 @@ tridiagonal eigenproblem
 A genuine bound state must sit below the continuum edge
 ``min(V_eff(-inf), V_eff(+inf)) = M0^2 (1 - |eta|)^2`` *and* be localized away
 from the artificial walls; everything else below the edge is a box artifact.
-Eigenvalues are found by bisection on the Sturm-sequence negative-pivot count
-(count exact; each value refined to a relative tolerance), eigenvectors by
-banded inverse iteration.  By the Rayleigh bound every discrete eigenvalue
-exceeds the grid minimum of V_eff, which for the monotone step profile already
-rules the discrete spectrum out; the scan below the edge verifies it directly.
+The number of eigenvalues below a threshold is the integer-exact
+Sturm-sequence negative-pivot count; the values themselves come from LAPACK
+``dstebz`` (Kahan bisection), eigenvectors from banded inverse iteration.  By
+the Rayleigh bound every discrete eigenvalue exceeds the grid minimum of V_eff,
+which for the monotone step profile already rules the discrete spectrum out;
+the scan below the edge verifies it directly.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.linalg import solve_banded
+from scipy.linalg import eigvalsh_tridiagonal, solve_banded
 
 from .errors import (
     DomainTooSmall,
@@ -231,56 +232,33 @@ def sturm_count(op: TridiagonalOperator, sigma: float) -> int:
     return count
 
 
-def _gershgorin(op: TridiagonalOperator) -> tuple[float, float]:
-    lo = float(np.min(op.diag)) + 2.0 * op.off  # off is negative
-    hi = float(np.max(op.diag)) - 2.0 * op.off
-    return lo, hi
-
-
 def eigenvalues_below(
     op: TridiagonalOperator,
     threshold: float,
     max_count: int = 64,
-    rel_tol: float = 1e-10,
 ) -> np.ndarray:
     """All eigenvalues strictly below ``threshold``, ascending.
 
-    Each eigenvalue is located by bisection on :func:`sturm_count` and refined
-    until the bracket width is below ``rel_tol * max(1, |value|)``.  The count
-    below the threshold is exact up to floating comparisons at the threshold
-    itself.  Raises :class:`TooManyRequested` if more than ``max_count``
+    The count is :func:`sturm_count` at the threshold (every eigenvalue for an
+    infinite threshold), exact up to floating comparisons at the threshold
+    itself; the values are the lowest that many eigenvalues from LAPACK
+    ``dstebz``.  Raises :class:`TooManyRequested` if more than ``max_count``
     eigenvalues lie below the threshold.
     """
-    glo, ghi = _gershgorin(op)
-    hi_cap = min(threshold, ghi) if math.isfinite(threshold) else ghi
-    if hi_cap <= glo:
-        return np.empty(0)
-    k = sturm_count(op, hi_cap) if math.isfinite(threshold) else op.size
+    k = sturm_count(op, threshold) if math.isfinite(threshold) else op.size
     if k == 0:
         return np.empty(0)
     if k > max_count:
         raise TooManyRequested(
             f"{k} eigenvalues below threshold {threshold!r}, cap is {max_count}"
         )
-    values = np.empty(k)
-    for j in range(k):
-        lo, hi = glo, hi_cap
-        for _ in range(256):
-            if hi - lo <= rel_tol * max(1.0, abs(lo), abs(hi)):
-                break
-            mid = 0.5 * (lo + hi)
-            if mid <= lo or mid >= hi:  # interval at floating resolution
-                break
-            if sturm_count(op, mid) >= j + 1:
-                hi = mid
-            else:
-                lo = mid
-        values[j] = 0.5 * (lo + hi)
-    return values
+    return eigvalsh_tridiagonal(
+        op.diag, np.full(op.size - 1, op.off), select="i", select_range=(0, k - 1)
+    )
 
 
 def eigenvector(op: TridiagonalOperator, value: float, sweeps: int = 3) -> np.ndarray:
-    """Unit-norm eigenvector for an already-refined eigenvalue.
+    """Unit-norm eigenvector for an eigenvalue from :func:`eigenvalues_below`.
 
     Banded inverse iteration from a fixed-seed start vector; deterministic,
     with the sign convention that the largest-magnitude entry is positive.
@@ -425,7 +403,6 @@ def bound_state_report(
     potential: Optional[Callable[[np.ndarray], np.ndarray]] = None,
     edge: Optional[float] = None,
     max_count: int = 64,
-    policy: NumericPolicy = DEFAULT_POLICY,
 ) -> DiscreteSpectrum:
     """Scan for genuine bound states below the continuum edge.
 
@@ -444,9 +421,7 @@ def bound_state_report(
     if edge is None:
         edge = continuum_edge(params)
     op = build_hamiltonian(params, disc, potential=potential)
-    eigenvalues = eigenvalues_below(
-        op, edge * _EDGE_SLACK, max_count=max_count, rel_tol=policy.rel_tol
-    )
+    eigenvalues = eigenvalues_below(op, edge * _EDGE_SLACK, max_count=max_count)
     candidates = []
     for value in eigenvalues:
         if value < edge:
@@ -519,7 +494,7 @@ def analytic_vs_numeric(
         entries = classify_levels(reduce_params(params), n_max, M0=params.M0, policy=policy)
     except (EtaZeroDegenerate, LambdaZero) as exc:
         analytic_error = f"{type(exc).__name__}: {exc}"
-    numeric = bound_state_report(params, disc, potential=potential, edge=edge, policy=policy)
+    numeric = bound_state_report(params, disc, potential=potential, edge=edge)
     imag_ok = all(
         entry.e_squared < 0.0 < numeric.v_eff_min
         for entry in entries
@@ -535,8 +510,3 @@ def analytic_vs_numeric(
         consistent=imag_ok and real_unbound,
     )
 
-
-def eigenvector_rows(op: TridiagonalOperator, value: float) -> list[tuple[float, float]]:
-    """(x, phi) pairs for CSV emission of one eigenvector."""
-    phi = eigenvector(op, value)
-    return list(zip(op.x.tolist(), phi.tolist()))

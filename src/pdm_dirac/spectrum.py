@@ -70,7 +70,7 @@ class Classification(str, enum.Enum):
 
 @dataclass(frozen=True)
 class PotentialSample:
-    """Profile values at one spatial point."""
+    """Profile values at one spatial point, or arrays of them on a grid."""
 
     x: float
     mass: float
@@ -180,13 +180,17 @@ def rosen_morse_terms(params: PhysicalParams, x):
     return np.full_like(arr, const), tanh_term, sech_term
 
 
-def potential_sample(params: PhysicalParams, x: float) -> PotentialSample:
-    """All profile values at one point, for tables and CSV emission."""
+def potential_sample(params: PhysicalParams, x) -> PotentialSample:
+    """All profile values at x, for tables and CSV emission.
+
+    A scalar x gives Python scalars; an array gives one array per field.
+    """
+    arr = np.asarray(x, dtype=float)
     return PotentialSample(
-        x=float(x),
-        mass=float(mass_profile(params, x)),
-        vector_potential=vector_potential(params, float(x)),
-        v_eff=float(effective_potential(params, x)),
+        x=_scalar_or_array(arr),
+        mass=mass_profile(params, arr),
+        vector_potential=vector_potential(params, arr),
+        v_eff=effective_potential(params, arr),
     )
 
 

@@ -239,14 +239,14 @@ def test_criterion_08_dense_oracle_equivalence(capsys):
         )
         op = build_hamiltonian(p, Discretization(half_width, n), enforce_resolution=False)
         reference = scipy.linalg.eigvalsh(op.dense())
-        got = eigenvalues_below(op, math.inf, rel_tol=1e-12)
+        got = eigenvalues_below(op, math.inf)
         assert got.size == n
         worst = max(worst, float(np.max(np.abs(got - reference))))
     elapsed = time.perf_counter() - t0
     ok = worst <= 1e-9 and elapsed < 5.0
     report(
         capsys, 8, ok,
-        f"Sturm bisection vs dense reference on 20 instances, worst |diff| = {worst:.3g}",
+        f"Sturm-counted LAPACK slice vs dense reference on 20 instances, worst |diff| = {worst:.3g}",
     )
     assert worst <= 1e-9
     assert elapsed < 5.0

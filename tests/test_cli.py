@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from pdm_dirac import PhysicalParams, f_factored, potential_sample
 from pdm_dirac.cli import main
 
 
@@ -86,6 +87,9 @@ def test_surface_defaults_shape(tmp_path, capsys):
             assert v == 0.0
         else:
             assert v < 0.0
+            # the grid evaluator agrees with the scalar factored route
+            scalar = f_factored(float(eta), float(lam))
+            assert abs(v - scalar) <= 1e-14 * abs(scalar)
 
 
 def test_surface_degenerate_box_single_row(capsys):
@@ -110,6 +114,20 @@ def test_surface_interior_box_strictly_negative(tmp_path, capsys):
     assert max(float(r.split(",")[2]) for r in rows) < 0.0
 
 
+def test_surface_unrepresentable_box_exits_2(capsys):
+    rc, out, err = run(["surface", "--box=-1,1,-1,1", "--out", "-"], capsys)
+    assert rc == 2
+    assert out == ""
+    assert "lambda must be >= 0" in err
+    # u underflows at lambda = 1e300: rejected, never written as inf or nan
+    rc, out, err = run(
+        ["surface", "--box=0.5,0.6,1e300,1e300", "--grid", "3,3", "--out", "-"], capsys
+    )
+    assert rc == 2
+    assert out == ""
+    assert "InvalidBox" in err
+
+
 def test_potential_origin_row(capsys):
     rc, out, _ = run(
         ["potential", "--eta", "0.5", "--alpha", "1", "--N", "3", "--L", "2", "--out", "-"],
@@ -120,6 +138,18 @@ def test_potential_origin_row(capsys):
     assert lines[0] == "x,mass,im_v,v_eff"
     origin = lines[2].split(",")
     assert [float(v) for v in origin] == [0.0, 1.0, 0.25, 1.0]
+    # every row is bitwise the scalar sample at its x
+    rc, out, _ = run(
+        ["potential", "--eta=-0.7", "--alpha", "1.3", "--N", "1001", "--out", "-"], capsys
+    )
+    assert rc == 0
+    params = PhysicalParams(1.0, -0.7, 1.3)
+    rows = out.strip().splitlines()[1:]
+    assert len(rows) == 1001
+    for line in rows:
+        s = potential_sample(params, float(line.split(",")[0]))
+        fields = (s.x, s.mass, s.vector_potential.imag, s.v_eff)
+        assert line == ",".join(format(v, ".17g") for v in fields)
 
 
 def test_potential_hermitian_limit_rows(capsys):
@@ -212,7 +242,7 @@ def test_verdict_control_well_exits_3(tmp_path, capsys):
     assert states[0]["localization"]["interior_mass_fraction"] >= 0.99
 
 
-def test_verdict_byte_deterministic(tmp_path, capsys, monkeypatch):
+def test_verdict_byte_deterministic(tmp_path, capsys):
     args = [
         "verdict", "--eta", "0.5", "--lambda", "1",
         "--N", "800", "--grid", "31,31",
@@ -223,19 +253,11 @@ def test_verdict_byte_deterministic(tmp_path, capsys, monkeypatch):
     out_b.parent.mkdir()
     rc, _, _ = run(args + ["--out", str(out_a)], capsys)
     assert rc == 0
-    monkeypatch.setenv("PDM_DIRAC_THREADS", "4")
     rc, _, _ = run(args + ["--out", str(out_b)], capsys)
     assert rc == 0
     a = out_a.read_bytes().replace(str(out_a).encode(), b"OUT")
     b = out_b.read_bytes().replace(str(out_b).encode(), b"OUT")
     assert a == b
-
-
-def test_bad_thread_env_exits_2(capsys, monkeypatch):
-    monkeypatch.setenv("PDM_DIRAC_THREADS", "zero")
-    rc, _, err = run(["verdict", "--eta", "0.5", "--lambda", "1", "--out", "-"], capsys)
-    assert rc == 2
-    assert "PDM_DIRAC_THREADS" in err
 
 
 def test_verdict_physical_parameterization(tmp_path, capsys):

@@ -238,14 +238,13 @@ def test_scan_skips_eta_zero_gridline():
     assert report.sup_estimate < 0.0
 
 
-def test_scan_deterministic_and_thread_invariant():
+def test_scan_deterministic():
     box = Box(-1.0, 1.0, 1e-3, 10.0)
     a = supremum_scan(box, grid=(41, 41), refine_steps=24)
     b = supremum_scan(box, grid=(41, 41), refine_steps=24)
-    c = supremum_scan(box, grid=(41, 41), refine_steps=24, threads=3)
-    assert a.sup_estimate == b.sup_estimate == c.sup_estimate
-    assert a.argmax == b.argmax == c.argmax
-    assert a.refinement_trace == b.refinement_trace == c.refinement_trace
+    assert a.sup_estimate == b.sup_estimate
+    assert a.argmax == b.argmax
+    assert a.refinement_trace == b.refinement_trace
 
 
 def test_scan_tie_break_prefers_negative_eta():

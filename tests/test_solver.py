@@ -110,6 +110,20 @@ def test_toy_eigenvalues_match_dense_reference():
     np.testing.assert_allclose(got, reference, rtol=1e-10, atol=1e-10)
 
 
+def test_slice_values_bracketed_by_sturm_count():
+    # sturm_count is the oracle: the slice holds exactly the counted values,
+    # and the j-th one sits where the count steps from <= j to > j
+    params = PhysicalParams(1.0, 0.1, 0.2)
+    production = build_hamiltonian(params, Discretization.for_params(params))
+    cases = [(toy_operator(), 100.0, 5), (production, 1.1 * continuum_edge(params), 11)]
+    for op, threshold, expected in cases:
+        values = eigenvalues_below(op, threshold)
+        assert values.size == sturm_count(op, threshold) == expected
+        for j, v in enumerate(values):
+            d = 1e-9 * max(1.0, abs(v))
+            assert sturm_count(op, v - d) <= j < sturm_count(op, v + d)
+
+
 def test_dense_equivalence_random_instances():
     scipy_linalg = pytest.importorskip("scipy.linalg")
     rng = np.random.default_rng(31415)
