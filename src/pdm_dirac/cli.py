@@ -30,7 +30,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import ConfigKeyError, InvalidBox, NegativeLambda, ParameterError, PdmDiracError
+from .errors import ConfigKeyError, ParameterError, PdmDiracError
 from .feasibility import (
     Box,
     _f_grid,
@@ -370,7 +370,7 @@ def resolve_config(ns: argparse.Namespace) -> RunConfig:
 def cmd_surface(cfg: RunConfig) -> int:
     box = cfg.box if cfg.box is not None else (-1.0, 1.0, 0.0, 10.0)
     grid = cfg.grid if cfg.grid is not None else (101, 101)
-    scan_box = Box(*box)  # validates bounds
+    scan_box = Box(*box)  # validates bounds, lambda >= 0 included
     if grid[0] < 2 or grid[1] < 2:
         raise ConfigKeyError(f"surface grid must be at least 2x2, got {grid}")
     # unique() collapses a degenerate axis (min == max) to one node
@@ -384,18 +384,9 @@ def cmd_surface(cfg: RunConfig) -> int:
         if abs(eta) <= DEFAULT_POLICY.eta_zero_snap:
             lines.append(f"# eta node {_fmt(eta)} skipped: f undefined on the eta=0 line")
             continue
-        if lam_nodes[0] < 0.0:
-            raise NegativeLambda(f"lambda must be >= 0, got {float(lam_nodes[0])}")
         # row by row: whole-grid temporaries would raise the peak memory
-        with np.errstate(all="ignore"):  # non-finite values are rejected below
-            values = _f_grid(np.array([eta]), lam_nodes)[0]
+        values = _f_grid(np.array([eta]), lam_nodes)[0]
         values[boundary] = 0.0  # exact boundary identity f(eta, 0) = 0
-        if not np.isfinite(values).all():
-            lam = lam_nodes[~np.isfinite(values)][0]
-            raise InvalidBox(
-                f"f is not finite at eta={_fmt(eta)}, lambda={_fmt(lam)}: "
-                "the box leaves the representable range"
-            )
         eta_text = _fmt(eta)
         lines.extend(f"{eta_text},{lam},{_fmt(v)}" for lam, v in zip(lam_text, values.tolist()))
         rows += values.size

@@ -83,6 +83,10 @@ class BoxIncludesEtaZero(EvaluationError):
     """Every eta gridline of the scan box collapses onto the excluded eta = 0 line."""
 
 
+class CertificateViolation(EvaluationError):
+    """A float evaluation contradicts the certified sign or the two f routes disagree."""
+
+
 # --- finite-difference solver ----------------------------------------------
 
 class GridTooCoarse(EvaluationError):
@@ -91,7 +95,3 @@ class GridTooCoarse(EvaluationError):
 
 class DomainTooSmall(EvaluationError):
     """Box half-width does not contain the step region (alpha * L too small)."""
-
-
-class TooManyRequested(EvaluationError):
-    """More eigenvalues below the threshold than the requested cap."""

@@ -33,6 +33,7 @@ import numpy as np
 from .errors import (
     BothZero,
     BoxIncludesEtaZero,
+    CertificateViolation,
     EmptyBox,
     EtaOutOfRange,
     EtaZeroSingular,
@@ -107,16 +108,19 @@ def aux_root(eta: float, lam: float) -> float:
     """Positive root u of ``u^2 + lam*u = eta^2``; equals |eta| iff lam = 0.
 
     Rationalized form ``2 eta^2 / (lam + sqrt(lam^2 + 4 eta^2))``, stable for
-    all admissible (eta, lam).
+    all admissible (eta, lam); where ``u^2`` underflows the point is eta = 0
+    in doubles and :class:`EtaZeroSingular` is raised.
     """
     _check_domain(eta, lam)
-    return 2.0 * eta * eta / (lam + math.hypot(lam, 2.0 * eta))
+    u = 2.0 * eta * eta / (lam + math.hypot(lam, 2.0 * eta))
+    if u * u == 0.0:
+        raise EtaZeroSingular(f"u^2 underflows at eta={eta!r}, lambda={lam!r}")
+    return u
 
 
 def f_direct(eta: float, lam: float) -> float:
-    """Feasibility function in its direct (unfactored) arrangement."""
-    _check_domain(eta, lam)
-    t = -4.0 * eta * eta / (lam + math.hypot(lam, 2.0 * eta))
+    """Feasibility function in its direct (unfactored) arrangement, t = -2u."""
+    t = -2.0 * aux_root(eta, lam)
     t2 = t * t
     return (1.0 + eta * eta) - 4.0 * eta * eta / t2 - 0.25 * t2
 
@@ -141,13 +145,13 @@ def sign_certificate(eta: float, lam: float) -> SignVerdict:
     if lam > 0.0:
         verdict = SignVerdict.NEGATIVE
         if f_factored(eta, lam) > 0.0:
-            raise AssertionError(
+            raise CertificateViolation(
                 f"sign certificate contradicts f_factored at eta={eta}, lam={lam}"
             )
     else:
         verdict = SignVerdict.ZERO_BOUNDARY
         if abs(f_factored(eta, lam)) > 1e-12:
-            raise AssertionError(
+            raise CertificateViolation(
                 f"boundary identity f(eta, 0) = 0 violated at eta={eta}"
             )
     return verdict
@@ -158,13 +162,13 @@ def evaluate_point(
 ) -> FeasibilityResult:
     """Bundle both routes, the auxiliary root, and the certified sign.
 
-    Raises if the two routes disagree beyond ``policy.rel_tol * max(1, |f|)``;
-    they are algebraically identical, so disagreement means evaluation error.
+    Raises CertificateViolation if the routes disagree beyond ``policy.rel_tol
+    * max(1, |f|)``; they are algebraically identical, so that is an error.
     """
     fd = f_direct(eta, lam)
     ff = f_factored(eta, lam)
     if abs(fd - ff) > policy.rel_tol * max(1.0, abs(fd)):
-        raise AssertionError(
+        raise CertificateViolation(
             f"route disagreement at eta={eta}, lam={lam}: direct={fd!r} factored={ff!r}"
         )
     return FeasibilityResult(
@@ -217,6 +221,8 @@ class Box:
             )
         if max(abs(self.eta_min), abs(self.eta_max)) > 1.0:
             raise InvalidBox("box must satisfy |eta| <= 1")
+        if self.lam_min < 0.0:
+            raise NegativeLambda(f"lambda must be >= 0, got {self.lam_min}")
 
     def as_list(self) -> list[float]:
         return [self.eta_min, self.eta_max, self.lam_min, self.lam_max]
@@ -250,14 +256,20 @@ class SupremumReport:
 def _f_grid(eta_nodes: np.ndarray, lam_nodes: np.ndarray) -> np.ndarray:
     """Vectorized factored route on the (eta, lambda) product grid.
 
-    Rows follow ``eta_nodes`` and columns ``lam_nodes``; every node is
-    evaluated, so callers drop or override singular nodes themselves.
+    Rows follow ``eta_nodes`` and columns ``lam_nodes``; callers drop eta = 0
+    nodes themselves.  A non-finite value (u^2 underflows) raises InvalidBox.
     """
     e2 = (eta_nodes * eta_nodes)[:, None]
     lam = lam_nodes[None, :]
-    u = 2.0 * e2 / (lam + np.hypot(lam, 2.0 * np.abs(eta_nodes)[:, None]))
-    u2 = u * u
-    return (1.0 - u2) * (u2 - e2) / u2
+    with np.errstate(all="ignore"):  # non-finite values are rejected below
+        u = 2.0 * e2 / (lam + np.hypot(lam, 2.0 * np.abs(eta_nodes)[:, None]))
+        u2 = u * u
+        values = (1.0 - u2) * (u2 - e2) / u2
+    # f <= 0 on the admissible domain, so only -inf (u^2 = 0) or NaN can
+    # appear; min() catches both without a full-size boolean temporary
+    if not math.isfinite(values.min()):
+        raise InvalidBox("f is not finite on the box: it leaves the representable range")
+    return values
 
 
 def _better(a: tuple[float, float, float], b: tuple[float, float, float]) -> bool:
@@ -400,8 +412,7 @@ def supremum_scan(
         if _better(point, overall):
             overall = point
 
-    finite_trace = [v for _, _, v in trace if math.isfinite(v)]
-    all_negative = bool(values.max() < 0.0) and all(v < 0.0 for v in finite_trace)
+    all_negative = bool(vmax < 0.0) and all(v < 0.0 for _, _, v in trace)
 
     return SupremumReport(
         box=box,

@@ -13,11 +13,11 @@ A genuine bound state must sit below the continuum edge
 ``min(V_eff(-inf), V_eff(+inf)) = M0^2 (1 - |eta|)^2`` *and* be localized away
 from the artificial walls; everything else below the edge is a box artifact.
 The number of eigenvalues below a threshold is the integer-exact
-Sturm-sequence negative-pivot count; the values themselves come from LAPACK
-``dstebz`` (Kahan bisection), eigenvectors from banded inverse iteration.  By
-the Rayleigh bound every discrete eigenvalue exceeds the grid minimum of V_eff,
-which for the monotone step profile already rules the discrete spectrum out;
-the scan below the edge verifies it directly.
+Sturm-sequence negative-pivot count; only the values counted below the edge
+are computed (LAPACK ``dstebz``, Kahan bisection, eigenvectors by banded
+inverse iteration), and the near-edge slice is reported by its count.  By the
+Rayleigh bound every eigenvalue exceeds the grid minimum of V_eff, which for
+the monotone step profile already rules the discrete spectrum out.
 """
 
 from __future__ import annotations
@@ -36,7 +36,7 @@ from .errors import (
     EtaZeroDegenerate,
     GridTooCoarse,
     LambdaZero,
-    TooManyRequested,
+    ParameterError,
 )
 from .params import DEFAULT_POLICY, NumericPolicy, PhysicalParams, reduce_params
 from .spectrum import (
@@ -82,8 +82,8 @@ _MIN_ALPHA_L_WARN = 10.0
 INTERIOR_MASS_MIN = 0.99
 EDGE_AMPLITUDE_MAX = 1e-4
 
-# Eigenvalues are scanned slightly above the continuum edge so that near-edge
-# states are still seen; only values strictly below the edge are candidates.
+# Eigenvalues are counted slightly above the continuum edge so that near-edge
+# box modes are still seen; only values strictly below the edge are candidates.
 _EDGE_SLACK = 1.1
 
 
@@ -100,9 +100,11 @@ class Discretization:
 
     def __post_init__(self) -> None:
         if not (math.isfinite(self.half_width) and self.half_width > 0.0):
-            raise ValueError(f"half_width must be positive and finite, got {self.half_width}")
+            raise ParameterError(f"half_width must be positive and finite, got {self.half_width}")
         if self.num_points < 3:
-            raise ValueError(f"num_points must be >= 3, got {self.num_points}")
+            raise ParameterError(f"num_points must be >= 3, got {self.num_points}")
+        if not sys.float_info.min <= self.spacing * self.spacing < math.inf:
+            raise ParameterError(f"spacing h = {self.spacing:.3g}: h^2 is not a normal double")
 
     @property
     def spacing(self) -> float:
@@ -232,26 +234,17 @@ def sturm_count(op: TridiagonalOperator, sigma: float) -> int:
     return count
 
 
-def eigenvalues_below(
-    op: TridiagonalOperator,
-    threshold: float,
-    max_count: int = 64,
-) -> np.ndarray:
+def eigenvalues_below(op: TridiagonalOperator, threshold: float) -> np.ndarray:
     """All eigenvalues strictly below ``threshold``, ascending.
 
     The count is :func:`sturm_count` at the threshold (every eigenvalue for an
     infinite threshold), exact up to floating comparisons at the threshold
     itself; the values are the lowest that many eigenvalues from LAPACK
-    ``dstebz``.  Raises :class:`TooManyRequested` if more than ``max_count``
-    eigenvalues lie below the threshold.
+    ``dstebz``.
     """
     k = sturm_count(op, threshold) if math.isfinite(threshold) else op.size
     if k == 0:
         return np.empty(0)
-    if k > max_count:
-        raise TooManyRequested(
-            f"{k} eigenvalues below threshold {threshold!r}, cap is {max_count}"
-        )
     return eigvalsh_tridiagonal(
         op.diag, np.full(op.size - 1, op.off), select="i", select_range=(0, k - 1)
     )
@@ -362,7 +355,7 @@ class BoundCandidate:
 class DiscreteSpectrum:
     """Numeric spectrum scan below (just above) the continuum edge."""
 
-    eigenvalues: np.ndarray            # ascending, everything below edge*1.1
+    slice_count: int                   # eigenvalues below edge*1.1 (Sturm count)
     continuum_edge: float
     bound_candidates: list[BoundCandidate]
     v_eff_min: float
@@ -375,7 +368,7 @@ class DiscreteSpectrum:
 
     def to_dict(self) -> dict:
         return {
-            "eigenvalues_below_slice": [float(v) for v in self.eigenvalues],
+            "slice_count": self.slice_count,
             "continuum_edge": self.continuum_edge,
             "bound_candidates": [c.to_dict() for c in self.bound_candidates],
             "v_eff_min": self.v_eff_min,
@@ -402,14 +395,14 @@ def bound_state_report(
     disc: Optional[Discretization] = None,
     potential: Optional[Callable[[np.ndarray], np.ndarray]] = None,
     edge: Optional[float] = None,
-    max_count: int = 64,
 ) -> DiscreteSpectrum:
     """Scan for genuine bound states below the continuum edge.
 
-    Eigenvalues up to ``edge * 1.1`` are computed so near-edge box modes are
-    visible; only those strictly below the edge become candidates, and each
-    candidate is kept or dismissed by its localization metrics.
-    ``empty_real_spectrum`` is True iff no candidate passes the gate.
+    Only the eigenvalues below the edge are computed: each is a candidate,
+    kept or dismissed by the localization metrics of its eigenvector.  The
+    slice up to ``edge * 1.1`` is only counted (``slice_count``), so near-edge
+    box modes stay visible.  ``empty_real_spectrum`` is True iff no candidate
+    passes the gate.
 
     ``potential``/``edge`` override the model profile for control cases; the
     default edge is ``M0^2 (1 - |eta|)^2``.
@@ -421,19 +414,15 @@ def bound_state_report(
     if edge is None:
         edge = continuum_edge(params)
     op = build_hamiltonian(params, disc, potential=potential)
-    eigenvalues = eigenvalues_below(op, edge * _EDGE_SLACK, max_count=max_count)
-    candidates = []
-    for value in eigenvalues:
-        if value < edge:
-            phi = eigenvector(op, float(value))
-            candidates.append(
-                BoundCandidate(
-                    e_squared=float(value),
-                    localization=localization_metric(op.x, phi, disc.half_width),
-                )
-            )
+    candidates = [
+        BoundCandidate(
+            e_squared=value,
+            localization=localization_metric(op.x, eigenvector(op, value), disc.half_width),
+        )
+        for value in eigenvalues_below(op, edge).tolist()
+    ]
     return DiscreteSpectrum(
-        eigenvalues=eigenvalues,
+        slice_count=sturm_count(op, edge * _EDGE_SLACK),
         continuum_edge=edge,
         bound_candidates=candidates,
         v_eff_min=float(np.min(op.v_eff)),

@@ -199,11 +199,15 @@ def delta1(params: DimensionlessParams) -> float:
 
     Evaluated as ``-2 q / (1 + sqrt(1 + 4 q))`` with ``q = (eta/lam)^2``, which
     is the same quantity without subtractive cancellation when q is tiny.
-    Raises :class:`LambdaZero` in the abrupt-step limit lam = 0.
+    Raises :class:`LambdaZero` in the abrupt-step limit lam = 0, and where
+    ``4 q`` overflows (lam is 0 in doubles).
     """
     if params.lam == 0.0:
         raise LambdaZero("delta1 diverges as lambda -> 0 (abrupt-step limit)")
-    q = (params.eta / params.lam) ** 2
+    r = params.eta / params.lam
+    if 4.0 * r * r == math.inf:
+        raise LambdaZero(f"(eta/lambda)^2 overflows at lambda={params.lam!r}")
+    q = r ** 2
     return -2.0 * q / (1.0 + math.sqrt(1.0 + 4.0 * q))
 
 
@@ -227,7 +231,8 @@ def level_energy(
 
     The classification band is ``policy.abs_tol * M0^2``.  Raises
     :class:`EtaZeroDegenerate` at eta = 0 (constant-mass limit, excluded),
-    :class:`LambdaZero` at lam = 0, and :class:`LevelAtPole` when
+    :class:`LambdaZero` at lam = 0 (or where ``lam (n + delta1)`` squares
+    to 0), and :class:`LevelAtPole` when
     ``|n + delta1| <= policy.abs_tol`` puts the index on the formula's pole.
     """
     if n < 0:
@@ -243,6 +248,8 @@ def level_energy(
     eta2 = params.eta * params.eta
     v = params.lam * offset
     v2 = v * v
+    if v2 == 0.0:
+        raise LambdaZero(f"(lambda (n + delta1))^2 underflows at lambda={params.lam!r}")
     m2 = M0 * M0
     e_squared = m2 * ((1.0 + eta2) - eta2 / v2 - v2)
     return SpectrumEntry(

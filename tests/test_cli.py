@@ -4,7 +4,8 @@ import json
 
 import pytest
 
-from pdm_dirac import PhysicalParams, f_factored, potential_sample
+from pdm_dirac import CertificateViolation, PhysicalParams, f_factored, potential_sample
+from pdm_dirac import feasibility
 from pdm_dirac.cli import main
 
 
@@ -273,3 +274,73 @@ def test_verdict_physical_parameterization(tmp_path, capsys):
     doc = json.loads(out.read_text())
     assert doc["statement"] == "SpectrumImaginaryOrEmpty"
     assert doc["comparison"]["numeric"]["continuum_edge"] == pytest.approx(0.01)
+
+
+# Inputs that validation accepts but doubles cannot represent, and scan boxes
+# the Box type rejects: each ends in a fixed status with a structured error.
+EXIT_CASES = [
+    (["verdict", "--eta", "1e-200", "--lambda", "1"], 4, ["EtaZeroSingular"]),
+    (["verdict", "--eta", "1e-160", "--lambda", "1"], 4, ["EtaZeroSingular"]),
+    (["verdict", "--eta", "1", "--lambda", "1e300"], 4, ["EtaZeroSingular", "ParameterError"]),
+    (["verdict", "--eta", "0.5", "--lambda", "1e-300"], 4, ["ParameterError"]),
+    (["verdict", "--eta", "1e-300", "--lambda", "1e-300"], 4,
+     ["EtaZeroSingular", "ParameterError"]),
+    (["verdict", "--eta", "1", "--lambda", "1e-320"], 4, ["ParameterError"]),
+    (["verdict", "--eta", "0.5", "--lambda", "1", "--N", "2"], 4, ["ParameterError"]),
+    (["verdict", "--eta", "0.5", "--lambda", "1", "--L=-1"], 4, ["ParameterError"]),
+    (["verdict", "--eta", "0.5", "--lambda", "1", "--box=0.5,0.6,1e300,1e300",
+      "--grid", "3,3"], 4, ["InvalidBox"]),
+    (["verdict", "--eta", "0.5", "--lambda", "1", "--box=-1,1,-1,1"], 4, ["NegativeLambda"]),
+    (["surface", "--box=0,0,-1,1"], 2, ["lambda must be >= 0"]),
+    (["surface", "--box=0.1,0.1,-1,1"], 2, ["lambda must be >= 0"]),
+    (["surface", "--box=0.5,0.6,1e300,1e300", "--grid", "3,3"], 2, ["InvalidBox"]),
+    (["spectrum", "--eta", "0.5", "--lambda", "1e-300"], 2, ["LambdaZero"]),
+    (["spectrum", "--eta", "1e-300", "--lambda", "1e-300"], 2, ["LambdaZero"]),
+]
+
+
+@pytest.mark.parametrize(
+    "args,status,errors", EXIT_CASES, ids=[" ".join(case[0]) for case in EXIT_CASES]
+)
+def test_exit_status_contract(args, status, errors, tmp_path, capsys):
+    out = tmp_path / "out.txt"
+    rc, _, err = run(args + ["--out", str(out)], capsys)
+    assert rc == status
+    if status == 2:
+        assert list(tmp_path.iterdir()) == []  # nothing written, not even a temp file
+        for name in errors:
+            assert name in err
+    else:
+        trail = json.loads(out.read_text())["error_trail"]
+        assert [name for name in errors if any(name in entry for entry in trail)] == errors
+        assert len(trail) == len(errors)
+
+
+@pytest.mark.parametrize("eta,alpha,slice_count", [("0.01", "0.01", 441), ("0.1", "0.02", 109)])
+def test_small_alpha_verdict_counts_the_slice(eta, alpha, slice_count, tmp_path, capsys):
+    out = tmp_path / "verdict.json"
+    rc, _, _ = run(["verdict", "--eta", eta, "--alpha", alpha, "--out", str(out)], capsys)
+    assert rc == 0
+    doc = json.loads(out.read_text())
+    assert doc["error_trail"] == []
+    assert doc["comparison"]["numeric"]["slice_count"] == slice_count
+    assert doc["comparison"]["numeric"]["bound_candidates"] == []
+
+
+def test_certificate_violation_lands_in_error_trail(monkeypatch, tmp_path, capsys):
+    monkeypatch.setattr(feasibility, "f_factored", lambda eta, lam: 1.0)
+    with pytest.raises(CertificateViolation):
+        feasibility.sign_certificate(0.5, 1.0)
+    with pytest.raises(CertificateViolation):
+        feasibility.sign_certificate(0.5, 0.0)  # boundary identity f(eta, 0) = 0
+    with pytest.raises(CertificateViolation):
+        feasibility.evaluate_point(0.5, 1.0)  # the two routes disagree
+    out = tmp_path / "verdict.json"
+    rc, _, _ = run(
+        ["verdict", "--eta", "0.5", "--lambda", "1", "--N", "800", "--grid", "11,11",
+         "--out", str(out)],
+        capsys,
+    )
+    assert rc == 4
+    [entry] = json.loads(out.read_text())["error_trail"]
+    assert entry.startswith("feasibility: CertificateViolation:")

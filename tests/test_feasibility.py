@@ -197,6 +197,9 @@ def test_box_validation():
         Box(-1.5, 1.0, 1.0, 2.0)
     with pytest.raises(InvalidBox):
         Box(0.0, 1.0, math.nan, 2.0)
+    for eta in (0.0, 0.1):  # also when every eta gridline would be skipped
+        with pytest.raises(NegativeLambda):
+            Box(eta, eta, -1.0, 1.0)
 
 
 def test_scan_four_point_box():
@@ -218,6 +221,16 @@ def test_scan_degenerate_single_point():
 def test_scan_requires_positive_lambda():
     with pytest.raises(InvalidBox):
         supremum_scan(Box(0.1, 1.0, 0.0, 2.0), grid=(3, 3))
+
+
+def test_underflow_is_structured():
+    # u^2 underflows: indistinguishable from eta = 0 in doubles
+    for eta, lam in ((1e-200, 1.0), (1e-160, 1.0), (1.0, 1e300)):
+        for fn in (aux_root, f_direct, f_factored):
+            with pytest.raises(EtaZeroSingular):
+                fn(eta, lam)
+    with pytest.raises(InvalidBox):
+        supremum_scan(Box(0.5, 0.6, 1e300, 1e300), grid=(3, 3))
 
 
 def test_scan_grid_floor():

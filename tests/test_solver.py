@@ -11,7 +11,6 @@ from pdm_dirac import (
     DomainTooSmall,
     GridTooCoarse,
     PhysicalParams,
-    TooManyRequested,
     analytic_vs_numeric,
     bound_state_report,
     build_hamiltonian,
@@ -155,14 +154,8 @@ def test_constant_potential_has_no_state_below_edge():
     h = op.spacing
     n = op.size
     exact = [1.0 + (2.0 / h**2) * (1.0 - math.cos(k * math.pi / (n + 1))) for k in (1, 2, 3)]
-    got = eigenvalues_below(op, exact[2] * 1.000001, max_count=8)
+    got = eigenvalues_below(op, exact[2] * 1.000001)
     np.testing.assert_allclose(got, exact, rtol=1e-10)
-
-
-def test_too_many_requested():
-    op = toy_operator()
-    with pytest.raises(TooManyRequested):
-        eigenvalues_below(op, math.inf, max_count=2)
 
 
 def test_rayleigh_lower_bound_and_ascending():
@@ -217,7 +210,7 @@ def test_localization_separates_bound_from_box_modes():
     op = build_hamiltonian(
         PhysicalParams(1.0, 0.0, 1.0), Discretization(10.0, 500), enforce_resolution=False
     )
-    lowest = eigenvalues_below(op, 1.5, max_count=32)[0]
+    lowest = eigenvalues_below(op, 1.5)[0]
     phi = eigenvector(op, float(lowest))
     box_metric = localization_metric(op.x, phi, op.half_width)
     assert not box_metric.localized
@@ -232,10 +225,13 @@ def test_continuum_edge_values():
 
 
 def test_core_experiment_is_empty():
-    report = bound_state_report(P_HALF, Discretization(25.0, 8000))
+    disc = Discretization(25.0, 8000)
+    report = bound_state_report(P_HALF, disc)
     assert report.continuum_edge == pytest.approx(0.25)
     # the slice may pick up box modes just above the edge; nothing below it
-    assert np.all(report.eigenvalues >= report.continuum_edge)
+    op = build_hamiltonian(P_HALF, disc)
+    assert sturm_count(op, report.continuum_edge) == 0
+    assert report.slice_count == sturm_count(op, 1.1 * report.continuum_edge)
     assert report.bound_candidates == []
     assert report.empty_real_spectrum
     assert report.v_eff_monotone
@@ -251,9 +247,12 @@ def test_monotone_flag_tracks_eta_sign():
 
 
 def test_eta_zero_free_case_verdict():
-    report = bound_state_report(PhysicalParams(1.0, 0.0, 1.0), Discretization(25.0, 1000))
+    params, disc = PhysicalParams(1.0, 0.0, 1.0), Discretization(25.0, 1000)
+    report = bound_state_report(params, disc)
     assert report.continuum_edge == pytest.approx(1.0)
-    assert np.all(report.eigenvalues >= 1.0)  # box modes only, none below M0^2
+    op = build_hamiltonian(params, disc)
+    assert sturm_count(op, 1.0) == 0  # box modes only, none below M0^2
+    assert report.slice_count == sturm_count(op, 1.1) > 0
     assert report.bound_candidates == []
     assert report.empty_real_spectrum
 
@@ -265,6 +264,25 @@ def test_control_well_finds_the_known_state():
     assert report.empty_real_spectrum is False
     assert len(report.bound_candidates) == 1
     assert report.bound_candidates[0].e_squared == pytest.approx(0.0, abs=2e-3)
+
+
+def test_report_counts_slice_and_solves_only_below_edge():
+    # production operator (11 box modes in the slice, none below the edge)
+    # and the control well (5 in the slice, its one state below the edge)
+    cases = [
+        (PhysicalParams(1.0, 0.1, 0.2), None, None, 11, 0),
+        (P_HALF, poschl_teller_well, 1.0, 5, 1),
+    ]
+    for p, potential, edge, slice_size, candidates in cases:
+        disc = Discretization.for_params(p)
+        report = bound_state_report(p, disc, potential=potential, edge=edge)
+        op = build_hamiltonian(p, disc, potential=potential)
+        edge = report.continuum_edge
+        assert report.slice_count == sturm_count(op, 1.1 * edge) == slice_size
+        values = [c.e_squared for c in report.bound_candidates]
+        assert values == eigenvalues_below(op, edge).tolist()
+        assert len(values) == candidates
+        assert report.to_dict()["slice_count"] == report.slice_count
 
 
 def test_custom_potential_requires_explicit_edge():
@@ -291,8 +309,8 @@ def test_parity_spectra_match():
     # mirror-image potentials share the spectrum; compare above the edge too
     plus = build_hamiltonian(PhysicalParams(1.0, 0.6, 1.0), Discretization(25.0, 1500))
     minus = build_hamiltonian(PhysicalParams(1.0, -0.6, 1.0), Discretization(25.0, 1500))
-    a = eigenvalues_below(plus, 0.5, max_count=64)
-    b = eigenvalues_below(minus, 0.5, max_count=64)
+    a = eigenvalues_below(plus, 0.5)
+    b = eigenvalues_below(minus, 0.5)
     assert a.size == b.size
     for x, y in zip(a, b):
         assert abs(x - y) <= 1e-9 * max(1.0, abs(x))

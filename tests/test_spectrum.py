@@ -160,6 +160,10 @@ def test_delta1_reference_points():
 def test_delta1_rejects_lambda_zero():
     with pytest.raises(LambdaZero):
         delta1(DimensionlessParams(0.5, 0.0))
+    with pytest.raises(LambdaZero):  # (eta/lam)^2 overflows: lam is 0 in doubles
+        delta1(DimensionlessParams(0.5, 1e-300))
+    with pytest.raises(LambdaZero):  # (lam (n + delta1))^2 underflows
+        level_energy(DimensionlessParams(1e-300, 1e-300), 0)
 
 
 def test_delta1_nonpositive_and_monotone_in_eta():
