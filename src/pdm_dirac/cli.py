@@ -40,7 +40,9 @@ from .feasibility import (
     supremum_scan,
 )
 from .params import (
-    DEFAULT_POLICY,
+    ETA_ZERO_SNAP,
+    LAMBDA_MIN_SCAN,
+    REL_TOL,
     DimensionlessParams,
     PhysicalParams,
     params_from_json,
@@ -80,6 +82,8 @@ _ALLOWED_FORMATS = {
     "potential": ("csv",),
 }
 _NEEDS_PARAMS = {"spectrum", "verdict", "potential"}
+# The level table is built row by row; this keeps it to about a second.
+_N_MAX_CEILING = 100_000
 
 
 def _fmt(value: float) -> str:
@@ -326,8 +330,8 @@ def resolve_config(ns: argparse.Namespace) -> RunConfig:
         grid = tuple(int(v) for v in grid)
 
     n_max = int(run_key(getattr(ns, "n_max", None), "n_max", 5))
-    if n_max < 0:
-        raise ConfigKeyError(f"n_max must be >= 0, got {n_max}")
+    if not 0 <= n_max <= _N_MAX_CEILING:
+        raise ConfigKeyError(f"n_max must be in [0, {_N_MAX_CEILING}], got {n_max}")
     half_width = run_key(getattr(ns, "L", None), "L", None)
     if half_width is not None:
         half_width = float(half_width)
@@ -375,13 +379,14 @@ def cmd_surface(cfg: RunConfig) -> int:
         raise ConfigKeyError(f"surface grid must be at least 2x2, got {grid}")
     # unique() collapses a degenerate axis (min == max) to one node
     eta_nodes = np.unique(np.linspace(scan_box.eta_min, scan_box.eta_max, grid[0]))
-    lam_nodes = np.unique(np.linspace(scan_box.lam_min, scan_box.lam_max, grid[1]))
+    with np.errstate(over="ignore"):  # only the last node can overflow; linspace pins it
+        lam_nodes = np.unique(np.linspace(scan_box.lam_min, scan_box.lam_max, grid[1]))
     lam_text = [_fmt(lam) for lam in lam_nodes]
     boundary = lam_nodes == 0.0
     lines = ["eta,lambda,f"]
     rows = 0
     for eta in eta_nodes.tolist():
-        if abs(eta) <= DEFAULT_POLICY.eta_zero_snap:
+        if abs(eta) <= ETA_ZERO_SNAP:
             lines.append(f"# eta node {_fmt(eta)} skipped: f undefined on the eta=0 line")
             continue
         # row by row: whole-grid temporaries would raise the peak memory
@@ -425,8 +430,13 @@ def cmd_potential(cfg: RunConfig) -> int:
     count = cfg.num_points if cfg.num_points is not None else 401
     if count < 2:
         raise ConfigKeyError(f"potential sampling needs N >= 2, got {count}")
-    s = potential_sample(params, np.linspace(-half_width, half_width, count))
+    with np.errstate(all="ignore"):  # non-finite tables are rejected below
+        s = potential_sample(params, np.linspace(-half_width, half_width, count))
     columns = (s.x, s.mass, s.vector_potential.imag, s.v_eff)
+    if not all(np.isfinite(c).all() for c in columns):
+        raise ConfigKeyError(
+            f"potential table leaves the double range (L={half_width!r}, M0={params.M0!r})"
+        )
     lines = ["x,mass,im_v,v_eff"]
     lines.extend(",".join(map(_fmt, row)) for row in zip(*(c.tolist() for c in columns)))
     _emit(cfg.out, "\n".join(lines) + "\n")
@@ -439,7 +449,8 @@ def _route_agreement_check(box: Box, seed: int, samples: int = 256) -> dict:
     rng = np.random.default_rng(seed)
     worst = 0.0
     worst_at = (0.0, 0.0)
-    lam_lo, lam_hi = max(box.lam_min, 1e-6), box.lam_max
+    lam_hi = box.lam_max
+    lam_lo = min(max(box.lam_min, 1e-6), lam_hi)  # a box below 1e-6 samples lam_max
     for _ in range(samples):
         eta = float(rng.uniform(1e-3, 1.0))
         if rng.random() < 0.5:
@@ -455,8 +466,8 @@ def _route_agreement_check(box: Box, seed: int, samples: int = 256) -> dict:
         "samples": samples,
         "max_rel_discrepancy": worst,
         "worst_at": list(worst_at),
-        "tolerance": DEFAULT_POLICY.rel_tol,
-        "ok": worst <= DEFAULT_POLICY.rel_tol,
+        "tolerance": REL_TOL,
+        "ok": worst <= REL_TOL,
     }
 
 
@@ -468,17 +479,13 @@ def cmd_verdict(cfg: RunConfig) -> int:
 
     params = cfg.physical()
     dless = cfg.dimensionless()
-    box_values = cfg.box if cfg.box is not None else (
-        -1.0, 1.0, DEFAULT_POLICY.lambda_min_scan, 10.0
-    )
+    box_values = cfg.box if cfg.box is not None else (-1.0, 1.0, LAMBDA_MIN_SCAN, 10.0)
     grid = cfg.grid if cfg.grid is not None else (201, 201)
 
     # 1. feasibility: supremum scan, point certificate, route spot check
     try:
         scan_box = Box(*box_values)
         scan = supremum_scan(scan_box, grid=grid)
-        scan_doc = scan.to_dict()
-        del scan_doc["refinement_trace"]  # summary only; trace length is kept
         if scan.sup_estimate >= 0.0:
             evidence_points.append([scan.argmax[0], scan.argmax[1], scan.sup_estimate])
         point_cert = None
@@ -487,7 +494,7 @@ def cmd_verdict(cfg: RunConfig) -> int:
             if dless.lam > 0.0 and point_cert["sign_verdict"] != "Negative":
                 evidence_points.append([dless.eta, dless.lam, point_cert["f_factored"]])
         report["feasibility"] = {
-            "supremum": scan_doc,
+            "supremum": scan.to_dict(),
             "point_certificate": point_cert,
             "route_agreement": _route_agreement_check(scan_box, cfg.seed),
         }

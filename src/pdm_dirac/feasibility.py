@@ -40,7 +40,7 @@ from .errors import (
     InvalidBox,
     NegativeLambda,
 )
-from .params import DEFAULT_POLICY, DimensionlessParams, NumericPolicy
+from .params import ABS_TOL, ETA_ZERO_SNAP, REL_TOL, DimensionlessParams
 from .spectrum import level_energy
 
 __all__ = [
@@ -58,6 +58,7 @@ __all__ = [
 ]
 
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0  # golden-section shrink ratio
+_SEEDS = 5  # best grid nodes that the scan refines
 
 
 class SignVerdict(str, enum.Enum):
@@ -157,17 +158,15 @@ def sign_certificate(eta: float, lam: float) -> SignVerdict:
     return verdict
 
 
-def evaluate_point(
-    eta: float, lam: float, policy: NumericPolicy = DEFAULT_POLICY
-) -> FeasibilityResult:
+def evaluate_point(eta: float, lam: float) -> FeasibilityResult:
     """Bundle both routes, the auxiliary root, and the certified sign.
 
-    Raises CertificateViolation if the routes disagree beyond ``policy.rel_tol
-    * max(1, |f|)``; they are algebraically identical, so that is an error.
+    Raises CertificateViolation if the routes disagree beyond ``REL_TOL *
+    max(1, |f|)``; they are algebraically identical, so that is an error.
     """
     fd = f_direct(eta, lam)
     ff = f_factored(eta, lam)
-    if abs(fd - ff) > policy.rel_tol * max(1.0, abs(fd)):
+    if abs(fd - ff) > REL_TOL * max(1.0, abs(fd)):
         raise CertificateViolation(
             f"route disagreement at eta={eta}, lam={lam}: direct={fd!r} factored={ff!r}"
         )
@@ -182,20 +181,16 @@ def evaluate_point(
 
 
 def feasibility_inequality(
-    params: DimensionlessParams,
-    n: int = 0,
-    M0: float = 1.0,
-    policy: NumericPolicy = DEFAULT_POLICY,
+    params: DimensionlessParams, n: int = 0, M0: float = 1.0
 ) -> tuple[bool, float]:
     """Whether level n's radicand is nonnegative, plus the signed margin.
 
     The margin is ``E_n^2`` itself; "satisfied" means the margin clears
-    ``-policy.abs_tol * M0^2``, i.e. the level is classified Real or
+    ``-ABS_TOL * M0^2``, i.e. the level is classified Real or
     ZeroThreshold by :func:`pdm_dirac.spectrum.level_energy`.
     """
-    entry = level_energy(params, n, M0=M0, policy=policy)
-    margin = entry.e_squared
-    return margin >= -policy.abs_tol * M0 * M0, margin
+    margin = level_energy(params, n, M0=M0).e_squared
+    return margin >= -ABS_TOL * M0 * M0, margin
 
 
 # --- supremum scan ---------------------------------------------------------
@@ -238,9 +233,14 @@ class SupremumReport:
     argmax: tuple[float, float]          # one (eta, lambda) attaining it
     skipped_eta_nodes: list[float]       # gridlines excluded as eta = 0
     refinement_trace: list[tuple[float, float, float]] = field(default_factory=list)
-    all_nodes_negative: bool = True      # every evaluated value < 0
+
+    @property
+    def all_nodes_negative(self) -> bool:
+        """Every evaluated value is < 0 (the supremum is the largest of them)."""
+        return self.sup_estimate < 0.0
 
     def to_dict(self) -> dict:
+        """Summary for reports: the refinement trace is given by its length."""
         return {
             "box": self.box.as_list(),
             "grid_shape": list(self.grid_shape),
@@ -248,7 +248,6 @@ class SupremumReport:
             "argmax": list(self.argmax),
             "skipped_eta_nodes": self.skipped_eta_nodes,
             "refinement_evaluations": len(self.refinement_trace),
-            "refinement_trace": [list(t) for t in self.refinement_trace],
             "all_nodes_negative": self.all_nodes_negative,
         }
 
@@ -272,19 +271,14 @@ def _f_grid(eta_nodes: np.ndarray, lam_nodes: np.ndarray) -> np.ndarray:
     return values
 
 
-def _better(a: tuple[float, float, float], b: tuple[float, float, float]) -> bool:
-    """Deterministic 'a beats b' for (eta, lam, f) candidates.
+def _rank(point: tuple[float, float, float]) -> tuple[float, float, float, float]:
+    """Sort key of an (eta, lam, f) candidate; the smallest key wins.
 
     Maximize f; break ties toward the smallest lambda, then the smallest
     |eta|, then the negative-eta member of an (+eta, -eta) pair.
     """
-    if a[2] != b[2]:
-        return a[2] > b[2]
-    if a[1] != b[1]:
-        return a[1] < b[1]
-    if abs(a[0]) != abs(b[0]):
-        return abs(a[0]) < abs(b[0])
-    return a[0] < b[0]
+    eta, lam, value = point
+    return (-value, lam, abs(eta), eta)
 
 
 def _golden_max(fn, lo: float, hi: float, steps: int, trace: list) -> tuple[float, float]:
@@ -319,20 +313,18 @@ def supremum_scan(
     box: Box,
     grid: tuple[int, int] = (101, 101),
     refine_steps: int = 60,
-    top_k: int = 5,
-    policy: NumericPolicy = DEFAULT_POLICY,
 ) -> SupremumReport:
     """Estimate sup f over the box: product grid, then local refinement.
 
     The grid is ``grid[0]`` eta nodes times ``grid[1]`` lambda nodes.  Eta
-    gridlines within ``policy.eta_zero_snap`` of zero are excluded (f is
-    singular along eta = 0) and recorded; a box whose every eta node collapses
-    there raises :class:`BoxIncludesEtaZero`.  From the best ``top_k`` grid
-    nodes, coordinate-wise golden-section refinement (about ``refine_steps``
-    shrink steps per seed) searches the surrounding grid cells.  The reported
-    supremum is the maximum over *all* evaluations, with the deterministic
-    tie-break documented in :func:`_better`, so the result is independent of
-    evaluation order.
+    gridlines within ``ETA_ZERO_SNAP`` of zero are excluded (f is singular
+    along eta = 0) and recorded; a box whose every eta node collapses there
+    raises :class:`BoxIncludesEtaZero`.  From the best five grid nodes,
+    coordinate-wise golden-section refinement (about ``refine_steps`` shrink
+    steps per seed) searches the surrounding grid cells.  The reported
+    supremum is the best of the grid maximum and every refinement evaluation
+    under the one deterministic order of :func:`_rank`, so the result is
+    independent of evaluation order.
     """
     if grid[0] < 2 or grid[1] < 2:
         raise InvalidBox(f"grid must be at least 2x2, got {grid}")
@@ -343,7 +335,7 @@ def supremum_scan(
         )
 
     eta_all = np.linspace(box.eta_min, box.eta_max, grid[0])
-    eta_all[np.abs(eta_all) <= policy.eta_zero_snap] = 0.0
+    eta_all[np.abs(eta_all) <= ETA_ZERO_SNAP] = 0.0
     keep = eta_all != 0.0
     skipped = [float(v) for v in np.linspace(box.eta_min, box.eta_max, grid[0])[~keep]]
     eta_nodes = eta_all[keep]
@@ -351,7 +343,8 @@ def supremum_scan(
         raise BoxIncludesEtaZero(
             "every eta gridline of the box lies on the excluded eta = 0 line"
         )
-    lam_nodes = np.linspace(box.lam_min, box.lam_max, grid[1])
+    with np.errstate(over="ignore"):  # only the last node can overflow; linspace pins it
+        lam_nodes = np.linspace(box.lam_min, box.lam_max, grid[1])
 
     values = _f_grid(eta_nodes, lam_nodes)
 
@@ -362,18 +355,14 @@ def supremum_scan(
     order = np.lexsort((eta_nodes[ii], np.abs(eta_nodes[ii]), lam_nodes[jj]))
     best = (float(eta_nodes[ii[order[0]]]), float(lam_nodes[jj[order[0]]]), float(vmax))
 
-    # Seeds for refinement: top_k node values, same deterministic ordering.
+    # Seeds for refinement: the best _SEEDS node values, same ordering.
     flat = values.ravel()
-    k = min(top_k, flat.size)
+    k = min(_SEEDS, flat.size)
     top_idx = np.argpartition(flat, flat.size - k)[flat.size - k:]
     seed_eta = eta_nodes[top_idx // lam_nodes.size]
     seed_lam = lam_nodes[top_idx % lam_nodes.size]
-    seed_val = flat[top_idx]
-    seed_order = np.lexsort((seed_eta, np.abs(seed_eta), seed_lam, -seed_val))
-    seeds = [
-        (float(seed_eta[s]), float(seed_lam[s]), float(seed_val[s]))
-        for s in seed_order
-    ]
+    seed_order = np.lexsort((seed_eta, np.abs(seed_eta), seed_lam, -flat[top_idx]))
+    seeds = [(float(seed_eta[s]), float(seed_lam[s])) for s in seed_order]
 
     d_eta = (box.eta_max - box.eta_min) / (grid[0] - 1)
     d_lam = (box.lam_max - box.lam_min) / (grid[1] - 1)
@@ -386,33 +375,25 @@ def supremum_scan(
         return f_factored(eta, lam)
 
     trace: list[tuple[float, float, float]] = []
-    overall = best
     per_coord = max(1, refine_steps // 4)
-    for eta0, lam0, val0 in seeds:
-        eta_c, lam_c, val_c = eta0, lam0, val0
+    for eta_c, lam_c in seeds:
         for _ in range(2):  # two alternating coordinate sweeps
             lam_lo = max(box.lam_min, lam_c - d_lam)
             lam_hi = min(box.lam_max, lam_c + d_lam)
             sub: list[tuple[float, float]] = []
-            lam_c, val_c = _golden_max(
+            lam_c, _ = _golden_max(
                 lambda l: f_or_neg_inf(eta_c, l), lam_lo, lam_hi, per_coord, sub
             )
             trace.extend((eta_c, l, v) for l, v in sub)
             eta_lo = max(box.eta_min, eta_c - d_eta)
             eta_hi = min(box.eta_max, eta_c + d_eta)
             sub = []
-            eta_c, val_c = _golden_max(
+            eta_c, _ = _golden_max(
                 lambda e: f_or_neg_inf(e, lam_c), eta_lo, eta_hi, per_coord, sub
             )
             trace.extend((e, lam_c, v) for e, v in sub)
-        cand = (eta_c, lam_c, val_c)
-        if _better(cand, overall):
-            overall = cand
-    for point in trace:
-        if _better(point, overall):
-            overall = point
-
-    all_negative = bool(vmax < 0.0) and all(v < 0.0 for _, _, v in trace)
+    # each seed's final point is one of its evaluations, so it is in trace
+    overall = min([best, *trace], key=_rank)
 
     return SupremumReport(
         box=box,
@@ -421,5 +402,4 @@ def supremum_scan(
         argmax=(overall[0], overall[1]),
         skipped_eta_nodes=skipped,
         refinement_trace=trace,
-        all_nodes_negative=all_negative,
     )

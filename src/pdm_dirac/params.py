@@ -1,4 +1,4 @@
-"""Validated parameter types, dimensionless reduction, and numeric policy.
+"""Validated parameter types, dimensionless reduction, and shared tolerances.
 
 Conventions
 -----------
@@ -12,6 +12,10 @@ Natural units (hbar = c = 1).  The mass profile is
 Spectral statements depend on (M0, eta, alpha) only through ``eta`` and the
 ratio ``lambda = alpha / M0``; :func:`reduce_params` performs that reduction.
 Validation never clamps: out-of-range input raises, it is not repaired.
+
+The tolerances that the other modules share are fixed module constants
+(``ABS_TOL``, ``REL_TOL``, ``LAMBDA_MIN_SCAN``, ``ETA_ZERO_SNAP``), not
+settings: no entry point takes them as arguments.
 """
 
 from __future__ import annotations
@@ -32,8 +36,10 @@ from .errors import (
 __all__ = [
     "PhysicalParams",
     "DimensionlessParams",
-    "NumericPolicy",
-    "DEFAULT_POLICY",
+    "ABS_TOL",
+    "REL_TOL",
+    "LAMBDA_MIN_SCAN",
+    "ETA_ZERO_SNAP",
     "validate_physical",
     "reduce_params",
     "params_from_json",
@@ -102,37 +108,17 @@ class DimensionlessParams:
         return self.eta == 0.0
 
 
-@dataclass(frozen=True)
-class NumericPolicy:
-    """Shared tolerances and default sweep geometry.
-
-    ``abs_tol`` is the dimensionless classification band: an energy-squared
-    value within ``abs_tol * M0**2`` of zero counts as the threshold case, and
-    a level index within ``abs_tol`` of a formula pole is rejected as such.
-    ``rel_tol`` governs route-agreement checks between the two f routes.
-    """
-
-    abs_tol: float = 1e-12
-    rel_tol: float = 1e-10
-    eta_range: tuple[float, float] = (-1.0, 1.0)
-    lambda_range: tuple[float, float] = (0.0, 10.0)
-    eta_nodes: int = 101
-    lambda_nodes: int = 101
-    lambda_min_scan: float = 1e-3
-    # Gridlines with |eta| below this snap onto the excluded eta = 0 line
-    # (linspace over a symmetric range lands ~1 ulp off zero).
-    eta_zero_snap: float = 1e-12
-
-    def __post_init__(self) -> None:
-        if not (self.abs_tol > 0.0 and self.rel_tol > 0.0):
-            raise ConfigKeyError("tolerances must be strictly positive")
-        if self.eta_nodes < 2 or self.lambda_nodes < 2:
-            raise ConfigKeyError("sweep grids need at least 2 nodes per axis")
-        if self.lambda_min_scan <= 0.0:
-            raise ConfigKeyError("lambda_min_scan must be strictly positive")
-
-
-DEFAULT_POLICY = NumericPolicy()
+# Shared tolerances (dimensionless).  An energy-squared value within
+# ABS_TOL * M0^2 of zero counts as the threshold case, and a level index
+# within ABS_TOL of a formula pole is rejected as such.  REL_TOL bounds the
+# disagreement between the two routes to f.
+ABS_TOL = 1e-12
+REL_TOL = 1e-10
+# Smallest lambda of the verdict's default scan box (f is 0 at lambda = 0).
+LAMBDA_MIN_SCAN = 1e-3
+# Scan gridlines with |eta| below this snap onto the excluded eta = 0 line
+# (linspace over a symmetric range lands ~1 ulp off zero).
+ETA_ZERO_SNAP = 1e-12
 
 
 def validate_physical(M0: float, eta: float, alpha: float) -> PhysicalParams:

@@ -14,10 +14,12 @@ A genuine bound state must sit below the continuum edge
 from the artificial walls; everything else below the edge is a box artifact.
 The number of eigenvalues below a threshold is the integer-exact
 Sturm-sequence negative-pivot count; only the values counted below the edge
-are computed (LAPACK ``dstebz``, Kahan bisection, eigenvectors by banded
-inverse iteration), and the near-edge slice is reported by its count.  By the
-Rayleigh bound every eigenvalue exceeds the grid minimum of V_eff, which for
-the monotone step profile already rules the discrete spectrum out.
+are computed (LAPACK ``dstebz``, Kahan bisection), with their eigenvectors
+(LAPACK ``dstein``, inverse iteration), and the near-edge slice is reported
+by its count.  Both the count and the bisection square entries of size
+``2/h^2``, so a spacing for which that square overflows is rejected.  By
+the Rayleigh bound every eigenvalue exceeds the grid minimum of V_eff, which
+for the monotone step profile already rules the discrete spectrum out.
 """
 
 from __future__ import annotations
@@ -29,16 +31,18 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.linalg import eigvalsh_tridiagonal, solve_banded
+from scipy.linalg import eigvalsh_tridiagonal
+from scipy.linalg.lapack import dstein
 
 from .errors import (
     DomainTooSmall,
     EtaZeroDegenerate,
+    EvaluationError,
     GridTooCoarse,
     LambdaZero,
     ParameterError,
 )
-from .params import DEFAULT_POLICY, NumericPolicy, PhysicalParams, reduce_params
+from .params import PhysicalParams, reduce_params
 from .spectrum import (
     Classification,
     SpectrumEntry,
@@ -103,8 +107,13 @@ class Discretization:
             raise ParameterError(f"half_width must be positive and finite, got {self.half_width}")
         if self.num_points < 3:
             raise ParameterError(f"num_points must be >= 3, got {self.num_points}")
-        if not sys.float_info.min <= self.spacing * self.spacing < math.inf:
+        h2 = self.spacing * self.spacing
+        if not sys.float_info.min <= h2 < math.inf:
             raise ParameterError(f"spacing h = {self.spacing:.3g}: h^2 is not a normal double")
+        # the Sturm recurrence squares the off-diagonal 1/h^2, and LAPACK's
+        # bisection multiplies neighbouring diagonal entries (about 2/h^2)
+        if (2.0 / h2) * (2.0 / h2) == math.inf:
+            raise ParameterError(f"spacing h = {self.spacing:.3g}: (2/h^2)^2 overflows")
 
     @property
     def spacing(self) -> float:
@@ -169,7 +178,7 @@ def build_hamiltonian(
     ``h * alpha > 0.2`` raises :class:`GridTooCoarse` and ``alpha * L < 3``
     raises :class:`DomainTooSmall`, while ``alpha * L < 10`` only warns and
     flags the result.  Tiny toy grids used for dense-reference comparisons
-    may opt out.
+    may opt out.  A non-finite diagonal entry raises :class:`ParameterError`.
     """
     h = disc.spacing
     alpha_l = params.alpha * disc.half_width
@@ -191,15 +200,15 @@ def build_hamiltonian(
             stacklevel=2,
         )
     x = disc.grid()
-    if potential is None:
-        v = np.asarray(effective_potential(params, x), dtype=float)
-    else:
-        v = np.asarray(potential(x), dtype=float)
-    if v.shape != x.shape or not np.all(np.isfinite(v)):
-        raise ValueError("potential must return a finite array matching the grid")
     inv_h2 = 1.0 / (h * h)
+    with np.errstate(all="ignore"):  # non-finite entries are rejected below
+        v = np.asarray(effective_potential(params, x) if potential is None else potential(x),
+                       dtype=float)
+        diag = 2.0 * inv_h2 + v
+    if v.shape != x.shape or not np.all(np.isfinite(diag)):
+        raise ParameterError("potential must give finite operator entries matching the grid")
     return TridiagonalOperator(
-        diag=2.0 * inv_h2 + v,
+        diag=diag,
         off=-inv_h2,
         x=x,
         v_eff=v,
@@ -250,35 +259,22 @@ def eigenvalues_below(op: TridiagonalOperator, threshold: float) -> np.ndarray:
     )
 
 
-def eigenvector(op: TridiagonalOperator, value: float, sweeps: int = 3) -> np.ndarray:
+def eigenvector(op: TridiagonalOperator, value: float) -> np.ndarray:
     """Unit-norm eigenvector for an eigenvalue from :func:`eigenvalues_below`.
 
-    Banded inverse iteration from a fixed-seed start vector; deterministic,
-    with the sign convention that the largest-magnitude entry is positive.
+    LAPACK ``dstein`` (inverse iteration from its fixed-seed start vector) on
+    the whole operator as one block; deterministic, and ``dstein`` itself
+    makes the largest-magnitude entry positive.  A nonzero ``info`` (no
+    convergence) raises :class:`EvaluationError`.
     """
     n = op.size
-    ab = np.zeros((3, n))
-    ab[0, 1:] = op.off
-    ab[1, :] = op.diag - value
-    ab[2, :-1] = op.off
-    rng = np.random.default_rng(1234567891)
-    v = rng.standard_normal(n)
-    v /= np.linalg.norm(v)
-    shift_bump = 0.0
-    for _ in range(sweeps):
-        try:
-            w = solve_banded((1, 1), ab, v, check_finite=False)
-        except np.linalg.LinAlgError:  # exactly singular shift: nudge once
-            shift_bump += 1e-12 * max(1.0, abs(value))
-            ab[1, :] = op.diag - (value + shift_bump)
-            w = solve_banded((1, 1), ab, v, check_finite=False)
-        norm = np.linalg.norm(w)
-        if not np.isfinite(norm) or norm == 0.0:
-            break
-        v = w / norm
-    if v[np.argmax(np.abs(v))] < 0.0:
-        v = -v
-    return v
+    z, info = dstein(
+        op.diag, np.full(n - 1, op.off), np.array([value]),
+        np.ones(n, dtype=np.int32), np.full(n, n, dtype=np.int32),
+    )
+    if info != 0:
+        raise EvaluationError(f"LAPACK dstein failed (info={info}) at E^2 = {value!r}")
+    return z[:, 0]
 
 
 @dataclass(frozen=True)
@@ -411,9 +407,10 @@ def bound_state_report(
         disc = Discretization.for_params(params)
     if potential is not None and edge is None:
         raise ValueError("a custom potential needs an explicit continuum edge")
+    # assemble first: it rejects an overflowing V_eff before the edge squares M0
+    op = build_hamiltonian(params, disc, potential=potential)
     if edge is None:
         edge = continuum_edge(params)
-    op = build_hamiltonian(params, disc, potential=potential)
     candidates = [
         BoundCandidate(
             e_squared=value,
@@ -461,7 +458,6 @@ def analytic_vs_numeric(
     params: PhysicalParams,
     disc: Optional[Discretization] = None,
     n_max: int = 5,
-    policy: NumericPolicy = DEFAULT_POLICY,
     potential: Optional[Callable[[np.ndarray], np.ndarray]] = None,
     edge: Optional[float] = None,
 ) -> ComparisonReport:
@@ -480,7 +476,7 @@ def analytic_vs_numeric(
     entries: list[SpectrumEntry] = []
     analytic_error: Optional[str] = None
     try:
-        entries = classify_levels(reduce_params(params), n_max, M0=params.M0, policy=policy)
+        entries = classify_levels(reduce_params(params), n_max, M0=params.M0)
     except (EtaZeroDegenerate, LambdaZero) as exc:
         analytic_error = f"{type(exc).__name__}: {exc}"
     numeric = bound_state_report(params, disc, potential=potential, edge=edge)

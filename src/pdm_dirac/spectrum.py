@@ -33,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateMass, EtaZeroDegenerate, LambdaZero, LevelAtPole
-from .params import DEFAULT_POLICY, DimensionlessParams, NumericPolicy, PhysicalParams
+from .params import ABS_TOL, DimensionlessParams, PhysicalParams
 
 __all__ = [
     "Classification",
@@ -219,21 +219,16 @@ def _classify(e_squared: float, band: float) -> Classification:
     return Classification.ZERO_THRESHOLD
 
 
-def level_energy(
-    params: DimensionlessParams,
-    n: int,
-    M0: float = 1.0,
-    policy: NumericPolicy = DEFAULT_POLICY,
-) -> SpectrumEntry:
+def level_energy(params: DimensionlessParams, n: int, M0: float = 1.0) -> SpectrumEntry:
     """Squared energy of candidate level ``n`` with sign classification.
 
     ``E_n^2 = M0^2 [(1 + eta^2) - eta^2/(lam (n + delta1))^2 - (lam (n + delta1))^2]``.
 
-    The classification band is ``policy.abs_tol * M0^2``.  Raises
+    The classification band is ``ABS_TOL * M0^2``.  Raises
     :class:`EtaZeroDegenerate` at eta = 0 (constant-mass limit, excluded),
     :class:`LambdaZero` at lam = 0 (or where ``lam (n + delta1)`` squares
     to 0), and :class:`LevelAtPole` when
-    ``|n + delta1| <= policy.abs_tol`` puts the index on the formula's pole.
+    ``|n + delta1| <= ABS_TOL`` puts the index on the formula's pole.
     """
     if n < 0:
         raise ValueError(f"level index must be >= 0, got {n}")
@@ -243,7 +238,7 @@ def level_energy(
         )
     shift = delta1(params)
     offset = n + shift
-    if abs(offset) <= policy.abs_tol:
+    if abs(offset) <= ABS_TOL:
         raise LevelAtPole(f"level n={n} sits on the formula pole (n + delta1 = {offset:.3e})")
     eta2 = params.eta * params.eta
     v = params.lam * offset
@@ -256,16 +251,13 @@ def level_energy(
         n=n,
         delta1=shift,
         e_squared=e_squared,
-        classification=_classify(e_squared, policy.abs_tol * m2),
+        classification=_classify(e_squared, ABS_TOL * m2),
         energy_magnitude=math.sqrt(abs(e_squared)),
     )
 
 
 def classify_levels(
-    params: DimensionlessParams,
-    n_max: int,
-    M0: float = 1.0,
-    policy: NumericPolicy = DEFAULT_POLICY,
+    params: DimensionlessParams, n_max: int, M0: float = 1.0
 ) -> list[SpectrumEntry]:
     """Entries for n = 0 .. n_max; indices on a pole become UNDEFINED rows.
 
@@ -278,7 +270,7 @@ def classify_levels(
     entries: list[SpectrumEntry] = []
     for n in range(n_max + 1):
         try:
-            entries.append(level_energy(params, n, M0=M0, policy=policy))
+            entries.append(level_energy(params, n, M0=M0))
         except LevelAtPole:
             entries.append(
                 SpectrumEntry(

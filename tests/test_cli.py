@@ -2,10 +2,17 @@
 
 import json
 
+import numpy as np
 import pytest
 
-from pdm_dirac import CertificateViolation, PhysicalParams, f_factored, potential_sample
-from pdm_dirac import feasibility
+from pdm_dirac import (
+    CertificateViolation,
+    EvaluationError,
+    PhysicalParams,
+    f_factored,
+    potential_sample,
+)
+from pdm_dirac import feasibility, solver
 from pdm_dirac.cli import main
 
 
@@ -201,6 +208,14 @@ def test_config_unknown_keys_rejected(tmp_path, capsys):
     assert rc == 2
 
 
+def test_config_n_max_ceiling(tmp_path, capsys):
+    cfg_path = tmp_path / "cfg.json"
+    for n_max, status in ((100_000, 0), (100_001, 2)):
+        cfg_path.write_text(json.dumps({"eta": 0.5, "lambda": 1.0, "n_max": n_max}))
+        rc, _, _ = run(["spectrum", "--config", str(cfg_path), "--dump-config"], capsys)
+        assert rc == status
+
+
 def test_verdict_confirming_run(tmp_path, capsys):
     out = tmp_path / "verdict.json"
     rc, stdout, _ = run(
@@ -277,7 +292,8 @@ def test_verdict_physical_parameterization(tmp_path, capsys):
 
 
 # Inputs that validation accepts but doubles cannot represent, and scan boxes
-# the Box type rejects: each ends in a fixed status with a structured error.
+# the Box type rejects: each ends in a fixed status with a structured error
+# (or, for the box wholly below the spot check's lambda floor, succeeds).
 EXIT_CASES = [
     (["verdict", "--eta", "1e-200", "--lambda", "1"], 4, ["EtaZeroSingular"]),
     (["verdict", "--eta", "1e-160", "--lambda", "1"], 4, ["EtaZeroSingular"]),
@@ -291,11 +307,21 @@ EXIT_CASES = [
     (["verdict", "--eta", "0.5", "--lambda", "1", "--box=0.5,0.6,1e300,1e300",
       "--grid", "3,3"], 4, ["InvalidBox"]),
     (["verdict", "--eta", "0.5", "--lambda", "1", "--box=-1,1,-1,1"], 4, ["NegativeLambda"]),
+    (["verdict", "--eta", "0", "--lambda", "7.236101064699175e74"], 4, ["ParameterError"]),
+    (["verdict", "--eta", "0.5", "--lambda", "1", "--box=0.5,1,1e-9,1e-8", "--grid", "2,2",
+      "--N", "800"], 0, []),
+    (["verdict", "--eta", "0.5", "--M0", "1e200", "--alpha", "1"], 4, ["ParameterError"]),
     (["surface", "--box=0,0,-1,1"], 2, ["lambda must be >= 0"]),
     (["surface", "--box=0.1,0.1,-1,1"], 2, ["lambda must be >= 0"]),
     (["surface", "--box=0.5,0.6,1e300,1e300", "--grid", "3,3"], 2, ["InvalidBox"]),
+    (["surface", "--box=0.5,0.5,0,1.7976931348623157e308", "--grid", "2,4"], 2,
+     ["InvalidBox"]),
     (["spectrum", "--eta", "0.5", "--lambda", "1e-300"], 2, ["LambdaZero"]),
     (["spectrum", "--eta", "1e-300", "--lambda", "1e-300"], 2, ["LambdaZero"]),
+    (["potential", "--eta", "0.5", "--lambda", "1", "--L", "1e308", "--N", "3"], 2,
+     ["leaves the double range"]),
+    (["spectrum", "--eta", "0.5", "--lambda", "1", "--n-max", "100001"], 2, ["n_max"]),
+    (["verdict", "--eta", "0.5", "--lambda", "1", "--n-max", "100001"], 2, ["n_max"]),
 ]
 
 
@@ -344,3 +370,25 @@ def test_certificate_violation_lands_in_error_trail(monkeypatch, tmp_path, capsy
     assert rc == 4
     [entry] = json.loads(out.read_text())["error_trail"]
     assert entry.startswith("feasibility: CertificateViolation:")
+
+
+def test_dstein_failure_lands_in_error_trail(monkeypatch, tmp_path, capsys):
+    def failing_dstein(d, e, w, iblock, isplit):
+        return np.zeros((d.size, w.size), order="F"), 1
+
+    monkeypatch.setattr(solver, "dstein", failing_dstein)
+    op = solver.build_hamiltonian(
+        PhysicalParams(1.0, 0.5, 1.0), solver.Discretization(25.0, 2000),
+        potential=solver.poschl_teller_well,
+    )
+    with pytest.raises(EvaluationError):
+        solver.eigenvector(op, 0.0)
+    out = tmp_path / "verdict.json"
+    rc, _, _ = run(
+        ["verdict", "--eta", "0.5", "--lambda", "1", "--control-well", "--N", "2000",
+         "--grid", "11,11", "--out", str(out)],
+        capsys,
+    )
+    assert rc == 4
+    [entry] = json.loads(out.read_text())["error_trail"]
+    assert entry.startswith("solver: EvaluationError: LAPACK dstein failed (info=1)")

@@ -25,6 +25,7 @@ from pdm_dirac import (
     sign_certificate,
     supremum_scan,
 )
+from pdm_dirac import feasibility
 
 # mpmath, 50 digits, rounded to nearest double
 F_HALF_1 = -4.6213203435596426
@@ -265,15 +266,30 @@ def test_scan_tie_break_prefers_negative_eta():
     # must resolve the tie the same way regardless of evaluation order
     report = supremum_scan(Box(-1.0, 1.0, 1.0, 1.0), grid=(5, 2), refine_steps=0)
     assert report.argmax[0] == -1.0
+    # the one ranking: largest f, then smallest lambda, smallest |eta|, eta < 0
+    tied = [(0.5, 2.0, -1.0), (0.9, 1.0, -1.0), (-0.9, 1.0, -1.0), (0.7, 1.0, -1.0)]
+    assert sorted(tied, key=feasibility._rank) == [
+        (0.7, 1.0, -1.0), (-0.9, 1.0, -1.0), (0.9, 1.0, -1.0), (0.5, 2.0, -1.0)
+    ]
 
 
-def test_scan_sup_tracks_refinement():
+def test_scan_sup_tracks_refinement(monkeypatch):
     # refinement can only raise the estimate, never lower it
     box = Box(0.2, 1.0, 1e-3, 3.0)
     coarse = supremum_scan(box, grid=(11, 11), refine_steps=0)
     refined = supremum_scan(box, grid=(11, 11), refine_steps=40)
     assert refined.sup_estimate >= coarse.sup_estimate
     assert refined.sup_estimate < 0.0
+    # f peaks between grid nodes, where only refinement sees it: the supremum
+    # is the best refinement evaluation, and 0 is not "all negative"
+    monkeypatch.setattr(feasibility, "f_factored", lambda eta, lam: 1.0 - abs(eta - 0.55))
+    report = supremum_scan(box, grid=(11, 11), refine_steps=40)
+    assert report.sup_estimate == max(v for _, _, v in report.refinement_trace)
+    assert report.sup_estimate > coarse.sup_estimate
+    monkeypatch.setattr(feasibility, "f_factored", lambda eta, lam: 0.0)
+    report = supremum_scan(box, grid=(11, 11), refine_steps=40)
+    assert report.sup_estimate == 0.0
+    assert not report.all_nodes_negative
 
 
 def test_scan_report_serialization():
@@ -282,4 +298,6 @@ def test_scan_report_serialization():
     assert doc["box"] == [0.4, 0.6, 1.0, 2.0]
     assert doc["grid_shape"] == [3, 3]
     assert doc["refinement_evaluations"] == len(report.refinement_trace)
+    assert "refinement_trace" not in doc  # reported by its length only
     assert doc["all_nodes_negative"] is True
+    assert report.all_nodes_negative == (report.sup_estimate < 0.0)

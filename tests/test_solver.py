@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.linalg import eigh_tridiagonal
 
 from pdm_dirac import (
     Discretization,
@@ -191,6 +192,21 @@ def test_eigenvector_residual_and_sign():
     assert np.linalg.norm(residual) <= 1e-8 * max(1.0, abs(vals[0]) + abs(op.off))
     # deterministic: same value in, same vector out
     assert np.array_equal(v, eigenvector(op, float(vals[0])))
+    # production control well: the candidate's vector matches LAPACK's
+    # eigh_tridiagonal up to sign
+    params = PhysicalParams(1.0, 0.5, 1.0)
+    disc = Discretization.for_params(params)
+    assert disc.num_points == 8000
+    report = bound_state_report(params, disc, potential=poschl_teller_well, edge=1.0)
+    [cand] = report.bound_candidates
+    op = build_hamiltonian(params, disc, potential=poschl_teller_well)
+    v = eigenvector(op, cand.e_squared)
+    _, ref = eigh_tridiagonal(
+        op.diag, np.full(op.size - 1, op.off), select="i", select_range=(0, 0)
+    )
+    ref = ref[:, 0]
+    assert min(np.max(np.abs(v - ref)), np.max(np.abs(v + ref))) <= 1e-10
+    assert v[np.argmax(np.abs(v))] > 0.0
 
 
 def test_localization_separates_bound_from_box_modes():
