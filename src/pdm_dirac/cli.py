@@ -8,6 +8,16 @@ Exit statuses
     or a nonnegative feasibility certificate inside the scan box)
 4   ``verdict`` was inconclusive (a component failed; see the error trail)
 
+Run keys
+--------
+``_SUBCOMMANDS`` declares which run keys each subcommand takes, with the
+output path and format defaults; the argument parser, the ``--config``
+reader and :meth:`RunConfig.to_json_doc` all read it.  Each key has one
+check in ``_KEYS`` (type, count, range) that its value passes whether it came
+from a flag or from a config document; a flag overrides the config key.  A
+value that fails its check, and a config key the subcommand does not take,
+exit 2 with :class:`~pdm_dirac.errors.ConfigKeyError`.
+
 All file output is deterministic byte-for-byte for a fixed config: floats are
 written with 17 significant digits, lines end with LF, and files appear
 atomically (temp file + rename) so an error never leaves a partial file.
@@ -45,6 +55,7 @@ from .params import (
     REL_TOL,
     DimensionlessParams,
     PhysicalParams,
+    number_from_json,
     params_from_json,
     reduce_params,
     validate_physical,
@@ -60,30 +71,13 @@ __all__ = ["main", "RunConfig", "resolve_config"]
 
 _SIG = ".17g"
 
-_RUN_KEYS = frozenset(
-    {"subcommand", "n_max", "L", "N", "box", "grid", "out", "format", "control_well", "seed"}
-)
-_DEFAULT_OUT = {
-    "surface": "surface.csv",
-    "spectrum": "-",
-    "verdict": "verdict.json",
-    "potential": "potential.csv",
-}
-_DEFAULT_FORMAT = {
-    "surface": "csv",
-    "spectrum": "csv",
-    "verdict": "json",
-    "potential": "csv",
-}
-_ALLOWED_FORMATS = {
-    "surface": ("csv",),
-    "spectrum": ("csv", "json"),
-    "verdict": ("json",),
-    "potential": ("csv",),
-}
-_NEEDS_PARAMS = {"spectrum", "verdict", "potential"}
 # The level table is built row by row; this keeps it to about a second.
 _N_MAX_CEILING = 100_000
+# Solver and sampling points: each costs several doubles of memory, so an
+# unbounded N ends in a MemoryError.  Tests and benchmark use at most 16000.
+_N_CEILING = 1_000_000
+# Surface and scan nodes (eta nodes x lambda nodes); admits a 2001 x 2001 grid.
+_GRID_NODES_CEILING = 4_100_000
 
 
 def _fmt(value: float) -> str:
@@ -113,6 +107,103 @@ def _emit(out: str, text: str) -> None:
         _atomic_write(out, text)
 
 
+# --- run keys ---------------------------------------------------------------
+
+
+def _integer(low, high):
+    """Check: an integer (a bool is not one) in [low, high]."""
+    def check(key: str, value) -> int:
+        if type(value) is not int or not low <= value <= high:
+            raise ConfigKeyError(f"{key} must be an integer in [{low}, {high}], got {value!r}")
+        return value
+    return check
+
+
+def _of_type(kind: type, what: str):
+    def check(key: str, value):
+        if type(value) is not kind:
+            raise ConfigKeyError(f"{key} must be {what}, got {value!r}")
+        return value
+    return check
+
+
+def _list_of(count: int, item):
+    def check(key: str, value) -> tuple:
+        if type(value) is not list or len(value) != count:
+            raise ConfigKeyError(f"{key} must be a list of {count} values, got {value!r}")
+        return tuple(item(f"each {key} value", v) for v in value)
+    return check
+
+
+def _grid(key: str, value) -> tuple[int, int]:
+    nodes = _list_of(2, _integer(2, _GRID_NODES_CEILING))(key, value)
+    if nodes[0] * nodes[1] > _GRID_NODES_CEILING:
+        raise ConfigKeyError(f"{key} must have at most {_GRID_NODES_CEILING} nodes, got {nodes}")
+    return nodes
+
+
+def _comma_list(cast):
+    def read(text: str) -> list:
+        return [cast(part) for part in text.split(",")]
+    read.__name__ = f"comma-separated {cast.__name__}"  # argparse names it in errors
+    return read
+
+
+# Run key (= RunConfig field) -> (argparse type of its flag, or None for a
+# switch; the check that every value passes, from a flag or a config document).
+_KEYS = {
+    "n_max": (int, _integer(0, _N_MAX_CEILING)),
+    "L": (float, number_from_json),
+    "N": (int, _integer(2, _N_CEILING)),
+    "box": (_comma_list(float), _list_of(4, number_from_json)),
+    "grid": (_comma_list(int), _grid),
+    "control_well": (None, _of_type(bool, "true or false")),
+    "seed": (int, _integer(0, math.inf)),
+    "out": (str, _of_type(str, "a path")),
+    "format": (str, _of_type(str, "a format name")),
+}
+
+
+@dataclass(frozen=True)
+class _Subcommand:
+    help: str
+    params: bool                # takes M0, eta, alpha or eta, lambda
+    out: str                    # default output path
+    formats: tuple[str, ...]    # accepted formats, the default first
+    flags: dict                 # run keys besides out and format -> flag help
+
+    @property
+    def keys(self) -> tuple[str, ...]:
+        return ("out", "format", *self.flags)
+
+
+_N_MAX_HELP = "highest level index (default 5)"
+_SUBCOMMANDS = {
+    "surface": _Subcommand(
+        "tabulate f(eta, lambda) over a box", False, "surface.csv", ("csv",),
+        {"box": "etamin,etamax,lammin,lammax (default -1,1,0,10)",
+         "grid": "eta nodes,lambda nodes (default 101,101)"},
+    ),
+    "spectrum": _Subcommand(
+        "closed-form level table", True, "-", ("csv", "json"), {"n_max": _N_MAX_HELP},
+    ),
+    "verdict": _Subcommand(
+        "full feasibility verdict with numeric cross-check", True, "verdict.json", ("json",),
+        {"n_max": _N_MAX_HELP,
+         "L": "solver box half-width (default 25/alpha)",
+         "N": "solver interior points (default 8000)",
+         "box": "scan box etamin,etamax,lammin,lammax (default -1,1,1e-3,10)",
+         "grid": "scan grid (default 201,201)",
+         "control_well": "replace V_eff by the test well 1 - 2 sech^2 x (detector check)",
+         "seed": "seed for the route-agreement spot check (default 0)"},
+    ),
+    "potential": _Subcommand(
+        "sample mass, vector potential, V_eff", True, "potential.csv", ("csv",),
+        {"L": "sampling half-width (default 10/alpha)", "N": "sample count (default 401)"},
+    ),
+}
+
+
 @dataclass(frozen=True)
 class RunConfig:
     """Fully resolved run description; serializes to a round-trippable JSON doc."""
@@ -123,12 +214,12 @@ class RunConfig:
     M0: Optional[float] = None
     alpha: Optional[float] = None        # set iff physical parameterization
     n_max: int = 5
-    half_width: Optional[float] = None   # solver L (absolute units)
-    num_points: Optional[int] = None     # solver N
+    L: Optional[float] = None            # solver or sampling half-width
+    N: Optional[int] = None              # solver or sampling points
     box: Optional[tuple[float, float, float, float]] = None
     grid: Optional[tuple[int, int]] = None
     out: str = "-"
-    fmt: str = "csv"
+    format: str = "csv"
     control_well: bool = False
     seed: int = 0
 
@@ -152,37 +243,14 @@ class RunConfig:
                 doc["M0"] = p.M0
                 doc["eta"] = p.eta
                 doc["alpha"] = p.alpha
-        if self.subcommand in ("spectrum", "verdict"):
-            doc["n_max"] = self.n_max
-        if self.subcommand in ("verdict", "potential"):
-            if self.half_width is not None:
-                doc["L"] = self.half_width
-            if self.num_points is not None:
-                doc["N"] = self.num_points
-        if self.subcommand in ("surface", "verdict"):
-            if self.box is not None:
-                doc["box"] = list(self.box)
-            if self.grid is not None:
-                doc["grid"] = list(self.grid)
-        if self.subcommand == "verdict":
-            doc["control_well"] = self.control_well
-            doc["seed"] = self.seed
-        doc["out"] = self.out
-        doc["format"] = self.fmt
+        for key in _SUBCOMMANDS[self.subcommand].keys:
+            value = getattr(self, key)
+            if value is not None:
+                doc[key] = list(value) if isinstance(value, tuple) else value
         return doc
 
     def dump(self) -> str:
         return json.dumps(self.to_json_doc(), sort_keys=True, indent=2) + "\n"
-
-
-def _parse_values(text: str, count: int, what: str, cast) -> tuple:
-    parts = text.split(",")
-    if len(parts) != count:
-        raise ConfigKeyError(f"{what} needs {count} comma-separated values, got {text!r}")
-    try:
-        return tuple(cast(p) for p in parts)
-    except ValueError as exc:
-        raise ConfigKeyError(f"bad {what} value in {text!r}: {exc}") from None
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -192,9 +260,9 @@ def _build_parser() -> argparse.ArgumentParser:
         "position-dependent-mass Dirac model.",
     )
     sub = parser.add_subparsers(dest="subcommand", required=True)
-
-    def add_common(p: argparse.ArgumentParser, params: bool) -> None:
-        if params:
+    for name, spec in _SUBCOMMANDS.items():
+        p = sub.add_parser(name, help=spec.help)
+        if spec.params:
             p.add_argument("--M0", type=float, default=None, help="mass scale (default 1)")
             p.add_argument("--eta", type=float, default=None, help="step depth, |eta| <= 1")
             p.add_argument("--alpha", type=float, default=None, help="step steepness")
@@ -204,44 +272,15 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="JSON config document (exclusive with parameter flags)")
         p.add_argument("--dump-config", action="store_true",
                        help="print the resolved config as JSON and exit")
-        p.add_argument("--out", type=str, default=None,
-                       help="output path ('-' for stdout)")
-        p.add_argument("--format", dest="fmt", type=str, default=None,
-                       choices=("csv", "json"), help="output format")
-
-    p_surface = sub.add_parser("surface", help="tabulate f(eta, lambda) over a box")
-    add_common(p_surface, params=False)
-    p_surface.add_argument("--box", type=str, default=None,
-                           help="etamin,etamax,lammin,lammax (default -1,1,0,10)")
-    p_surface.add_argument("--grid", type=str, default=None,
-                           help="eta nodes,lambda nodes (default 101,101)")
-
-    p_spectrum = sub.add_parser("spectrum", help="closed-form level table")
-    add_common(p_spectrum, params=True)
-    p_spectrum.add_argument("--n-max", type=int, default=None, help="highest level index (default 5)")
-
-    p_verdict = sub.add_parser("verdict", help="full feasibility verdict with numeric cross-check")
-    add_common(p_verdict, params=True)
-    p_verdict.add_argument("--n-max", type=int, default=None, help="highest level index (default 5)")
-    p_verdict.add_argument("--L", type=float, default=None,
-                           help="solver box half-width (default 25/alpha)")
-    p_verdict.add_argument("--N", type=int, default=None,
-                           help="solver interior points (default 8000)")
-    p_verdict.add_argument("--box", type=str, default=None,
-                           help="scan box etamin,etamax,lammin,lammax (default -1,1,1e-3,10)")
-    p_verdict.add_argument("--grid", type=str, default=None,
-                           help="scan grid (default 201,201)")
-    p_verdict.add_argument("--control-well", action="store_true", default=None,
-                           help="replace V_eff by the test well 1 - 2 sech^2 x (detector check)")
-    p_verdict.add_argument("--seed", type=int, default=None,
-                           help="seed for the route-agreement spot check (default 0)")
-
-    p_potential = sub.add_parser("potential", help="sample mass, vector potential, V_eff")
-    add_common(p_potential, params=True)
-    p_potential.add_argument("--L", type=float, default=None,
-                             help="sampling half-width (default 10/alpha)")
-    p_potential.add_argument("--N", type=int, default=None,
-                             help="sample count (default 401)")
+        helps = {
+            "out": f"output path ('-' for stdout; default {spec.out})",
+            "format": f"output format: {', '.join(spec.formats)} (default {spec.formats[0]})",
+            **spec.flags,
+        }
+        for key, text in helps.items():
+            read = _KEYS[key][0]
+            kind = {"action": "store_true"} if read is None else {"type": read}
+            p.add_argument("--" + key.replace("_", "-"), dest=key, default=None, help=text, **kind)
     return parser
 
 
@@ -251,7 +290,7 @@ def _load_config_doc(path: str) -> dict:
             doc = json.load(handle)
     except OSError as exc:
         raise ConfigKeyError(f"cannot read config {path!r}: {exc}") from None
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # bad JSON or UTF-8, a huge int, deep nesting
         raise ConfigKeyError(f"config {path!r} is not valid JSON: {exc}") from None
     if not isinstance(doc, dict):
         raise ConfigKeyError(f"config {path!r} must be a JSON object")
@@ -262,17 +301,14 @@ def resolve_config(ns: argparse.Namespace) -> RunConfig:
     """Merge flags and optional JSON config into a fully resolved RunConfig.
 
     Parameters come from exactly one source: flags or the config document.
-    Run keys in the config may be overridden by explicitly given flags.
+    Run keys in the config may be overridden by explicitly given flags; every
+    given run-key value, from either source, passes its key's check.
     """
     sub = ns.subcommand
-    has_params = sub in _NEEDS_PARAMS
+    spec = _SUBCOMMANDS[sub]
 
-    flag_params = {}
-    if has_params:
-        for key in ("M0", "eta", "alpha", "lam"):
-            value = getattr(ns, key)
-            if value is not None:
-                flag_params[key] = value
+    flag_params = {key: getattr(ns, key) for key in ("M0", "eta", "alpha", "lam")
+                   if spec.params and getattr(ns, key) is not None}
 
     cfg_doc = {}
     if ns.config is not None:
@@ -281,23 +317,22 @@ def resolve_config(ns: argparse.Namespace) -> RunConfig:
                 "give parameters either as flags or in --config, not both"
             )
         cfg_doc = _load_config_doc(ns.config)
-        if "subcommand" in cfg_doc and cfg_doc["subcommand"] != sub:
-            raise ConfigKeyError(
-                f"config is for subcommand {cfg_doc['subcommand']!r}, invoked {sub!r}"
-            )
+        claimed = cfg_doc.pop("subcommand", sub)
+        if claimed != sub:
+            raise ConfigKeyError(f"config is for subcommand {claimed!r}, invoked {sub!r}")
 
+    # keys other than the run keys are parameters, which params_from_json checks
+    param_doc = {k: v for k, v in cfg_doc.items() if k not in spec.keys}
+    if param_doc and not spec.params:
+        raise ConfigKeyError(f"subcommand {sub!r} takes no config keys {sorted(param_doc)}")
     eta = lam = m0 = alpha = None
-    if ns.config is not None:
-        param_doc = {k: v for k, v in cfg_doc.items() if k not in _RUN_KEYS}
-        if param_doc:
-            params = params_from_json(param_doc)
-            if isinstance(params, PhysicalParams):
-                m0, eta, alpha = params.M0, params.eta, params.alpha
-            else:
-                eta, lam = params.eta, params.lam
-        elif has_params:
-            raise ConfigKeyError(f"subcommand {sub!r} needs parameters in the config")
-    elif has_params:
+    if ns.config is not None and spec.params:
+        params = params_from_json(param_doc)
+        if isinstance(params, PhysicalParams):
+            m0, eta, alpha = params.M0, params.eta, params.alpha
+        else:
+            eta, lam = params.eta, params.lam
+    elif spec.params:
         if "eta" not in flag_params:
             raise ConfigKeyError(f"subcommand {sub!r} needs --eta (or --config)")
         eta = flag_params["eta"]
@@ -311,59 +346,18 @@ def resolve_config(ns: argparse.Namespace) -> RunConfig:
         else:
             raise ConfigKeyError(f"subcommand {sub!r} needs --alpha or --lambda")
 
-    def run_key(flag_value, cfg_key, default):
-        if flag_value is not None:
-            return flag_value
-        if cfg_key in cfg_doc:
-            return cfg_doc[cfg_key]
-        return default
-
-    box = run_key(getattr(ns, "box", None), "box", None)
-    if isinstance(box, str):
-        box = _parse_values(box, 4, "--box", float)
-    elif isinstance(box, list):
-        box = tuple(float(v) for v in box)
-    grid = run_key(getattr(ns, "grid", None), "grid", None)
-    if isinstance(grid, str):
-        grid = _parse_values(grid, 2, "--grid", int)
-    elif isinstance(grid, list):
-        grid = tuple(int(v) for v in grid)
-
-    n_max = int(run_key(getattr(ns, "n_max", None), "n_max", 5))
-    if not 0 <= n_max <= _N_MAX_CEILING:
-        raise ConfigKeyError(f"n_max must be in [0, {_N_MAX_CEILING}], got {n_max}")
-    half_width = run_key(getattr(ns, "L", None), "L", None)
-    if half_width is not None:
-        half_width = float(half_width)
-    num_points = run_key(getattr(ns, "N", None), "N", None)
-    if num_points is not None:
-        num_points = int(num_points)
-    control = bool(run_key(getattr(ns, "control_well", None), "control_well", False))
-    seed = int(run_key(getattr(ns, "seed", None), "seed", 0))
-    out = str(run_key(ns.out, "out", _DEFAULT_OUT[sub]))
-    fmt = str(run_key(ns.fmt, "format", _DEFAULT_FORMAT[sub]))
-    if fmt not in _ALLOWED_FORMATS[sub]:
+    given = [(key, value) for key, value in cfg_doc.items() if key in spec.keys]
+    given += [(key, getattr(ns, key)) for key in spec.keys if getattr(ns, key) is not None]
+    run = {"out": spec.out, "format": spec.formats[0]}
+    for key, value in given:  # flags come last, so they override the config
+        run[key] = _KEYS[key][1](key, value)
+    if run["format"] not in spec.formats:
         raise ConfigKeyError(
-            f"subcommand {sub!r} supports formats {_ALLOWED_FORMATS[sub]}, got {fmt!r}"
+            f"subcommand {sub!r} supports formats {spec.formats}, got {run['format']!r}"
         )
 
-    cfg = RunConfig(
-        subcommand=sub,
-        eta=eta,
-        lam=lam,
-        M0=m0,
-        alpha=alpha,
-        n_max=n_max,
-        half_width=half_width,
-        num_points=num_points,
-        box=box,
-        grid=grid,
-        out=out,
-        fmt=fmt,
-        control_well=control,
-        seed=seed,
-    )
-    if has_params:
+    cfg = RunConfig(subcommand=sub, eta=eta, lam=lam, M0=m0, alpha=alpha, **run)
+    if spec.params:
         cfg.physical()  # validate eagerly: bad parameters exit with status 2
     return cfg
 
@@ -375,8 +369,6 @@ def cmd_surface(cfg: RunConfig) -> int:
     box = cfg.box if cfg.box is not None else (-1.0, 1.0, 0.0, 10.0)
     grid = cfg.grid if cfg.grid is not None else (101, 101)
     scan_box = Box(*box)  # validates bounds, lambda >= 0 included
-    if grid[0] < 2 or grid[1] < 2:
-        raise ConfigKeyError(f"surface grid must be at least 2x2, got {grid}")
     # unique() collapses a degenerate axis (min == max) to one node
     eta_nodes = np.unique(np.linspace(scan_box.eta_min, scan_box.eta_max, grid[0]))
     with np.errstate(over="ignore"):  # only the last node can overflow; linspace pins it
@@ -405,7 +397,7 @@ def _spectrum_lines(cfg: RunConfig) -> str:
     entries = classify_levels(
         cfg.dimensionless(), cfg.n_max, M0=cfg.physical().M0
     )
-    if cfg.fmt == "json":
+    if cfg.format == "json":
         doc = {
             "params": cfg.to_json_doc(),
             "entries": [e.to_dict() for e in entries],
@@ -426,10 +418,8 @@ def cmd_spectrum(cfg: RunConfig) -> int:
 
 def cmd_potential(cfg: RunConfig) -> int:
     params = cfg.physical()
-    half_width = cfg.half_width if cfg.half_width is not None else 10.0 / params.alpha
-    count = cfg.num_points if cfg.num_points is not None else 401
-    if count < 2:
-        raise ConfigKeyError(f"potential sampling needs N >= 2, got {count}")
+    half_width = cfg.L if cfg.L is not None else 10.0 / params.alpha
+    count = cfg.N if cfg.N is not None else 401
     with np.errstate(all="ignore"):  # non-finite tables are rejected below
         s = potential_sample(params, np.linspace(-half_width, half_width, count))
     columns = (s.x, s.mass, s.vector_potential.imag, s.v_eff)
@@ -504,7 +494,7 @@ def cmd_verdict(cfg: RunConfig) -> int:
     # 2. closed-form levels vs numeric scan (optionally on the control well)
     try:
         disc = Discretization.for_params(
-            params, half_width=cfg.half_width, num_points=cfg.num_points
+            params, half_width=cfg.L, num_points=cfg.N
         )
         if cfg.control_well:
             comparison = analytic_vs_numeric(

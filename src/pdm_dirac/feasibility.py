@@ -127,10 +127,18 @@ def f_direct(eta: float, lam: float) -> float:
 
 
 def f_factored(eta: float, lam: float) -> float:
-    """Feasibility function via the exact factorization (1-u^2)(u^2-eta^2)/u^2."""
+    """Feasibility function via the exact factorization, as ``-lam (1-u)(1+u) / u``.
+
+    ``(1-u^2)(u^2-eta^2)/u^2`` with ``u^2 - eta^2 = -lam*u``.  ``1 - u`` is
+    summed from nonnegative terms, ``(lam + lam^2/(s + 2|eta|) + 2|eta|(1-|eta|))
+    / (lam + s)`` with ``s = hypot(lam, 2 eta)``, so no factor cancels at tiny
+    lambda or at |eta| near 1, and f < 0 for every lam > 0.
+    """
     u = aux_root(eta, lam)
-    u2 = u * u
-    return (1.0 - u2) * (u2 - eta * eta) / u2
+    a = abs(eta)
+    s = math.hypot(lam, 2.0 * a)
+    one_minus_u = (lam + lam * (lam / (s + 2.0 * a)) + 2.0 * a * (1.0 - a)) / (lam + s)
+    return -lam * one_minus_u / u * (1.0 + u)
 
 
 def sign_certificate(eta: float, lam: float) -> SignVerdict:
@@ -256,17 +264,30 @@ def _f_grid(eta_nodes: np.ndarray, lam_nodes: np.ndarray) -> np.ndarray:
     """Vectorized factored route on the (eta, lambda) product grid.
 
     Rows follow ``eta_nodes`` and columns ``lam_nodes``; callers drop eta = 0
-    nodes themselves.  A non-finite value (u^2 underflows) raises InvalidBox.
+    nodes themselves.  The arithmetic is that of :func:`f_factored`, done in
+    place on two full-size arrays.  Where u^2 underflows (the scalar route's
+    EtaZeroSingular) or f is not finite, InvalidBox is raised.
     """
-    e2 = (eta_nodes * eta_nodes)[:, None]
+    a = np.abs(eta_nodes)[:, None]
     lam = lam_nodes[None, :]
     with np.errstate(all="ignore"):  # non-finite values are rejected below
-        u = 2.0 * e2 / (lam + np.hypot(lam, 2.0 * np.abs(eta_nodes)[:, None]))
-        u2 = u * u
-        values = (1.0 - u2) * (u2 - e2) / u2
-    # f <= 0 on the admissible domain, so only -inf (u^2 = 0) or NaN can
-    # appear; min() catches both without a full-size boolean temporary
-    if not math.isfinite(values.min()):
+        s = np.hypot(lam, 2.0 * a)
+        values = s + 2.0 * a
+        np.divide(lam, values, out=values)
+        values *= lam
+        values += lam
+        values += 2.0 * a * (1.0 - a)
+        s += lam
+        values /= s  # 1 - u
+        u = np.divide(2.0 * a * a, s, out=s)
+        values *= -lam
+        values /= u
+        u_min = float(u.min())
+        u += 1.0
+        values *= u
+    # f <= 0 on the admissible domain, so only -inf or NaN can appear; min()
+    # catches both without a full-size boolean temporary
+    if u_min * u_min == 0.0 or not math.isfinite(values.min()):
         raise InvalidBox("f is not finite on the box: it leaves the representable range")
     return values
 

@@ -42,6 +42,7 @@ __all__ = [
     "ETA_ZERO_SNAP",
     "validate_physical",
     "reduce_params",
+    "number_from_json",
     "params_from_json",
     "params_to_json",
 ]
@@ -137,18 +138,33 @@ _REDUCED_KEYS = frozenset({"eta", "lambda"})
 Params = Union[PhysicalParams, DimensionlessParams]
 
 
+def number_from_json(name: str, value) -> float:
+    """A JSON number as a double; a bool, string, null, list or object is refused.
+
+    A JSON integer too large for a double is refused as well.  Both raise
+    :class:`~pdm_dirac.errors.ConfigKeyError`; range checks are the caller's.
+    """
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ConfigKeyError(f"{name} must be a number, got {value!r}")
+    try:
+        return float(value)
+    except OverflowError:
+        raise ConfigKeyError(f"{name} does not fit in a double") from None
+
+
 def params_from_json(doc: Mapping) -> Params:
     """Build parameters from a JSON-style mapping.
 
     Exactly one of two key sets is accepted: ``{"M0", "eta", "alpha"}`` for
     dimensional input or ``{"eta", "lambda"}`` for reduced input.  Unknown or
-    missing keys raise :class:`~pdm_dirac.errors.ConfigKeyError`.
+    missing keys, and values that are not numbers (see
+    :func:`number_from_json`), raise :class:`~pdm_dirac.errors.ConfigKeyError`.
     """
     keys = set(doc.keys())
     if keys == _PHYSICAL_KEYS:
-        return validate_physical(doc["M0"], doc["eta"], doc["alpha"])
+        return validate_physical(*(number_from_json(k, doc[k]) for k in ("M0", "eta", "alpha")))
     if keys == _REDUCED_KEYS:
-        return DimensionlessParams(eta=doc["eta"], lam=doc["lambda"])
+        return DimensionlessParams(*(number_from_json(k, doc[k]) for k in ("eta", "lambda")))
     expected = sorted(_PHYSICAL_KEYS), sorted(_REDUCED_KEYS)
     raise ConfigKeyError(
         f"parameter document keys {sorted(keys)} match neither {expected[0]} nor {expected[1]}"

@@ -28,11 +28,12 @@ from __future__ import annotations
 
 import enum
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateMass, EtaZeroDegenerate, LambdaZero, LevelAtPole
+from .errors import DegenerateMass, EtaZeroDegenerate, LambdaZero, LevelAtPole, ParameterError
 from .params import ABS_TOL, DimensionlessParams, PhysicalParams
 
 __all__ = [
@@ -225,13 +226,17 @@ def level_energy(params: DimensionlessParams, n: int, M0: float = 1.0) -> Spectr
     ``E_n^2 = M0^2 [(1 + eta^2) - eta^2/(lam (n + delta1))^2 - (lam (n + delta1))^2]``.
 
     The classification band is ``ABS_TOL * M0^2``.  Raises
-    :class:`EtaZeroDegenerate` at eta = 0 (constant-mass limit, excluded),
-    :class:`LambdaZero` at lam = 0 (or where ``lam (n + delta1)`` squares
-    to 0), and :class:`LevelAtPole` when
+    :class:`ParameterError` when ``M0^2`` is not a normal double (the band
+    would not scale with the level), :class:`EtaZeroDegenerate` at eta = 0
+    (constant-mass limit, excluded), :class:`LambdaZero` at lam = 0 (or where
+    ``lam (n + delta1)`` squares to 0), and :class:`LevelAtPole` when
     ``|n + delta1| <= ABS_TOL`` puts the index on the formula's pole.
     """
     if n < 0:
         raise ValueError(f"level index must be >= 0, got {n}")
+    m2 = M0 * M0
+    if not sys.float_info.min <= m2 < math.inf:
+        raise ParameterError(f"M0 = {M0:.3g}: M0^2 is not a normal double")
     if params.eta == 0.0:
         raise EtaZeroDegenerate(
             "eta = 0 is the constant-mass limit; the level formula degenerates"
@@ -245,7 +250,6 @@ def level_energy(params: DimensionlessParams, n: int, M0: float = 1.0) -> Spectr
     v2 = v * v
     if v2 == 0.0:
         raise LambdaZero(f"(lambda (n + delta1))^2 underflows at lambda={params.lam!r}")
-    m2 = M0 * M0
     e_squared = m2 * ((1.0 + eta2) - eta2 / v2 - v2)
     return SpectrumEntry(
         n=n,

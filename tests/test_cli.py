@@ -7,13 +7,14 @@ import pytest
 
 from pdm_dirac import (
     CertificateViolation,
+    ConfigKeyError,
     EvaluationError,
     PhysicalParams,
     f_factored,
     potential_sample,
 )
 from pdm_dirac import feasibility, solver
-from pdm_dirac.cli import main
+from pdm_dirac.cli import _build_parser, main, resolve_config
 
 
 def run(args, capsys):
@@ -173,15 +174,23 @@ def test_potential_hermitian_limit_rows(capsys):
 
 
 def test_dump_config_round_trip(tmp_path, capsys):
-    rc, out, _ = run(
-        ["verdict", "--eta", "0.5", "--lambda", "1", "--dump-config"], capsys
-    )
-    assert rc == 0
+    runs = [
+        ["verdict", "--eta", "0.5", "--lambda", "1"],
+        ["verdict", "--eta", "0.5", "--alpha", "1", "--M0", "2", "--L", "30", "--N", "4000",
+         "--box=-1,1,0.01,5", "--grid", "41,41", "--seed", "3", "--control-well"],
+        ["surface", "--box=-1,1,1,10", "--grid", "21,11"],
+        ["surface"],
+        ["spectrum", "--eta", "0.5", "--lambda", "1", "--format", "json", "--n-max", "7"],
+        ["potential", "--eta", "0.7", "--alpha", "2", "--N", "1001", "--L", "5"],
+    ]
     cfg_path = tmp_path / "cfg.json"
-    cfg_path.write_text(out)
-    rc, out2, _ = run(["verdict", "--config", str(cfg_path), "--dump-config"], capsys)
-    assert rc == 0
-    assert out2 == out
+    for args in runs:
+        rc, out, _ = run(args + ["--dump-config"], capsys)
+        assert rc == 0
+        cfg_path.write_text(out)
+        rc, out2, _ = run([args[0], "--config", str(cfg_path), "--dump-config"], capsys)
+        assert rc == 0
+        assert out2 == out
 
 
 def test_config_and_flags_conflict(tmp_path, capsys):
@@ -214,6 +223,56 @@ def test_config_n_max_ceiling(tmp_path, capsys):
         cfg_path.write_text(json.dumps({"eta": 0.5, "lambda": 1.0, "n_max": n_max}))
         rc, _, _ = run(["spectrum", "--config", str(cfg_path), "--dump-config"], capsys)
         assert rc == status
+
+
+# Config documents whose values are wrong-typed, out of range, or keys the
+# subcommand does not take: each exits 2 with ConfigKeyError and writes nothing.
+CONFIG_CASES = [
+    ("verdict", '{"eta": 0.5, "lambda": 1, "box": 5}'),
+    ("verdict", '{"eta": 0.5, "lambda": 1, "grid": [3]}'),
+    ("verdict", '{"eta": 0.5, "lambda": 1, "n_max": "abc"}'),
+    ("verdict", '{"eta": 0.5, "lambda": 1, "L": "x"}'),
+    ("verdict", '{"eta": 0.5, "lambda": 1, "seed": -1}'),
+    ("verdict", '{"eta": 0.5, "lambda": 1, "box": [0.1, 0.2, "a", 1]}'),
+    ("verdict", '{"eta": 0.5, "lambda": 1, "n_max": NaN}'),
+    ("verdict", '{"eta": 0.5, "lambda": 1, "N": 1e400}'),
+    ("verdict", '{"eta": 0.5, "lambda": 1, "control_well": "false"}'),
+    ("verdict", '{"eta": 0.5, "lambda": 1, "out": null}'),
+    ("verdict", '{"eta": 0.5, "lambda": 1, "grid": [2.7, 3.9]}'),
+    ("verdict", '{"eta": true, "lambda": 1}'),
+    ("spectrum", '{"eta": 0.5, "lambda": 1, "seed": 0}'),
+    ("surface", '{"eta": 0.5, "lambda": 1}'),
+    ("potential", '{"eta": 0.5, "lambda": 1, "N": 1000001}'),
+    ("surface", '{"grid": [1000000, 1000000]}'),
+    ("spectrum", '{"eta": 0.5, "alpha": 1, "M0": ' + "9" * 400 + "}"),
+    ("spectrum", '{"eta": 0.5, "lambda": 1, "n_max": ' + "9" * 5000 + "}"),
+    ("spectrum", "[" * 100_000),
+]
+
+
+@pytest.mark.parametrize("sub,text", CONFIG_CASES, ids=[text[:60] for _, text in CONFIG_CASES])
+def test_config_value_rejected(sub, text, tmp_path, monkeypatch, capsys):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(text)
+    with pytest.raises(ConfigKeyError):
+        resolve_config(_build_parser().parse_args([sub, "--config", str(cfg_path)]))
+    workdir = tmp_path / "run"
+    workdir.mkdir()
+    monkeypatch.chdir(workdir)  # default output paths and "None" would land here
+    rc, _, err = run([sub, "--config", str(cfg_path)], capsys)
+    assert rc == 2
+    assert err.startswith("error:")
+    assert list(workdir.iterdir()) == []
+
+
+def test_flags_override_config_keys(tmp_path, capsys):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"eta": 0.5, "lambda": 1, "n_max": 3, "format": "json"}))
+    rc, out, _ = run(["spectrum", "--config", str(cfg_path), "--n-max", "1", "--dump-config"],
+                     capsys)
+    assert rc == 0
+    assert json.loads(out)["n_max"] == 1
+    assert json.loads(out)["format"] == "json"
 
 
 def test_verdict_confirming_run(tmp_path, capsys):
@@ -322,6 +381,23 @@ EXIT_CASES = [
      ["leaves the double range"]),
     (["spectrum", "--eta", "0.5", "--lambda", "1", "--n-max", "100001"], 2, ["n_max"]),
     (["verdict", "--eta", "0.5", "--lambda", "1", "--n-max", "100001"], 2, ["n_max"]),
+    # at tiny lambda f once rounded to 0 or above and claimed a real spectrum
+    (["verdict", "--eta", "0.5", "--lambda", "1", "--grid", "3,3", "--box=0.5,0.9,1e-30,1e-3"],
+     0, []),
+    (["verdict", "--eta", "0.5", "--lambda", "1", "--grid", "3,3", "--box=0.9,1,1e-30,1e-3"],
+     0, []),
+    (["verdict", "--eta", "0.5", "--lambda", "1", "--grid", "3,3", "--box=-1,1,1e-20,1e-3"],
+     0, []),
+    (["spectrum", "--eta", "0.5", "--M0", "1e200", "--alpha", "1e200", "--n-max", "1"], 2,
+     ["M0^2 is not a normal double"]),
+    (["spectrum", "--eta", "0.5", "--M0", "1e-200", "--lambda", "1", "--n-max", "1"], 2,
+     ["M0^2 is not a normal double"]),
+    (["verdict", "--eta", "0.5", "--lambda", "1", "--seed", "-1"], 2, ["seed"]),
+    (["verdict", "--eta", "0.5", "--lambda", "1", "--N", "1000000000000"], 2, ["N must be"]),
+    (["potential", "--eta", "0.5", "--lambda", "1", "--N", "1000001"], 2, ["N must be"]),
+    (["verdict", "--eta", "0.5", "--lambda", "1", "--grid", "2001,2050"], 2, ["nodes"]),
+    (["surface", "--grid", "1000000,1000000"], 2, ["nodes"]),
+    (["spectrum", "--eta", "0.5", "--lambda", "1", "--format", "xml"], 2, ["formats"]),
 ]
 
 

@@ -2,12 +2,14 @@
 
 Every finite input ends in exit status 0, 2, 3 or 4 with no exception
 escaping ``main``; an exit-2 run writes no file, and an exit-0 ``potential``
-or ``surface`` table holds only finite numbers.  Grid sizes and level counts
-stay small so that the whole module runs in a few seconds.
+or ``surface`` table holds only finite numbers.  The same holds for any JSON
+value in a ``--config`` document.  Grid sizes and level counts stay small so
+that the whole module runs in a few seconds.
 """
 
 import contextlib
 import io
+import json
 import math
 import tempfile
 from pathlib import Path
@@ -68,11 +70,12 @@ grids = st.tuples(st.integers(2, 12), st.integers(2, 12))
 @EXAMPLES
 @given(eta=eta, steep=positive, use_alpha=st.booleans(), m0=optional, half_width=optional,
        num_points=st.none() | st.integers(3, 400), box=st.none() | boxes, grid=grids,
-       n_max=st.integers(0, 8))
+       n_max=st.integers(0, 8), seed=st.integers())
 def test_verdict_exit_status(eta, steep, use_alpha, m0, half_width, num_points, box, grid,
-                             n_max):
+                             n_max, seed):
     args = ["verdict", *_params(eta, steep, use_alpha, m0), *_flag("L", half_width),
-            *_flag("N", num_points), "--grid", f"{grid[0]},{grid[1]}", "--n-max", str(n_max)]
+            *_flag("N", num_points), "--grid", f"{grid[0]},{grid[1]}", "--n-max", str(n_max),
+            *_flag("seed", seed)]
     if box is not None:
         args.append("--box=" + ",".join(map(repr, box)))
     _run(args)
@@ -102,3 +105,50 @@ def test_surface_exit_status(box, grid):
                           "--grid", f"{grid[0]},{grid[1]}"])
     if status == 0:
         _assert_finite_table(files["out.txt"])
+
+
+# Run keys each subcommand takes; a config document may also hold parameters
+# (all but surface), and half of the drawn documents hold one key the
+# subcommand does not take.
+RUN_KEYS = {
+    "surface": ["out", "format", "box", "grid"],
+    "spectrum": ["out", "format", "n_max"],
+    "verdict": ["out", "format", "n_max", "L", "N", "box", "grid", "control_well", "seed"],
+    "potential": ["out", "format", "L", "N"],
+}
+PARAM_SETS = [["eta", "lambda"], ["M0", "eta", "alpha"]]
+ALL_KEYS = {key for keys in [*RUN_KEYS.values(), *PARAM_SETS] for key in keys} | {"mystery"}
+# small sizes stay cheap to run; the huge ones are rejected by the ceilings
+json_scalars = (st.none() | st.booleans() | st.integers(-3, 40)
+                | st.sampled_from([10**7, 2**64, 10**400]) | st.floats() | st.text(max_size=4))
+json_values = json_scalars | st.lists(json_scalars, max_size=4)
+# values that pass the checks, so that runs also reach the subcommands
+valid = {
+    "eta": eta, "lambda": positive, "alpha": positive, "M0": positive,
+    "n_max": st.integers(0, 8), "L": positive, "N": st.integers(2, 400),
+    "box": boxes.map(list), "grid": grids.map(list), "control_well": st.booleans(),
+    "seed": st.integers(0, 2**70), "format": st.sampled_from(["csv", "json"]),
+    "out": st.just("ignored.txt"), "mystery": st.none(),
+}
+
+
+@st.composite
+def config_docs(draw):
+    sub = draw(st.sampled_from(sorted(RUN_KEYS)))
+    params = [] if sub == "surface" else draw(st.sampled_from(PARAM_SETS))
+    keys = params + draw(st.lists(st.sampled_from(RUN_KEYS[sub]), unique=True))
+    if draw(st.booleans()):
+        keys.append(draw(st.sampled_from(sorted(ALL_KEYS - set(params) - set(RUN_KEYS[sub])))))
+    # seven values in eight pass their key's check, the rest are any JSON value
+    return sub, {key: draw(st.integers(0, 7).flatmap(
+        lambda pick, key=key: json_values if pick == 7 else valid[key])) for key in keys}
+
+
+@EXAMPLES
+@given(doc=config_docs())
+def test_config_exit_status(doc):
+    sub, values = doc
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg_path = Path(tmp) / "cfg.json"
+        cfg_path.write_text(json.dumps(values))
+        _run([sub, "--config", str(cfg_path)])

@@ -160,6 +160,31 @@ def test_exact_factorization_against_mpmath():
     assert worst < mp.mpf("1e-45")
 
 
+def test_both_evaluators_relative_accuracy_against_mpmath():
+    """Scalar and grid routes hold a few ulps of relative accuracy everywhere.
+
+    Down to lambda = 1e-30 and with |eta| a hair from 1, where subtracting
+    ``u^2 - eta^2`` or ``1 - u^2`` once cancelled every digit (f even came
+    out 0 or positive).  Reference: 60-digit mpmath, same seeded points.
+    """
+    mp = pytest.importorskip("mpmath")
+    mp.mp.dps = 60
+    rng = np.random.default_rng(11)
+    etas = rng.uniform(-1.0, 1.0, 40)
+    etas[:10] = np.sign(etas[:10]) * (1.0 - 10.0 ** rng.uniform(-16, -1, 10))
+    etas[10] = 1.0
+    lams = 10.0 ** rng.uniform(-30.0, 3.0, 40)
+    grid = feasibility._f_grid(etas, lams)
+    for i, eta in enumerate(etas.tolist()):
+        for j, lam in enumerate(lams.tolist()):
+            e, l = mp.mpf(eta), mp.mpf(lam)
+            u = 2 * e * e / (l + mp.sqrt(l * l + 4 * e * e))
+            ref = (1 - u * u) * (u * u - e * e) / (u * u)
+            for got in (f_factored(eta, lam), grid[i, j]):
+                assert got < 0.0
+                assert abs((got - ref) / ref) <= 2e-15
+
+
 def test_feasibility_inequality_reference_points():
     ok, margin = feasibility_inequality(DimensionlessParams(0.5, 1.0))
     assert not ok
