@@ -15,8 +15,9 @@ output path and format defaults; the argument parser, the ``--config``
 reader and :meth:`RunConfig.to_json_doc` all read it.  Each key has one
 check in ``_KEYS`` (type, count, range) that its value passes whether it came
 from a flag or from a config document; a flag overrides the config key.  A
-value that fails its check, and a config key the subcommand does not take,
-exit 2 with :class:`~pdm_dirac.errors.ConfigKeyError`.
+value that fails its check, a config key the subcommand does not take, and
+flag text the parser cannot read exit 2 with
+:class:`~pdm_dirac.errors.ConfigKeyError`.
 
 All file output is deterministic byte-for-byte for a fixed config: floats are
 written with 17 significant digits, lines end with LF, and files appear
@@ -135,6 +136,13 @@ def _list_of(count: int, item):
     return check
 
 
+def _positive(key: str, value) -> float:
+    value = number_from_json(key, value)
+    if not value > 0.0:
+        raise ConfigKeyError(f"{key} must be > 0, got {value!r}")
+    return value
+
+
 def _grid(key: str, value) -> tuple[int, int]:
     nodes = _list_of(2, _integer(2, _GRID_NODES_CEILING))(key, value)
     if nodes[0] * nodes[1] > _GRID_NODES_CEILING:
@@ -153,7 +161,7 @@ def _comma_list(cast):
 # switch; the check that every value passes, from a flag or a config document).
 _KEYS = {
     "n_max": (int, _integer(0, _N_MAX_CEILING)),
-    "L": (float, number_from_json),
+    "L": (float, _positive),
     "N": (int, _integer(2, _N_CEILING)),
     "box": (_comma_list(float), _list_of(4, number_from_json)),
     "grid": (_comma_list(int), _grid),
@@ -253,8 +261,15 @@ class RunConfig:
         return json.dumps(self.to_json_doc(), sort_keys=True, indent=2) + "\n"
 
 
+class _Parser(argparse.ArgumentParser):
+    """Raises on unreadable flag text, so :func:`main` returns 2 instead of exiting."""
+
+    def error(self, message: str):
+        raise ConfigKeyError(f"{self.prog}: {message}")
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="pdm-dirac",
         description="Spectral feasibility checks for a smooth-step "
         "position-dependent-mass Dirac model.",
@@ -538,9 +553,8 @@ _COMMANDS = {
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = _build_parser()
-    ns = parser.parse_args(argv)
     try:
+        ns = _build_parser().parse_args(argv)
         cfg = resolve_config(ns)
     except PdmDiracError as exc:
         print(f"error: {exc}", file=sys.stderr)

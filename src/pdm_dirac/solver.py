@@ -20,6 +20,11 @@ by its count.  Both the count and the bisection square entries of size
 ``2/h^2``, so a spacing for which that square overflows is rejected.  By
 the Rayleigh bound every eigenvalue exceeds the grid minimum of V_eff, which
 for the monotone step profile already rules the discrete spectrum out.
+
+SciPy's wrappers of the two LAPACK routines are imported inside the only
+functions that call them, :func:`eigenvalues_below` (past its zero-count
+return) and :func:`eigenvector`: a run whose count finds nothing below the
+edge, as for the model's step profile, never loads SciPy.
 """
 
 from __future__ import annotations
@@ -31,8 +36,6 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.linalg import eigvalsh_tridiagonal
-from scipy.linalg.lapack import dstein
 
 from .errors import (
     DomainTooSmall,
@@ -254,6 +257,8 @@ def eigenvalues_below(op: TridiagonalOperator, threshold: float) -> np.ndarray:
     k = sturm_count(op, threshold) if math.isfinite(threshold) else op.size
     if k == 0:
         return np.empty(0)
+    from scipy.linalg import eigvalsh_tridiagonal
+
     return eigvalsh_tridiagonal(
         op.diag, np.full(op.size - 1, op.off), select="i", select_range=(0, k - 1)
     )
@@ -267,6 +272,8 @@ def eigenvector(op: TridiagonalOperator, value: float) -> np.ndarray:
     makes the largest-magnitude entry positive.  A nonzero ``info`` (no
     convergence) raises :class:`EvaluationError`.
     """
+    from scipy.linalg.lapack import dstein
+
     n = op.size
     z, info = dstein(
         op.diag, np.full(n - 1, op.off), np.array([value]),

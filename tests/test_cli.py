@@ -1,10 +1,16 @@
 """Exit-status contract, determinism, and file formats of the CLI."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.linalg import lapack
 
+import pdm_dirac
 from pdm_dirac import (
     CertificateViolation,
     ConfigKeyError,
@@ -362,7 +368,6 @@ EXIT_CASES = [
      ["EtaZeroSingular", "ParameterError"]),
     (["verdict", "--eta", "1", "--lambda", "1e-320"], 4, ["ParameterError"]),
     (["verdict", "--eta", "0.5", "--lambda", "1", "--N", "2"], 4, ["ParameterError"]),
-    (["verdict", "--eta", "0.5", "--lambda", "1", "--L=-1"], 4, ["ParameterError"]),
     (["verdict", "--eta", "0.5", "--lambda", "1", "--box=0.5,0.6,1e300,1e300",
       "--grid", "3,3"], 4, ["InvalidBox"]),
     (["verdict", "--eta", "0.5", "--lambda", "1", "--box=-1,1,-1,1"], 4, ["NegativeLambda"]),
@@ -398,6 +403,17 @@ EXIT_CASES = [
     (["verdict", "--eta", "0.5", "--lambda", "1", "--grid", "2001,2050"], 2, ["nodes"]),
     (["surface", "--grid", "1000000,1000000"], 2, ["nodes"]),
     (["spectrum", "--eta", "0.5", "--lambda", "1", "--format", "xml"], 2, ["formats"]),
+    # a bad run key is exit 2, whichever subcommand takes it
+    (["verdict", "--eta", "0.5", "--lambda", "1", "--L=-1"], 2, ["L must be > 0"]),
+    (["verdict", "--eta", "0.5", "--lambda", "1", "--L", "nan"], 2, ["L must be > 0"]),
+    (["potential", "--eta", "0.5", "--lambda", "1", "--L", "0"], 2, ["L must be > 0"]),
+    (["potential", "--eta", "0.5", "--lambda", "1", "--L=-1"], 2, ["L must be > 0"]),
+    # flag text the parser cannot read is returned as exit 2, not raised
+    (["verdict", "--eta", "0.5", "--lambda", "1", "--N", "abc"], 2, ["invalid int value"]),
+    (["verdict", "--eta", "x", "--lambda", "1"], 2, ["invalid float value"]),
+    (["surface", "--grid", "2.5,3"], 2, ["invalid comma-separated int value"]),
+    (["verdict", "--eta", "0.5", "--lambda", "1", "--no-such-flag"], 2, ["unrecognized"]),
+    (["no-such-subcommand"], 2, ["invalid choice"]),
 ]
 
 
@@ -416,6 +432,39 @@ def test_exit_status_contract(args, status, errors, tmp_path, capsys):
         trail = json.loads(out.read_text())["error_trail"]
         assert [name for name in errors if any(name in entry for entry in trail)] == errors
         assert len(trail) == len(errors)
+
+
+@pytest.mark.parametrize("args", [["--help"], ["verdict", "--help"]])
+def test_help_exits_0(args, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(args)
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: pdm-dirac")
+
+
+_SCIPY_PROBE = """
+import json, sys
+import pdm_dirac.cli as cli
+status = cli.main(sys.argv[1:])
+print(json.dumps([status, sorted(m for m in sys.modules if m.split(".")[0] == "scipy")]))
+"""
+
+
+@pytest.mark.parametrize("extra,status", [([], 0), (["--control-well"], 3)])
+def test_scipy_loads_only_on_the_eigen_path(extra, status, tmp_path):
+    # a fresh interpreter: this one has SciPy loaded already
+    src = str(Path(pdm_dirac.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    argv = ["verdict", "--eta", "0.5", "--lambda", "1", *extra, "--out", str(tmp_path / "v.json")]
+    proc = subprocess.run([sys.executable, "-c", _SCIPY_PROBE, *argv], env=env, cwd=tmp_path,
+                          capture_output=True, text=True, timeout=120, check=True)
+    rc, loaded = json.loads(proc.stdout.splitlines()[-1])
+    assert rc == status
+    if extra:
+        assert "scipy.linalg" in loaded  # the control well diagonalizes
+    else:
+        assert loaded == []  # the model's Sturm count finds nothing below the edge
 
 
 @pytest.mark.parametrize("eta,alpha,slice_count", [("0.01", "0.01", 441), ("0.1", "0.02", 109)])
@@ -452,7 +501,8 @@ def test_dstein_failure_lands_in_error_trail(monkeypatch, tmp_path, capsys):
     def failing_dstein(d, e, w, iblock, isplit):
         return np.zeros((d.size, w.size), order="F"), 1
 
-    monkeypatch.setattr(solver, "dstein", failing_dstein)
+    # eigenvector imports dstein from scipy.linalg.lapack when it is called
+    monkeypatch.setattr(lapack, "dstein", failing_dstein)
     op = solver.build_hamiltonian(
         PhysicalParams(1.0, 0.5, 1.0), solver.Discretization(25.0, 2000),
         potential=solver.poschl_teller_well,
