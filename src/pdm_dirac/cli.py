@@ -136,10 +136,17 @@ def _list_of(count: int, item):
     return check
 
 
+def _finite(key: str, value) -> float:
+    value = number_from_json(key, value)
+    if not math.isfinite(value):
+        raise ConfigKeyError(f"{key} must be finite, got {value!r}")
+    return value
+
+
 def _positive(key: str, value) -> float:
     value = number_from_json(key, value)
-    if not value > 0.0:
-        raise ConfigKeyError(f"{key} must be > 0, got {value!r}")
+    if not 0.0 < value < math.inf:
+        raise ConfigKeyError(f"{key} must be > 0 and finite, got {value!r}")
     return value
 
 
@@ -163,7 +170,7 @@ _KEYS = {
     "n_max": (int, _integer(0, _N_MAX_CEILING)),
     "L": (float, _positive),
     "N": (int, _integer(2, _N_CEILING)),
-    "box": (_comma_list(float), _list_of(4, number_from_json)),
+    "box": (_comma_list(float), _list_of(4, _finite)),
     "grid": (_comma_list(int), _grid),
     "control_well": (None, _of_type(bool, "true or false")),
     "seed": (int, _integer(0, math.inf)),

@@ -59,6 +59,9 @@ __all__ = [
 
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0  # golden-section shrink ratio
 _SEEDS = 5  # best grid nodes that the scan refines
+# grid nodes the scan evaluates at once: a block and its temporaries (about
+# 1.5 MiB) stay in cache, where the whole grid streamed through memory
+_BLOCK_NODES = 1 << 16
 
 
 class SignVerdict(str, enum.Enum):
@@ -265,8 +268,8 @@ def _f_grid(eta_nodes: np.ndarray, lam_nodes: np.ndarray) -> np.ndarray:
 
     Rows follow ``eta_nodes`` and columns ``lam_nodes``; callers drop eta = 0
     nodes themselves.  The arithmetic is that of :func:`f_factored`, done in
-    place on two full-size arrays.  Where u^2 underflows (the scalar route's
-    EtaZeroSingular) or f is not finite, InvalidBox is raised.
+    place on two arrays of the grid's size.  Where u^2 underflows (the scalar
+    route's EtaZeroSingular) or f is not finite, InvalidBox is raised.
     """
     a = np.abs(eta_nodes)[:, None]
     lam = lam_nodes[None, :]
@@ -300,6 +303,38 @@ def _rank(point: tuple[float, float, float]) -> tuple[float, float, float, float
     """
     eta, lam, value = point
     return (-value, lam, abs(eta), eta)
+
+
+def _grid_candidates(
+    eta_nodes: np.ndarray, lam_nodes: np.ndarray
+) -> list[tuple[float, float, float]]:
+    """The first ``min(_SEEDS, nodes)`` grid nodes under :func:`_rank`, as (eta, lam, f).
+
+    f depends on eta only through |eta|, so it is evaluated once per distinct
+    |eta| row, in row blocks of about ``_BLOCK_NODES`` cells.  Each block is
+    cut at once to its first ``_SEEDS`` cells in rank order; a cell stands for
+    every signed eta node of its row (negative first), at most ``_SEEDS`` of
+    them, so the candidate list stays bounded even when every node ties.
+    """
+    a_rows, row_of = np.unique(np.abs(eta_nodes), return_inverse=True)
+    negative = eta_nodes < 0.0
+    n_neg = np.minimum(np.bincount(row_of[negative], minlength=a_rows.size), _SEEDS)
+    n_pos = np.minimum(np.bincount(row_of[~negative], minlength=a_rows.size), _SEEDS)
+    rows_per_block = max(1, _BLOCK_NODES // lam_nodes.size)
+    top: list[tuple[float, float, float]] = []
+    for start in range(0, a_rows.size, rows_per_block):
+        a = a_rows[start:start + rows_per_block]
+        values = _f_grid(a, lam_nodes).ravel()
+        kth = max(values.size - _SEEDS, 0)
+        idx = np.flatnonzero(values >= np.partition(values, kth)[kth])
+        rows, cols = np.divmod(idx, lam_nodes.size)
+        order = np.lexsort((a[rows], lam_nodes[cols], -values[idx]))[:_SEEDS]
+        for i in order.tolist():
+            row = start + rows[i]
+            eta, lam, f = float(a[rows[i]]), float(lam_nodes[cols[i]]), float(values[idx[i]])
+            top += [(-eta, lam, f)] * int(n_neg[row]) + [(eta, lam, f)] * int(n_pos[row])
+        top = sorted(top, key=_rank)[:_SEEDS]
+    return top
 
 
 def _golden_max(fn, lo: float, hi: float, steps: int, trace: list) -> tuple[float, float]:
@@ -340,11 +375,16 @@ def supremum_scan(
     The grid is ``grid[0]`` eta nodes times ``grid[1]`` lambda nodes.  Eta
     gridlines within ``ETA_ZERO_SNAP`` of zero are excluded (f is singular
     along eta = 0) and recorded; a box whose every eta node collapses there
-    raises :class:`BoxIncludesEtaZero`.  From the best five grid nodes,
-    coordinate-wise golden-section refinement (about ``refine_steps`` shrink
-    steps per seed) searches the surrounding grid cells.  The reported
-    supremum is the best of the grid maximum and every refinement evaluation
-    under the one deterministic order of :func:`_rank`, so the result is
+    raises :class:`BoxIncludesEtaZero`.  The grid is never held whole: f is
+    evaluated once per distinct |eta| gridline, in row blocks of about
+    ``_BLOCK_NODES`` nodes, and each block is cut at once to its best nodes
+    (see :func:`_grid_candidates`).  The grid nodes, with multiplicity, are
+    ordered by :func:`_rank`; the first is the grid maximum and the first
+    five (or every node, if fewer) seed coordinate-wise golden-section
+    refinement (about ``refine_steps`` shrink steps per seed) of the
+    surrounding grid cells.  A tie across the fifth place is broken by the
+    same order.  The reported supremum is the best of the grid maximum and
+    every refinement evaluation under :func:`_rank`, so the result is
     independent of evaluation order.
     """
     if grid[0] < 2 or grid[1] < 2:
@@ -367,23 +407,9 @@ def supremum_scan(
     with np.errstate(over="ignore"):  # only the last node can overflow; linspace pins it
         lam_nodes = np.linspace(box.lam_min, box.lam_max, grid[1])
 
-    values = _f_grid(eta_nodes, lam_nodes)
-
-    # Grid best with deterministic tie-break: among exact maxima, order by
-    # (lambda, |eta|, eta) and take the first.
-    vmax = values.max()
-    ii, jj = np.nonzero(values == vmax)
-    order = np.lexsort((eta_nodes[ii], np.abs(eta_nodes[ii]), lam_nodes[jj]))
-    best = (float(eta_nodes[ii[order[0]]]), float(lam_nodes[jj[order[0]]]), float(vmax))
-
-    # Seeds for refinement: the best _SEEDS node values, same ordering.
-    flat = values.ravel()
-    k = min(_SEEDS, flat.size)
-    top_idx = np.argpartition(flat, flat.size - k)[flat.size - k:]
-    seed_eta = eta_nodes[top_idx // lam_nodes.size]
-    seed_lam = lam_nodes[top_idx % lam_nodes.size]
-    seed_order = np.lexsort((seed_eta, np.abs(seed_eta), seed_lam, -flat[top_idx]))
-    seeds = [(float(seed_eta[s]), float(seed_lam[s])) for s in seed_order]
+    candidates = _grid_candidates(eta_nodes, lam_nodes)
+    best = candidates[0]
+    seeds = [(eta, lam) for eta, lam, _ in candidates]
 
     d_eta = (box.eta_max - box.eta_min) / (grid[0] - 1)
     d_lam = (box.lam_max - box.lam_min) / (grid[1] - 1)

@@ -240,6 +240,10 @@ CONFIG_CASES = [
     ("verdict", '{"eta": 0.5, "lambda": 1, "L": "x"}'),
     ("verdict", '{"eta": 0.5, "lambda": 1, "seed": -1}'),
     ("verdict", '{"eta": 0.5, "lambda": 1, "box": [0.1, 0.2, "a", 1]}'),
+    ("verdict", '{"eta": 0.5, "lambda": 1, "box": [0.1, 1, 1, Infinity]}'),
+    ("surface", '{"box": [0.1, 1, 0, NaN]}'),
+    ("verdict", '{"eta": 0.5, "lambda": 1, "L": Infinity}'),
+    ("potential", '{"eta": 0.5, "lambda": 1, "L": Infinity}'),
     ("verdict", '{"eta": 0.5, "lambda": 1, "n_max": NaN}'),
     ("verdict", '{"eta": 0.5, "lambda": 1, "N": 1e400}'),
     ("verdict", '{"eta": 0.5, "lambda": 1, "control_well": "false"}'),
@@ -408,6 +412,12 @@ EXIT_CASES = [
     (["verdict", "--eta", "0.5", "--lambda", "1", "--L", "nan"], 2, ["L must be > 0"]),
     (["potential", "--eta", "0.5", "--lambda", "1", "--L", "0"], 2, ["L must be > 0"]),
     (["potential", "--eta", "0.5", "--lambda", "1", "--L=-1"], 2, ["L must be > 0"]),
+    (["verdict", "--eta", "0.5", "--lambda", "1", "--L", "inf"], 2, ["L must be > 0 and finite"]),
+    (["potential", "--eta", "0.5", "--lambda", "1", "--L", "inf"], 2,
+     ["L must be > 0 and finite"]),
+    (["verdict", "--eta", "0.5", "--lambda", "1", "--box=0.1,1,1,inf"], 2, ["must be finite"]),
+    (["surface", "--box=0.1,1,1,inf"], 2, ["must be finite"]),
+    (["surface", "--box=-inf,1,0,1"], 2, ["must be finite"]),
     # flag text the parser cannot read is returned as exit 2, not raised
     (["verdict", "--eta", "0.5", "--lambda", "1", "--N", "abc"], 2, ["invalid int value"]),
     (["verdict", "--eta", "x", "--lambda", "1"], 2, ["invalid float value"]),

@@ -1,6 +1,7 @@
 """Two-route evaluation of the feasibility surface, sign certificate, scans."""
 
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -326,3 +327,83 @@ def test_scan_report_serialization():
     assert "refinement_trace" not in doc  # reported by its length only
     assert doc["all_nodes_negative"] is True
     assert report.all_nodes_negative == (report.sup_estimate < 0.0)
+
+
+def _brute_force_candidates(eta_nodes, lam_nodes):
+    # every node with multiplicity, evaluated on its signed eta, in _rank order
+    values = feasibility._f_grid(eta_nodes, lam_nodes)
+    eta = np.repeat(eta_nodes, lam_nodes.size)
+    lam = np.tile(lam_nodes, eta_nodes.size)
+    f = values.ravel()
+    order = np.lexsort((eta, np.abs(eta), lam, -f))[:feasibility._SEEDS]
+    return [(float(eta[i]), float(lam[i]), float(f[i])) for i in order]
+
+
+SCAN_REFERENCE_CASES = [
+    # 75 rows, 32 per block of 2^16 nodes: the last block is partial
+    (Box(0.05, 0.95, 1e-3, 10.0), (75, 2001)),
+    # a lambda axis longer than a block: one row per block
+    (Box(-0.3, 0.7, 1e-4, 5.0), (3, 100_001)),
+    (Box(-0.4, 0.9, 1e-3, 3.0), (27, 41)),        # eta-asymmetric
+    (Box(-1.0, 1.0, 1e-3, 10.0), (201, 201)),     # symmetric, eta = 0 skipped
+    (Box(0.5, 0.5, 1.0, 1.0), (201, 201)),        # every node ties
+    (Box(-0.5, 0.5, 1.0, 1.0), (2, 2001)),        # every node ties, both signs
+    (Box(0.5, 0.5, 1.0, 2.0), (201, 3)),          # each eta node repeated 201 times
+    (Box(-1.0, 1.0, 1e-3, 1e-2), (40, 41)),       # +-eta tie straddles the fifth seed
+    (Box(0.4, 0.6, 1.0, 2.0), (2, 2)),            # fewer nodes than seeds
+]
+
+
+@pytest.mark.parametrize("block_nodes", [feasibility._BLOCK_NODES, 64])
+@pytest.mark.parametrize("box,grid", SCAN_REFERENCE_CASES)
+def test_scan_matches_brute_force_reference(box, grid, block_nodes, monkeypatch):
+    monkeypatch.setattr(feasibility, "_BLOCK_NODES", block_nodes)
+    report = supremum_scan(box, grid=grid)
+    with monkeypatch.context() as patch:
+        patch.setattr(feasibility, "_grid_candidates", _brute_force_candidates)
+        reference = supremum_scan(box, grid=grid)
+    assert report.to_dict() == reference.to_dict()
+    assert report.refinement_trace == reference.refinement_trace
+
+
+def test_scan_seed_rule_on_ties():
+    # f is even in eta: the nodes come in tied (-1, lam), (+1, lam) pairs, and
+    # the fifth seed is the negative member of the third pair, not its partner
+    eta_nodes = np.linspace(-1.0, 1.0, 40)
+    lam_nodes = np.linspace(1e-3, 1e-2, 41)
+    seeds = feasibility._grid_candidates(eta_nodes, lam_nodes)
+    assert [(eta, lam) for eta, lam, _ in seeds] == [
+        (-1.0, lam_nodes[0]), (1.0, lam_nodes[0]), (-1.0, lam_nodes[1]), (1.0, lam_nodes[1]),
+        (-1.0, lam_nodes[2]),
+    ]
+    assert feasibility._f_grid(np.array([1.0]), lam_nodes[2:3])[0, 0] == seeds[4][2]
+    # every node ties: five seeds, not the whole grid
+    report = supremum_scan(Box(0.5, 0.5, 1.0, 1.0), grid=(2001, 2001))
+    assert report.to_dict()["refinement_evaluations"] == 5 * 2 * 2  # one point per coordinate
+
+
+@pytest.mark.parametrize("block_nodes", [feasibility._BLOCK_NODES, 64])
+def test_scan_ties_everywhere_follow_rank(block_nodes, monkeypatch):
+    # a constant f: smallest lambda first, then smallest |eta|, negative first
+    monkeypatch.setattr(feasibility, "_BLOCK_NODES", block_nodes)
+    monkeypatch.setattr(
+        feasibility, "_f_grid", lambda eta, lam: np.full((eta.size, lam.size), -1.0)
+    )
+    eta_nodes = np.linspace(-1.0, 1.0, 40)
+    lam_nodes = np.linspace(1.0, 2.0, 7)
+    seeds = feasibility._grid_candidates(eta_nodes, lam_nodes)
+    assert seeds == _brute_force_candidates(eta_nodes, lam_nodes)
+    nearest = sorted(eta_nodes.tolist(), key=lambda eta: (abs(eta), eta))[:5]
+    assert seeds == [(eta, 1.0, -1.0) for eta in nearest]
+
+
+@pytest.mark.parametrize("box", [Box(-1.0, 1.0, 1e-3, 10.0), Box(0.5, 0.5, 1.0, 1.0)])
+def test_scan_memory_stays_block_sized(box):
+    # a whole 2001^2 grid of doubles is 30.5 MiB; one block is 0.5 MiB
+    tracemalloc.start()
+    try:
+        supremum_scan(box, grid=(2001, 2001))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20
