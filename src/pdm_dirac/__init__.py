@@ -7,168 +7,25 @@ discrete energies?  The closed-form route classifies the candidate levels of
 the squared problem; the numeric route discretizes the effective potential
 and looks for localized states below the continuum edge.  ``pdm-dirac
 verdict`` runs both and reports whether they agree.
+
+Each public name is declared once, in its module's ``__all__``; the package
+re-exports those names and its ``__all__`` is their union.
 """
 
-from .errors import (
-    BothZero,
-    BoxIncludesEtaZero,
-    CertificateViolation,
-    ConfigKeyError,
-    DegenerateMass,
-    DomainTooSmall,
-    EmptyBox,
-    EtaOutOfRange,
-    EtaZeroDegenerate,
-    EtaZeroSingular,
-    EvaluationError,
-    GridTooCoarse,
-    InvalidBox,
-    LambdaZero,
-    LevelAtPole,
-    NegativeLambda,
-    NonFinite,
-    NonPositiveAlpha,
-    NonPositiveMass,
-    ParameterError,
-    PdmDiracError,
-)
-from .feasibility import (
-    Box,
-    FeasibilityResult,
-    SignVerdict,
-    SupremumReport,
-    aux_root,
-    evaluate_point,
-    f_direct,
-    f_factored,
-    feasibility_inequality,
-    sign_certificate,
-    supremum_scan,
-)
-from .params import (
-    ABS_TOL,
-    ETA_ZERO_SNAP,
-    LAMBDA_MIN_SCAN,
-    REL_TOL,
-    DimensionlessParams,
-    PhysicalParams,
-    params_from_json,
-    params_to_json,
-    reduce_params,
-    validate_physical,
-)
-from .solver import (
-    BoundCandidate,
-    ComparisonReport,
-    DiscreteSpectrum,
-    Discretization,
-    DomainResolutionWarning,
-    LocalizationMetric,
-    TridiagonalOperator,
-    analytic_vs_numeric,
-    bound_state_report,
-    build_hamiltonian,
-    continuum_edge,
-    eigenvalues_below,
-    eigenvector,
-    localization_metric,
-    poschl_teller_well,
-    sturm_count,
-)
-from .spectrum import (
-    Classification,
-    PotentialSample,
-    SpectrumEntry,
-    classify_levels,
-    delta1,
-    effective_potential,
-    level_energy,
-    mass_profile,
-    mass_profile_derivative,
-    potential_sample,
-    rosen_morse_terms,
-    sech_squared,
-    vector_potential,
-)
+from . import errors, feasibility, params, solver, spectrum
+from .errors import *
+from .feasibility import *
+from .params import *
+from .solver import *
+from .spectrum import *
 
 __version__ = "0.1.0"
 
 __all__ = [
     "__version__",
-    # errors
-    "PdmDiracError",
-    "ParameterError",
-    "EvaluationError",
-    "NonFinite",
-    "NonPositiveMass",
-    "EtaOutOfRange",
-    "NonPositiveAlpha",
-    "NegativeLambda",
-    "ConfigKeyError",
-    "LambdaZero",
-    "EtaZeroDegenerate",
-    "LevelAtPole",
-    "DegenerateMass",
-    "EtaZeroSingular",
-    "BothZero",
-    "InvalidBox",
-    "EmptyBox",
-    "BoxIncludesEtaZero",
-    "CertificateViolation",
-    "GridTooCoarse",
-    "DomainTooSmall",
-    # params
-    "PhysicalParams",
-    "DimensionlessParams",
-    "ABS_TOL",
-    "REL_TOL",
-    "LAMBDA_MIN_SCAN",
-    "ETA_ZERO_SNAP",
-    "validate_physical",
-    "reduce_params",
-    "params_from_json",
-    "params_to_json",
-    # spectrum
-    "Classification",
-    "PotentialSample",
-    "SpectrumEntry",
-    "sech_squared",
-    "mass_profile",
-    "mass_profile_derivative",
-    "vector_potential",
-    "effective_potential",
-    "rosen_morse_terms",
-    "potential_sample",
-    "delta1",
-    "level_energy",
-    "classify_levels",
-    # feasibility
-    "SignVerdict",
-    "FeasibilityResult",
-    "Box",
-    "SupremumReport",
-    "aux_root",
-    "f_direct",
-    "f_factored",
-    "sign_certificate",
-    "evaluate_point",
-    "feasibility_inequality",
-    "supremum_scan",
-    # solver
-    "DomainResolutionWarning",
-    "Discretization",
-    "TridiagonalOperator",
-    "build_hamiltonian",
-    "sturm_count",
-    "eigenvalues_below",
-    "eigenvector",
-    "LocalizationMetric",
-    "localization_metric",
-    "continuum_edge",
-    "poschl_teller_well",
-    "BoundCandidate",
-    "DiscreteSpectrum",
-    "bound_state_report",
-    "ComparisonReport",
-    "analytic_vs_numeric",
+    *errors.__all__,
+    *params.__all__,
+    *spectrum.__all__,
+    *feasibility.__all__,
+    *solver.__all__,
 ]

@@ -58,8 +58,8 @@ from .params import (
     PhysicalParams,
     number_from_json,
     params_from_json,
+    params_to_json,
     reduce_params,
-    validate_physical,
 )
 from .solver import (
     Discretization,
@@ -79,6 +79,7 @@ _N_MAX_CEILING = 100_000
 _N_CEILING = 1_000_000
 # Surface and scan nodes (eta nodes x lambda nodes); admits a 2001 x 2001 grid.
 _GRID_NODES_CEILING = 4_100_000
+_ROUTE_SAMPLES = 256  # random points of the verdict's check that the two f routes agree
 
 
 def _fmt(value: float) -> str:
@@ -241,8 +242,8 @@ class RunConfig:
     def physical(self) -> PhysicalParams:
         m0 = 1.0 if self.M0 is None else self.M0
         if self.alpha is not None:
-            return validate_physical(m0, self.eta, self.alpha)
-        return validate_physical(m0, self.eta, self.lam * m0)
+            return PhysicalParams(m0, self.eta, self.alpha)
+        return PhysicalParams(m0, self.eta, self.lam * m0)
 
     def dimensionless(self) -> DimensionlessParams:
         return reduce_params(self.physical())
@@ -250,14 +251,8 @@ class RunConfig:
     def to_json_doc(self) -> dict:
         doc: dict = {"subcommand": self.subcommand}
         if self.eta is not None:
-            if self.lam is not None and (self.M0 is None or self.M0 == 1.0):
-                doc["eta"] = self.eta
-                doc["lambda"] = self.lam
-            else:
-                p = self.physical()
-                doc["M0"] = p.M0
-                doc["eta"] = p.eta
-                doc["alpha"] = p.alpha
+            reduced = self.lam is not None and self.M0 in (None, 1.0)
+            doc.update(params_to_json(self.dimensionless() if reduced else self.physical()))
         for key in _SUBCOMMANDS[self.subcommand].keys:
             value = getattr(self, key)
             if value is not None:
@@ -426,9 +421,8 @@ def _spectrum_lines(cfg: RunConfig) -> str:
         }
         return json.dumps(doc, sort_keys=True, indent=2) + "\n"
     lines = ["n,delta1,e_squared,classification,energy_magnitude"]
-    for e in entries:
-        e2 = "nan" if math.isnan(e.e_squared) else _fmt(e.e_squared)
-        mag = "nan" if math.isnan(e.energy_magnitude) else _fmt(e.energy_magnitude)
+    for e in entries:  # an Undefined row's NaN values are written as nan
+        e2, mag = _fmt(e.e_squared), _fmt(e.energy_magnitude)
         lines.append(f"{e.n},{_fmt(e.delta1)},{e2},{e.classification.value},{mag}")
     return "\n".join(lines) + "\n"
 
@@ -457,13 +451,13 @@ def cmd_potential(cfg: RunConfig) -> int:
     return 0
 
 
-def _route_agreement_check(box: Box, seed: int, samples: int = 256) -> dict:
+def _route_agreement_check(box: Box, seed: int) -> dict:
     rng = np.random.default_rng(seed)
     worst = 0.0
     worst_at = (0.0, 0.0)
     lam_hi = box.lam_max
     lam_lo = min(max(box.lam_min, 1e-6), lam_hi)  # a box below 1e-6 samples lam_max
-    for _ in range(samples):
+    for _ in range(_ROUTE_SAMPLES):
         eta = float(rng.uniform(1e-3, 1.0))
         if rng.random() < 0.5:
             eta = -eta
@@ -475,7 +469,7 @@ def _route_agreement_check(box: Box, seed: int, samples: int = 256) -> dict:
             worst, worst_at = rel, (eta, lam)
     return {
         "seed": seed,
-        "samples": samples,
+        "samples": _ROUTE_SAMPLES,
         "max_rel_discrepancy": worst,
         "worst_at": list(worst_at),
         "tolerance": REL_TOL,

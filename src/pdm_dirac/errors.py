@@ -95,3 +95,7 @@ class GridTooCoarse(EvaluationError):
 
 class DomainTooSmall(EvaluationError):
     """Box half-width does not contain the step region (alpha * L too small)."""
+
+
+__all__ = [name for name, value in globals().items()
+           if isinstance(value, type) and issubclass(value, PdmDiracError)]

@@ -20,6 +20,9 @@ boundary.  Both routes evaluate ``sqrt(lam^2 + 4 eta^2) - lam`` through the
 rationalized form ``4 eta^2 / (lam + sqrt(lam^2 + 4 eta^2))``; the literal
 subtraction loses about half the significant digits once |eta| << lam, far
 outside the 1e-10 route-agreement budget.
+
+No route returns a non-finite f: where f leaves the double range, the scalar
+routes raise :class:`EvaluationError` and the grid evaluator :class:`InvalidBox`.
 """
 
 from __future__ import annotations
@@ -37,11 +40,11 @@ from .errors import (
     EmptyBox,
     EtaOutOfRange,
     EtaZeroSingular,
+    EvaluationError,
     InvalidBox,
     NegativeLambda,
 )
-from .params import ABS_TOL, ETA_ZERO_SNAP, REL_TOL, DimensionlessParams
-from .spectrum import level_energy
+from .params import ETA_ZERO_SNAP, REL_TOL
 
 __all__ = [
     "SignVerdict",
@@ -53,26 +56,22 @@ __all__ = [
     "f_factored",
     "sign_certificate",
     "evaluate_point",
-    "feasibility_inequality",
     "supremum_scan",
 ]
 
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0  # golden-section shrink ratio
 _SEEDS = 5  # best grid nodes that the scan refines
+_REFINE_STEPS = 60  # golden-section shrink steps per seed, over both coordinates
 # grid nodes the scan evaluates at once: a block and its temporaries (about
 # 1.5 MiB) stay in cache, where the whole grid streamed through memory
 _BLOCK_NODES = 1 << 16
 
 
 class SignVerdict(str, enum.Enum):
-    """Certified sign of f at a point."""
+    """Certified sign of f at a point: Negative for lam > 0, ZeroBoundary at lam = 0."""
 
     NEGATIVE = "Negative"
     ZERO_BOUNDARY = "ZeroBoundary"
-    UNDEFINED = "Undefined"
-
-    def __str__(self) -> str:  # pragma: no cover - cosmetic
-        return self.value
 
 
 @dataclass(frozen=True)
@@ -126,7 +125,10 @@ def f_direct(eta: float, lam: float) -> float:
     """Feasibility function in its direct (unfactored) arrangement, t = -2u."""
     t = -2.0 * aux_root(eta, lam)
     t2 = t * t
-    return (1.0 + eta * eta) - 4.0 * eta * eta / t2 - 0.25 * t2
+    f = (1.0 + eta * eta) - 4.0 * eta * eta / t2 - 0.25 * t2
+    if not math.isfinite(f):
+        raise EvaluationError(f"f_direct leaves the double range at eta={eta!r}, lambda={lam!r}")
+    return f
 
 
 def f_factored(eta: float, lam: float) -> float:
@@ -136,12 +138,18 @@ def f_factored(eta: float, lam: float) -> float:
     summed from nonnegative terms, ``(lam + lam^2/(s + 2|eta|) + 2|eta|(1-|eta|))
     / (lam + s)`` with ``s = hypot(lam, 2 eta)``, so no factor cancels at tiny
     lambda or at |eta| near 1, and f < 0 for every lam > 0.
+
+    :func:`_f_grid` repeats this arithmetic for arrays: on Python floats this
+    route is over ten times faster a call than on numpy scalars.
     """
     u = aux_root(eta, lam)
     a = abs(eta)
     s = math.hypot(lam, 2.0 * a)
     one_minus_u = (lam + lam * (lam / (s + 2.0 * a)) + 2.0 * a * (1.0 - a)) / (lam + s)
-    return -lam * one_minus_u / u * (1.0 + u)
+    f = -lam * one_minus_u / u * (1.0 + u)
+    if not math.isfinite(f):
+        raise EvaluationError(f"f_factored leaves the double range at eta={eta!r}, lambda={lam!r}")
+    return f
 
 
 def sign_certificate(eta: float, lam: float) -> SignVerdict:
@@ -189,19 +197,6 @@ def evaluate_point(eta: float, lam: float) -> FeasibilityResult:
         u=aux_root(eta, lam),
         sign_verdict=sign_certificate(eta, lam),
     )
-
-
-def feasibility_inequality(
-    params: DimensionlessParams, n: int = 0, M0: float = 1.0
-) -> tuple[bool, float]:
-    """Whether level n's radicand is nonnegative, plus the signed margin.
-
-    The margin is ``E_n^2`` itself; "satisfied" means the margin clears
-    ``-ABS_TOL * M0^2``, i.e. the level is classified Real or
-    ZeroThreshold by :func:`pdm_dirac.spectrum.level_energy`.
-    """
-    margin = level_energy(params, n, M0=M0).e_squared
-    return margin >= -ABS_TOL * M0 * M0, margin
 
 
 # --- supremum scan ---------------------------------------------------------
@@ -266,10 +261,14 @@ class SupremumReport:
 def _f_grid(eta_nodes: np.ndarray, lam_nodes: np.ndarray) -> np.ndarray:
     """Vectorized factored route on the (eta, lambda) product grid.
 
-    Rows follow ``eta_nodes`` and columns ``lam_nodes``; callers drop eta = 0
+    Rows follow ``eta_nodes`` and columns ``lam_nodes``; callers pass one
+    row block (the scan) or one row (``surface``) at a time and drop eta = 0
     nodes themselves.  The arithmetic is that of :func:`f_factored`, done in
-    place on two arrays of the grid's size.  Where u^2 underflows (the scalar
+    place on two arrays of the block's size.  Where u^2 underflows (the scalar
     route's EtaZeroSingular) or f is not finite, InvalidBox is raised.
+
+    Kept apart from :func:`f_factored`: each measured merge slowed the scan or
+    its refinement (see ROADMAP.md).
     """
     a = np.abs(eta_nodes)[:, None]
     lam = lam_nodes[None, :]
@@ -365,11 +364,7 @@ def _golden_max(fn, lo: float, hi: float, steps: int, trace: list) -> tuple[floa
     return x2, f2
 
 
-def supremum_scan(
-    box: Box,
-    grid: tuple[int, int] = (101, 101),
-    refine_steps: int = 60,
-) -> SupremumReport:
+def supremum_scan(box: Box, grid: tuple[int, int] = (101, 101)) -> SupremumReport:
     """Estimate sup f over the box: product grid, then local refinement.
 
     The grid is ``grid[0]`` eta nodes times ``grid[1]`` lambda nodes.  Eta
@@ -381,7 +376,7 @@ def supremum_scan(
     (see :func:`_grid_candidates`).  The grid nodes, with multiplicity, are
     ordered by :func:`_rank`; the first is the grid maximum and the first
     five (or every node, if fewer) seed coordinate-wise golden-section
-    refinement (about ``refine_steps`` shrink steps per seed) of the
+    refinement (about ``_REFINE_STEPS`` shrink steps per seed) of the
     surrounding grid cells.  A tie across the fifth place is broken by the
     same order.  The reported supremum is the best of the grid maximum and
     every refinement evaluation under :func:`_rank`, so the result is
@@ -422,7 +417,7 @@ def supremum_scan(
         return f_factored(eta, lam)
 
     trace: list[tuple[float, float, float]] = []
-    per_coord = max(1, refine_steps // 4)
+    per_coord = max(1, _REFINE_STEPS // 4)
     for eta_c, lam_c in seeds:
         for _ in range(2):  # two alternating coordinate sweeps
             lam_lo = max(box.lam_min, lam_c - d_lam)

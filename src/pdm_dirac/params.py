@@ -11,7 +11,9 @@ Natural units (hbar = c = 1).  The mass profile is
 
 Spectral statements depend on (M0, eta, alpha) only through ``eta`` and the
 ratio ``lambda = alpha / M0``; :func:`reduce_params` performs that reduction.
-Validation never clamps: out-of-range input raises, it is not repaired.
+Constructing :class:`PhysicalParams` or :class:`DimensionlessParams` validates:
+out-of-range input raises, it is never clamped.  eta = 0 is admissible; the
+closed-form level and feasibility code rejects it itself.
 
 The tolerances that the other modules share are fixed module constants
 (``ABS_TOL``, ``REL_TOL``, ``LAMBDA_MIN_SCAN``, ``ETA_ZERO_SNAP``), not
@@ -40,9 +42,7 @@ __all__ = [
     "REL_TOL",
     "LAMBDA_MIN_SCAN",
     "ETA_ZERO_SNAP",
-    "validate_physical",
     "reduce_params",
-    "number_from_json",
     "params_from_json",
     "params_to_json",
 ]
@@ -74,20 +74,6 @@ class PhysicalParams:
         if self.alpha <= 0.0:
             raise NonPositiveAlpha(f"alpha must be > 0, got {self.alpha}")
 
-    @property
-    def mass_touches_zero(self) -> bool:
-        """True when |eta| = 1: the mass profile reaches zero at one infinity."""
-        return abs(self.eta) == 1.0
-
-    @property
-    def hermitian_degenerate(self) -> bool:
-        """True when eta = 0: constant mass, the excluded Hermitian limit.
-
-        Construction is allowed (the numeric solver still works there) but the
-        closed-form level and feasibility operations reject this flag.
-        """
-        return self.eta == 0.0
-
 
 @dataclass(frozen=True)
 class DimensionlessParams:
@@ -104,10 +90,6 @@ class DimensionlessParams:
         if self.lam < 0.0:
             raise NegativeLambda(f"lambda must be >= 0, got {self.lam}")
 
-    @property
-    def hermitian_degenerate(self) -> bool:
-        return self.eta == 0.0
-
 
 # Shared tolerances (dimensionless).  An energy-squared value within
 # ABS_TOL * M0^2 of zero counts as the threshold case, and a level index
@@ -120,11 +102,6 @@ LAMBDA_MIN_SCAN = 1e-3
 # Scan gridlines with |eta| below this snap onto the excluded eta = 0 line
 # (linspace over a symmetric range lands ~1 ulp off zero).
 ETA_ZERO_SNAP = 1e-12
-
-
-def validate_physical(M0: float, eta: float, alpha: float) -> PhysicalParams:
-    """Validate raw numbers into :class:`PhysicalParams` (raises, never clamps)."""
-    return PhysicalParams(M0=M0, eta=eta, alpha=alpha)
 
 
 def reduce_params(params: PhysicalParams) -> DimensionlessParams:
@@ -162,7 +139,7 @@ def params_from_json(doc: Mapping) -> Params:
     """
     keys = set(doc.keys())
     if keys == _PHYSICAL_KEYS:
-        return validate_physical(*(number_from_json(k, doc[k]) for k in ("M0", "eta", "alpha")))
+        return PhysicalParams(*(number_from_json(k, doc[k]) for k in ("M0", "eta", "alpha")))
     if keys == _REDUCED_KEYS:
         return DimensionlessParams(*(number_from_json(k, doc[k]) for k in ("eta", "lambda")))
     expected = sorted(_PHYSICAL_KEYS), sorted(_REDUCED_KEYS)

@@ -71,8 +71,6 @@ __all__ = [
     "poschl_teller_well",
     "bound_state_report",
     "analytic_vs_numeric",
-    "DEFAULT_HALF_WIDTH_STEPS",
-    "DEFAULT_NUM_POINTS",
 ]
 
 # Production defaults: L = 25/alpha puts the step ~25 decay lengths from each
@@ -478,8 +476,6 @@ def analytic_vs_numeric(
     then carries the numeric side only.  ``potential``/``edge`` pass through
     to :func:`bound_state_report` for control cases.
     """
-    if disc is None:
-        disc = Discretization.for_params(params)
     entries: list[SpectrumEntry] = []
     analytic_error: Optional[str] = None
     try:

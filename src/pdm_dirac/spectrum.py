@@ -65,9 +65,6 @@ class Classification(str, enum.Enum):
     ZERO_THRESHOLD = "ZeroThreshold"
     UNDEFINED = "Undefined"
 
-    def __str__(self) -> str:  # pragma: no cover - cosmetic
-        return self.value
-
 
 @dataclass(frozen=True)
 class PotentialSample:
@@ -152,10 +149,7 @@ def vector_potential(params: PhysicalParams, x):
             "the vector potential is undefined there"
         )
     imag = 0.5 * params.alpha * params.eta * np.asarray(sech_squared(params.alpha * arr)) / den
-    out = 1j * imag
-    if np.asarray(out).ndim == 0:
-        return complex(out)
-    return out
+    return _scalar_or_array(np.multiply(1j, imag), complex)
 
 
 def effective_potential(params: PhysicalParams, x):

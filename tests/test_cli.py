@@ -50,6 +50,15 @@ def test_spectrum_exact_rational_row(capsys):
     assert float(row[2]) == pytest.approx(-1.5, abs=1e-12)
 
 
+def test_spectrum_pole_row_is_nan(capsys):
+    # at eta = 1, lambda = 1/sqrt(2) delta1 is -1, so index 1 sits on the pole
+    args = ["spectrum", "--eta", "1", "--lambda", repr(0.5**0.5), "--n-max", "1"]
+    rc, out, _ = run(args, capsys)
+    assert rc == 0
+    row = out.strip().splitlines()[2].split(",")
+    assert row[0] == "1" and row[2:] == ["nan", "Undefined", "nan"]
+
+
 def test_spectrum_json_format(capsys):
     rc, out, _ = run(["spectrum", "--eta", "0.5", "--lambda", "1", "--format", "json"], capsys)
     assert rc == 0
@@ -388,6 +397,12 @@ EXIT_CASES = [
     (["spectrum", "--eta", "1e-300", "--lambda", "1e-300"], 2, ["LambdaZero"]),
     (["potential", "--eta", "0.5", "--lambda", "1", "--L", "1e308", "--N", "3"], 2,
      ["leaves the double range"]),
+    # the verdict records the solver's spacing error in its trail instead
+    (["verdict", "--eta", "0.5", "--lambda", "1", "--L", "1e308"], 4, ["ParameterError"]),
+    # f leaves the double range: an error, not -Infinity or an uncompared sample
+    (["verdict", "--eta", "1", "--lambda", "1e160"], 4, ["EvaluationError", "ParameterError"]),
+    (["verdict", "--eta", "0.5", "--lambda", "1", "--box=0.9,1,1,1e153", "--grid", "3,3"], 4,
+     ["EvaluationError"]),
     (["spectrum", "--eta", "0.5", "--lambda", "1", "--n-max", "100001"], 2, ["n_max"]),
     (["verdict", "--eta", "0.5", "--lambda", "1", "--n-max", "100001"], 2, ["n_max"]),
     # at tiny lambda f once rounded to 0 or above and claimed a real spectrum
@@ -427,6 +442,10 @@ EXIT_CASES = [
 ]
 
 
+def _refuse_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
 @pytest.mark.parametrize(
     "args,status,errors", EXIT_CASES, ids=[" ".join(case[0]) for case in EXIT_CASES]
 )
@@ -439,7 +458,8 @@ def test_exit_status_contract(args, status, errors, tmp_path, capsys):
         for name in errors:
             assert name in err
     else:
-        trail = json.loads(out.read_text())["error_trail"]
+        # strict JSON: NaN, Infinity and -Infinity are refused
+        trail = json.loads(out.read_text(), parse_constant=_refuse_constant)["error_trail"]
         assert [name for name in errors if any(name in entry for entry in trail)] == errors
         assert len(trail) == len(errors)
 

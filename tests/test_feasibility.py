@@ -11,10 +11,12 @@ from pdm_dirac import (
     BothZero,
     Box,
     BoxIncludesEtaZero,
+    Classification,
     DimensionlessParams,
     EmptyBox,
     EtaOutOfRange,
     EtaZeroSingular,
+    EvaluationError,
     InvalidBox,
     NegativeLambda,
     SignVerdict,
@@ -22,7 +24,7 @@ from pdm_dirac import (
     evaluate_point,
     f_direct,
     f_factored,
-    feasibility_inequality,
+    level_energy,
     sign_certificate,
     supremum_scan,
 )
@@ -187,18 +189,19 @@ def test_both_evaluators_relative_accuracy_against_mpmath():
 
 
 def test_feasibility_inequality_reference_points():
-    ok, margin = feasibility_inequality(DimensionlessParams(0.5, 1.0))
-    assert not ok
-    assert margin == pytest.approx(F_HALF_1, rel=1e-12)
-    ok, margin = feasibility_inequality(DimensionlessParams(math.sqrt(3.0) / 2.0, 1.0))
-    assert not ok
-    assert margin == pytest.approx(-1.5, abs=1e-12)
+    # the margin is the ground level's E_0^2; Real or ZeroThreshold would
+    # satisfy the inequality
+    level = level_energy(DimensionlessParams(0.5, 1.0), 0)
+    assert level.classification is Classification.IMAGINARY
+    assert level.e_squared == pytest.approx(F_HALF_1, rel=1e-12)
+    level = level_energy(DimensionlessParams(math.sqrt(3.0) / 2.0, 1.0), 0)
+    assert level.classification is Classification.IMAGINARY
+    assert level.e_squared == pytest.approx(-1.5, abs=1e-12)
 
 
 def test_feasibility_inequality_boundary_limit():
     # margin -> 0 as lam -> 0 (equality case of the threshold inequality)
-    _, margin = feasibility_inequality(DimensionlessParams(0.5, 1e-8))
-    assert abs(margin) < 1e-6
+    assert abs(level_energy(DimensionlessParams(0.5, 1e-8), 0).e_squared) < 1e-6
 
 
 def test_monotone_in_lambda_soft_property():
@@ -229,8 +232,9 @@ def test_box_validation():
             Box(eta, eta, -1.0, 1.0)
 
 
-def test_scan_four_point_box():
-    report = supremum_scan(Box(0.4, 0.6, 1.0, 2.0), grid=(2, 2), refine_steps=0)
+def test_scan_four_point_box(monkeypatch):
+    monkeypatch.setattr(feasibility, "_REFINE_STEPS", 0)
+    report = supremum_scan(Box(0.4, 0.6, 1.0, 2.0), grid=(2, 2))
     corner_values = {F_04_1, F_04_2, F_06_1, F_06_2}
     assert report.sup_estimate == pytest.approx(max(corner_values), rel=1e-12)
     assert report.sup_estimate < -2.0
@@ -258,6 +262,10 @@ def test_underflow_is_structured():
                 fn(eta, lam)
     with pytest.raises(InvalidBox):
         supremum_scan(Box(0.5, 0.6, 1e300, 1e300), grid=(3, 3))
+    # u^2 is subnormal there, but f = -lam (1-u^2) / u leaves the double range
+    for fn in (f_direct, f_factored, evaluate_point):
+        with pytest.raises(EvaluationError, match="leaves the double range"):
+            fn(1.0, 1e160)
 
 
 def test_scan_grid_floor():
@@ -270,27 +278,30 @@ def test_scan_rejects_pure_eta_zero_box():
         supremum_scan(Box(0.0, 0.0, 1.0, 2.0), grid=(2, 2))
 
 
-def test_scan_skips_eta_zero_gridline():
-    report = supremum_scan(Box(-1.0, 1.0, 0.5, 2.0), grid=(21, 5), refine_steps=0)
+def test_scan_skips_eta_zero_gridline(monkeypatch):
+    monkeypatch.setattr(feasibility, "_REFINE_STEPS", 0)
+    report = supremum_scan(Box(-1.0, 1.0, 0.5, 2.0), grid=(21, 5))
     assert len(report.skipped_eta_nodes) == 1
     assert abs(report.skipped_eta_nodes[0]) <= 1e-12
     assert report.all_nodes_negative
     assert report.sup_estimate < 0.0
 
 
-def test_scan_deterministic():
+def test_scan_deterministic(monkeypatch):
+    monkeypatch.setattr(feasibility, "_REFINE_STEPS", 24)
     box = Box(-1.0, 1.0, 1e-3, 10.0)
-    a = supremum_scan(box, grid=(41, 41), refine_steps=24)
-    b = supremum_scan(box, grid=(41, 41), refine_steps=24)
+    a = supremum_scan(box, grid=(41, 41))
+    b = supremum_scan(box, grid=(41, 41))
     assert a.sup_estimate == b.sup_estimate
     assert a.argmax == b.argmax
     assert a.refinement_trace == b.refinement_trace
 
 
-def test_scan_tie_break_prefers_negative_eta():
+def test_scan_tie_break_prefers_negative_eta(monkeypatch):
     # f is even in eta, so (+1, lam) and (-1, lam) tie exactly; the scan
     # must resolve the tie the same way regardless of evaluation order
-    report = supremum_scan(Box(-1.0, 1.0, 1.0, 1.0), grid=(5, 2), refine_steps=0)
+    monkeypatch.setattr(feasibility, "_REFINE_STEPS", 0)
+    report = supremum_scan(Box(-1.0, 1.0, 1.0, 1.0), grid=(5, 2))
     assert report.argmax[0] == -1.0
     # the one ranking: largest f, then smallest lambda, smallest |eta|, eta < 0
     tied = [(0.5, 2.0, -1.0), (0.9, 1.0, -1.0), (-0.9, 1.0, -1.0), (0.7, 1.0, -1.0)]
@@ -302,24 +313,27 @@ def test_scan_tie_break_prefers_negative_eta():
 def test_scan_sup_tracks_refinement(monkeypatch):
     # refinement can only raise the estimate, never lower it
     box = Box(0.2, 1.0, 1e-3, 3.0)
-    coarse = supremum_scan(box, grid=(11, 11), refine_steps=0)
-    refined = supremum_scan(box, grid=(11, 11), refine_steps=40)
+    monkeypatch.setattr(feasibility, "_REFINE_STEPS", 0)
+    coarse = supremum_scan(box, grid=(11, 11))
+    monkeypatch.setattr(feasibility, "_REFINE_STEPS", 40)
+    refined = supremum_scan(box, grid=(11, 11))
     assert refined.sup_estimate >= coarse.sup_estimate
     assert refined.sup_estimate < 0.0
     # f peaks between grid nodes, where only refinement sees it: the supremum
     # is the best refinement evaluation, and 0 is not "all negative"
     monkeypatch.setattr(feasibility, "f_factored", lambda eta, lam: 1.0 - abs(eta - 0.55))
-    report = supremum_scan(box, grid=(11, 11), refine_steps=40)
+    report = supremum_scan(box, grid=(11, 11))
     assert report.sup_estimate == max(v for _, _, v in report.refinement_trace)
     assert report.sup_estimate > coarse.sup_estimate
     monkeypatch.setattr(feasibility, "f_factored", lambda eta, lam: 0.0)
-    report = supremum_scan(box, grid=(11, 11), refine_steps=40)
+    report = supremum_scan(box, grid=(11, 11))
     assert report.sup_estimate == 0.0
     assert not report.all_nodes_negative
 
 
-def test_scan_report_serialization():
-    report = supremum_scan(Box(0.4, 0.6, 1.0, 2.0), grid=(3, 3), refine_steps=8)
+def test_scan_report_serialization(monkeypatch):
+    monkeypatch.setattr(feasibility, "_REFINE_STEPS", 8)
+    report = supremum_scan(Box(0.4, 0.6, 1.0, 2.0), grid=(3, 3))
     doc = report.to_dict()
     assert doc["box"] == [0.4, 0.6, 1.0, 2.0]
     assert doc["grid_shape"] == [3, 3]

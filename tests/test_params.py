@@ -15,43 +15,38 @@ from pdm_dirac import (
     params_from_json,
     params_to_json,
     reduce_params,
-    validate_physical,
 )
 
 
 def test_validate_accepts_slack_point():
-    p = validate_physical(1.0, 0.5, 1.0)
+    p = PhysicalParams(1.0, 0.5, 1.0)
     assert (p.M0, p.eta, p.alpha) == (1.0, 0.5, 1.0)
-    assert not p.mass_touches_zero
-    assert not p.hermitian_degenerate
 
 
 def test_validate_rejections():
     with pytest.raises(EtaOutOfRange):
-        validate_physical(1.0, 1.5, 1.0)
+        PhysicalParams(1.0, 1.5, 1.0)
     with pytest.raises(NonPositiveMass):
-        validate_physical(0.0, 0.5, 1.0)
+        PhysicalParams(0.0, 0.5, 1.0)
     with pytest.raises(NonPositiveMass):
-        validate_physical(-2.0, 0.5, 1.0)
+        PhysicalParams(-2.0, 0.5, 1.0)
     with pytest.raises(NonPositiveAlpha):
-        validate_physical(1.0, 0.5, 0.0)
+        PhysicalParams(1.0, 0.5, 0.0)
     with pytest.raises(NonFinite):
-        validate_physical(math.inf, 0.5, 1.0)
+        PhysicalParams(math.inf, 0.5, 1.0)
     with pytest.raises(NonFinite):
-        validate_physical(1.0, math.nan, 1.0)
+        PhysicalParams(1.0, math.nan, 1.0)
 
 
-def test_boundary_eta_accepted_with_flag():
+def test_boundary_eta_accepted():
     # |eta| = 1 is admissible: the mass touches zero only asymptotically
-    p = validate_physical(1.0, 1.0, 2.0)
-    assert p.mass_touches_zero
-    q = validate_physical(1.0, -1.0, 2.0)
-    assert q.mass_touches_zero
+    assert PhysicalParams(1.0, 1.0, 2.0).eta == 1.0
+    assert PhysicalParams(1.0, -1.0, 2.0).eta == -1.0
 
 
-def test_eta_zero_accepted_with_flag():
-    p = validate_physical(1.0, 0.0, 1.0)
-    assert p.hermitian_degenerate
+def test_eta_zero_accepted():
+    # the constant-mass limit is admissible; the closed-form code rejects it
+    assert PhysicalParams(1.0, 0.0, 1.0).eta == 0.0
 
 
 def test_reduce_examples():
@@ -86,7 +81,7 @@ def test_dimensionless_validation():
 
 
 def test_json_round_trip_physical():
-    p = validate_physical(2.0, -0.25, 0.5)
+    p = PhysicalParams(2.0, -0.25, 0.5)
     doc = params_to_json(p)
     assert json.loads(json.dumps(doc)) == doc
     q = params_from_json(doc)
@@ -109,6 +104,6 @@ def test_json_unknown_keys_are_errors():
 
 
 def test_params_are_immutable():
-    p = validate_physical(1.0, 0.5, 1.0)
+    p = PhysicalParams(1.0, 0.5, 1.0)
     with pytest.raises(Exception):
         p.eta = 0.9  # type: ignore[misc]
