@@ -53,10 +53,6 @@ class EtaZeroDegenerate(EvaluationError):
     """eta = 0 is the constant-mass (Hermitian) limit; level formulas degenerate."""
 
 
-class LevelAtPole(EvaluationError):
-    """Requested level index sits on a pole of the level-energy formula."""
-
-
 class DegenerateMass(EvaluationError):
     """Mass profile underflowed to zero; vector potential is undefined there."""
 

@@ -19,7 +19,8 @@ strictly for every eta != 0, lam > 0, and f = 0 exactly on the lam = 0
 boundary.  Both routes evaluate ``sqrt(lam^2 + 4 eta^2) - lam`` through the
 rationalized form ``4 eta^2 / (lam + sqrt(lam^2 + 4 eta^2))``; the literal
 subtraction loses about half the significant digits once |eta| << lam, far
-outside the 1e-10 route-agreement budget.
+outside the 1e-10 route-agreement budget.  :func:`f_factored` also takes a
+level index n: the same factorization gives every level's ``E_n^2 / M0^2``.
 
 No route returns a non-finite f: where f leaves the double range, the scalar
 routes raise :class:`EvaluationError` and the grid evaluator :class:`InvalidBox`.
@@ -131,22 +132,28 @@ def f_direct(eta: float, lam: float) -> float:
     return f
 
 
-def f_factored(eta: float, lam: float) -> float:
-    """Feasibility function via the exact factorization, as ``-lam (1-u)(1+u) / u``.
+def f_factored(eta: float, lam: float, n: int = 0) -> float:
+    """Level radicand ``E_n^2 / M0^2`` in factored form; f is its n = 0 case.
 
-    ``(1-u^2)(u^2-eta^2)/u^2`` with ``u^2 - eta^2 = -lam*u``.  ``1 - u`` is
-    summed from nonnegative terms, ``(lam + lam^2/(s + 2|eta|) + 2|eta|(1-|eta|))
-    / (lam + s)`` with ``s = hypot(lam, 2 eta)``, so no factor cancels at tiny
-    lambda or at |eta| near 1, and f < 0 for every lam > 0.
+    With ``k = lam n`` and ``w = u - k = -lam (n + delta1)``, the Rosen-Morse
+    II level ``(1 - w^2)(w^2 - eta^2) / w^2`` is ``-lam (1 - u + k)(1 + w)
+    ((2n+1) u - k n) / w^2`` by ``u^2 + lam u = eta^2``; at n = 0 these are the
+    operations of ``-lam (1-u)(1+u) / u``.  ``1 - u`` is summed from
+    nonnegative terms, ``(lam + lam^2/(s + 2|eta|) + 2|eta|(1-|eta|)) / (lam +
+    s)`` with ``s = hypot(lam, 2 eta)``, so no factor cancels at tiny lambda or
+    at |eta| near 1, and f < 0 for every lam > 0.  The pole ``w = 0`` is the
+    caller's to avoid (:func:`level_energy` tests it).
 
-    :func:`_f_grid` repeats this arithmetic for arrays: on Python floats this
-    route is over ten times faster a call than on numpy scalars.
+    :func:`_f_grid` repeats the n = 0 arithmetic for arrays: on Python floats
+    this route is over ten times faster a call than on numpy scalars.
     """
     u = aux_root(eta, lam)
     a = abs(eta)
     s = math.hypot(lam, 2.0 * a)
     one_minus_u = (lam + lam * (lam / (s + 2.0 * a)) + 2.0 * a * (1.0 - a)) / (lam + s)
-    f = -lam * one_minus_u / u * (1.0 + u)
+    k = lam * n
+    w = u - k
+    f = -lam * (one_minus_u + k) / w * (1.0 + w) * (((2 * n + 1) * u - k * n) / w)
     if not math.isfinite(f):
         raise EvaluationError(f"f_factored leaves the double range at eta={eta!r}, lambda={lam!r}")
     return f
@@ -263,9 +270,10 @@ def _f_grid(eta_nodes: np.ndarray, lam_nodes: np.ndarray) -> np.ndarray:
 
     Rows follow ``eta_nodes`` and columns ``lam_nodes``; callers pass one
     row block (the scan) or one row (``surface``) at a time and drop eta = 0
-    nodes themselves.  The arithmetic is that of :func:`f_factored`, done in
-    place on two arrays of the block's size.  Where u^2 underflows (the scalar
-    route's EtaZeroSingular) or f is not finite, InvalidBox is raised.
+    nodes themselves.  The arithmetic is that of :func:`f_factored` at n = 0
+    (its last factor, ``u/u = 1``, skipped), done in place on two arrays of
+    the block's size.  Where u^2 underflows (the scalar route's
+    EtaZeroSingular) or f is not finite, InvalidBox is raised.
 
     Kept apart from :func:`f_factored`: each measured merge slowed the scan or
     its refinement (see ROADMAP.md).

@@ -40,6 +40,7 @@ import numpy as np
 from .errors import (
     DomainTooSmall,
     EtaZeroDegenerate,
+    EtaZeroSingular,
     EvaluationError,
     GridTooCoarse,
     LambdaZero,
@@ -149,7 +150,6 @@ class TridiagonalOperator:
     v_eff: np.ndarray
     spacing: float
     half_width: float
-    domain_warning: bool        # alpha*L below the recommended 10
 
     @property
     def size(self) -> int:
@@ -168,38 +168,15 @@ def build_hamiltonian(
     params: PhysicalParams,
     disc: Discretization,
     potential: Optional[Callable[[np.ndarray], np.ndarray]] = None,
-    enforce_resolution: bool = True,
 ) -> TridiagonalOperator:
     """Assemble the tridiagonal operator for V_eff (or a supplied test well).
 
     ``potential`` overrides V_eff(x) = M(x)^2; it exists for control cases
-    such as :func:`poschl_teller_well` and takes the grid array.
-
-    With ``enforce_resolution`` (the default) the step must be resolved:
-    ``h * alpha > 0.2`` raises :class:`GridTooCoarse` and ``alpha * L < 3``
-    raises :class:`DomainTooSmall`, while ``alpha * L < 10`` only warns and
-    flags the result.  Tiny toy grids used for dense-reference comparisons
-    may opt out.  A non-finite diagonal entry raises :class:`ParameterError`.
+    such as :func:`poschl_teller_well` and takes the grid array.  Any grid is
+    assembled; whether it resolves the step is :func:`bound_state_report`'s
+    question.  A non-finite diagonal entry raises :class:`ParameterError`.
     """
     h = disc.spacing
-    alpha_l = params.alpha * disc.half_width
-    if enforce_resolution:
-        if h * params.alpha > _MAX_H_ALPHA:
-            raise GridTooCoarse(
-                f"h*alpha = {h * params.alpha:.3g} > {_MAX_H_ALPHA}: grid cannot resolve the step"
-            )
-        if alpha_l < _MIN_ALPHA_L_ERROR:
-            raise DomainTooSmall(
-                f"alpha*L = {alpha_l:.3g} < {_MIN_ALPHA_L_ERROR}: box does not contain the step"
-            )
-    domain_warning = alpha_l < _MIN_ALPHA_L_WARN
-    if enforce_resolution and domain_warning:
-        warnings.warn(
-            f"alpha*L = {alpha_l:.3g} is below the recommended {_MIN_ALPHA_L_WARN}; "
-            "tail truncation may be visible",
-            DomainResolutionWarning,
-            stacklevel=2,
-        )
     x = disc.grid()
     inv_h2 = 1.0 / (h * h)
     with np.errstate(all="ignore"):  # non-finite entries are rejected below
@@ -215,7 +192,6 @@ def build_hamiltonian(
         v_eff=v,
         spacing=h,
         half_width=disc.half_width,
-        domain_warning=domain_warning,
     )
 
 
@@ -407,11 +383,34 @@ def bound_state_report(
 
     ``potential``/``edge`` override the model profile for control cases; the
     default edge is ``M0^2 (1 - |eta|)^2``.
+
+    The grid must resolve the step: ``h * alpha > 0.2`` raises
+    :class:`GridTooCoarse` and ``alpha * L < 3`` raises
+    :class:`DomainTooSmall`, while ``alpha * L < 10`` only warns
+    (:class:`DomainResolutionWarning`) and sets ``domain_warning``.
     """
     if disc is None:
         disc = Discretization.for_params(params)
     if potential is not None and edge is None:
         raise ValueError("a custom potential needs an explicit continuum edge")
+    h_alpha = disc.spacing * params.alpha
+    if h_alpha > _MAX_H_ALPHA:
+        raise GridTooCoarse(
+            f"h*alpha = {h_alpha:.3g} > {_MAX_H_ALPHA}: grid cannot resolve the step"
+        )
+    alpha_l = params.alpha * disc.half_width
+    if alpha_l < _MIN_ALPHA_L_ERROR:
+        raise DomainTooSmall(
+            f"alpha*L = {alpha_l:.3g} < {_MIN_ALPHA_L_ERROR}: box does not contain the step"
+        )
+    domain_warning = alpha_l < _MIN_ALPHA_L_WARN
+    if domain_warning:
+        warnings.warn(
+            f"alpha*L = {alpha_l:.3g} is below the recommended {_MIN_ALPHA_L_WARN}; "
+            "tail truncation may be visible",
+            DomainResolutionWarning,
+            stacklevel=2,
+        )
     # assemble first: it rejects an overflowing V_eff before the edge squares M0
     op = build_hamiltonian(params, disc, potential=potential)
     if edge is None:
@@ -433,7 +432,7 @@ def bound_state_report(
         spacing=disc.spacing,
         half_width=disc.half_width,
         num_points=disc.num_points,
-        domain_warning=op.domain_warning,
+        domain_warning=domain_warning,
     )
 
 
@@ -480,7 +479,7 @@ def analytic_vs_numeric(
     analytic_error: Optional[str] = None
     try:
         entries = classify_levels(reduce_params(params), n_max, M0=params.M0)
-    except (EtaZeroDegenerate, LambdaZero) as exc:
+    except (EtaZeroDegenerate, EtaZeroSingular, LambdaZero) as exc:
         analytic_error = f"{type(exc).__name__}: {exc}"
     numeric = bound_state_report(params, disc, potential=potential, edge=edge)
     imag_ok = all(

@@ -13,9 +13,14 @@ whose effective potential ``M(x)^2`` is of Rosen-Morse form
 
 Solvability of that form gives candidate squared energies
 
-    E_n^2 = M0^2 [ (1 + eta^2) - eta^2 / (lam^2 (n + delta1)^2)
-                                - lam^2 (n + delta1)^2 ],
+    E_n^2 = M0^2 [ (1 + eta^2) - eta^2 / y_n^2 - y_n^2 ],
+    y_n = lam (n + delta1),
     delta1 = (1 - sqrt(1 + 4 eta^2 / lam^2)) / 2,   lam = alpha / M0.
+
+Since ``lam delta1 = -u`` (:func:`pdm_dirac.feasibility.aux_root`), ``y_n =
+lam n - u`` and every level is evaluated in the exact factored form
+``(1 - y_n^2)(y_n^2 - eta^2) / y_n^2`` by :func:`pdm_dirac.feasibility.f_factored`,
+whose n = 0 case is the feasibility function f.
 
 This module evaluates those expressions and classifies each level's squared
 energy as real-positive, imaginary (E^2 < 0), threshold, or undefined (level
@@ -33,7 +38,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateMass, EtaZeroDegenerate, LambdaZero, LevelAtPole, ParameterError
+from .errors import DegenerateMass, EtaZeroDegenerate, EvaluationError, LambdaZero, ParameterError
+from .feasibility import aux_root, f_factored
 from .params import ABS_TOL, DimensionlessParams, PhysicalParams
 
 __all__ = [
@@ -217,14 +223,15 @@ def _classify(e_squared: float, band: float) -> Classification:
 def level_energy(params: DimensionlessParams, n: int, M0: float = 1.0) -> SpectrumEntry:
     """Squared energy of candidate level ``n`` with sign classification.
 
-    ``E_n^2 = M0^2 [(1 + eta^2) - eta^2/(lam (n + delta1))^2 - (lam (n + delta1))^2]``.
-
-    The classification band is ``ABS_TOL * M0^2``.  Raises
-    :class:`ParameterError` when ``M0^2`` is not a normal double (the band
-    would not scale with the level), :class:`EtaZeroDegenerate` at eta = 0
-    (constant-mass limit, excluded), :class:`LambdaZero` at lam = 0 (or where
-    ``lam (n + delta1)`` squares to 0), and :class:`LevelAtPole` when
-    ``|n + delta1| <= ABS_TOL`` puts the index on the formula's pole.
+    ``E_n^2 = M0^2 f_factored(eta, lam, n)``; the classification band is
+    ``ABS_TOL * M0^2``.  An index with ``|lam n - u| <= ABS_TOL * u`` sits on
+    the formula's pole ``y_n = 0`` and gives an UNDEFINED entry (n = 0 never
+    does).  Raises :class:`ParameterError` when ``M0^2`` is not a normal double
+    (the band would not scale with the level), :class:`EtaZeroDegenerate` at
+    eta = 0 (constant-mass limit, excluded), :class:`LambdaZero` where
+    :func:`delta1` diverges, :class:`EtaZeroSingular` where ``u^2`` underflows
+    (eta is 0 in doubles), and :class:`EvaluationError` where ``E_n^2`` leaves
+    the double range.
     """
     if n < 0:
         raise ValueError(f"level index must be >= 0, got {n}")
@@ -236,15 +243,14 @@ def level_energy(params: DimensionlessParams, n: int, M0: float = 1.0) -> Spectr
             "eta = 0 is the constant-mass limit; the level formula degenerates"
         )
     shift = delta1(params)
-    offset = n + shift
-    if abs(offset) <= ABS_TOL:
-        raise LevelAtPole(f"level n={n} sits on the formula pole (n + delta1 = {offset:.3e})")
-    eta2 = params.eta * params.eta
-    v = params.lam * offset
-    v2 = v * v
-    if v2 == 0.0:
-        raise LambdaZero(f"(lambda (n + delta1))^2 underflows at lambda={params.lam!r}")
-    e_squared = m2 * ((1.0 + eta2) - eta2 / v2 - v2)
+    u = aux_root(params.eta, params.lam)
+    if abs(u - params.lam * n) <= ABS_TOL * u:
+        return SpectrumEntry(n, shift, math.nan, Classification.UNDEFINED, math.nan)
+    e_squared = m2 * f_factored(params.eta, params.lam, n)
+    if not math.isfinite(e_squared):
+        raise EvaluationError(
+            f"E_n^2 leaves the double range at n={n}, M0={M0!r}, lambda={params.lam!r}"
+        )
     return SpectrumEntry(
         n=n,
         delta1=shift,
@@ -257,26 +263,7 @@ def level_energy(params: DimensionlessParams, n: int, M0: float = 1.0) -> Spectr
 def classify_levels(
     params: DimensionlessParams, n_max: int, M0: float = 1.0
 ) -> list[SpectrumEntry]:
-    """Entries for n = 0 .. n_max; indices on a pole become UNDEFINED rows.
-
-    Propagates :class:`EtaZeroDegenerate` and :class:`LambdaZero` (the whole
-    table is meaningless there); a :class:`LevelAtPole` on an individual index
-    is recorded in place instead of aborting the table.
-    """
+    """Entries for n = 0 .. n_max; errors of :func:`level_energy` propagate."""
     if n_max < 0:
         raise ValueError(f"n_max must be >= 0, got {n_max}")
-    entries: list[SpectrumEntry] = []
-    for n in range(n_max + 1):
-        try:
-            entries.append(level_energy(params, n, M0=M0))
-        except LevelAtPole:
-            entries.append(
-                SpectrumEntry(
-                    n=n,
-                    delta1=delta1(params),
-                    e_squared=float("nan"),
-                    classification=Classification.UNDEFINED,
-                    energy_magnitude=float("nan"),
-                )
-            )
-    return entries
+    return [level_energy(params, n, M0=M0) for n in range(n_max + 1)]

@@ -59,6 +59,15 @@ def test_spectrum_pole_row_is_nan(capsys):
     assert row[0] == "1" and row[2:] == ["nan", "Undefined", "nan"]
 
 
+def test_spectrum_ground_row_at_large_lambda(capsys):
+    # the pole test is relative to u, so n = 0 is never on it however small u is
+    rc, out, _ = run(["spectrum", "--eta", "1", "--lambda", "1e6", "--n-max", "0"], capsys)
+    assert rc == 0
+    row = out.strip().splitlines()[1].split(",")
+    assert row[3] == "Imaginary"
+    assert float(row[2]) == f_factored(1.0, 1e6)
+
+
 def test_spectrum_json_format(capsys):
     rc, out, _ = run(["spectrum", "--eta", "0.5", "--lambda", "1", "--format", "json"], capsys)
     assert rc == 0
@@ -394,7 +403,7 @@ EXIT_CASES = [
     (["surface", "--box=0.5,0.5,0,1.7976931348623157e308", "--grid", "2,4"], 2,
      ["InvalidBox"]),
     (["spectrum", "--eta", "0.5", "--lambda", "1e-300"], 2, ["LambdaZero"]),
-    (["spectrum", "--eta", "1e-300", "--lambda", "1e-300"], 2, ["LambdaZero"]),
+    (["spectrum", "--eta", "1e-300", "--lambda", "1e-300"], 2, ["EtaZeroSingular"]),
     (["potential", "--eta", "0.5", "--lambda", "1", "--L", "1e308", "--N", "3"], 2,
      ["leaves the double range"]),
     # the verdict records the solver's spacing error in its trail instead
@@ -403,6 +412,13 @@ EXIT_CASES = [
     (["verdict", "--eta", "1", "--lambda", "1e160"], 4, ["EvaluationError", "ParameterError"]),
     (["verdict", "--eta", "0.5", "--lambda", "1", "--box=0.9,1,1,1e153", "--grid", "3,3"], 4,
      ["EvaluationError"]),
+    # a level energy leaves the double range: before or after the M0^2 scaling
+    (["spectrum", "--eta", "1", "--lambda", "1e160", "--n-max", "1", "--format", "json"], 2,
+     ["EvaluationError"]),
+    (["spectrum", "--eta", "0.5", "--M0", "1e150", "--alpha", "1e160", "--n-max", "1"], 2,
+     ["EvaluationError"]),
+    (["verdict", "--eta", "1", "--M0", "1e-100", "--alpha", "1e60"], 4,
+     ["feasibility: EvaluationError", "solver: EvaluationError"]),
     (["spectrum", "--eta", "0.5", "--lambda", "1", "--n-max", "100001"], 2, ["n_max"]),
     (["verdict", "--eta", "0.5", "--lambda", "1", "--n-max", "100001"], 2, ["n_max"]),
     # at tiny lambda f once rounded to 0 or above and claimed a real spectrum

@@ -28,9 +28,7 @@ P_HALF = PhysicalParams(1.0, 0.5, 1.0)
 
 def toy_operator():
     # deliberately under-resolved 5x5 instance for dense-reference checks
-    return build_hamiltonian(
-        P_HALF, Discretization(2.5, 5), enforce_resolution=False
-    )
+    return build_hamiltonian(P_HALF, Discretization(2.5, 5))
 
 
 def test_discretization_geometry():
@@ -66,21 +64,19 @@ def test_build_hamiltonian_structure():
 
 
 def test_build_hamiltonian_constant_potential_diagonal():
-    op = build_hamiltonian(
-        PhysicalParams(1.0, 0.0, 1.0), Discretization(20.0, 50), enforce_resolution=False
-    )
+    op = build_hamiltonian(PhysicalParams(1.0, 0.0, 1.0), Discretization(20.0, 50))
     h = op.spacing
     assert np.allclose(op.diag, 2.0 / h**2 + 1.0)
 
 
 def test_resolution_guards():
     with pytest.raises(GridTooCoarse):
-        build_hamiltonian(PhysicalParams(1.0, 0.5, 1.0), Discretization(25.0, 100))
+        bound_state_report(PhysicalParams(1.0, 0.5, 1.0), Discretization(25.0, 100))
     with pytest.raises(DomainTooSmall):
-        build_hamiltonian(PhysicalParams(1.0, 0.5, 1.0), Discretization(2.5, 2000))
+        bound_state_report(PhysicalParams(1.0, 0.5, 1.0), Discretization(2.5, 2000))
     with pytest.warns(DomainResolutionWarning):
-        op = build_hamiltonian(PhysicalParams(1.0, 0.5, 1.0), Discretization(8.0, 2000))
-    assert op.domain_warning
+        report = bound_state_report(PhysicalParams(1.0, 0.5, 1.0), Discretization(8.0, 2000))
+    assert report.domain_warning
 
 
 def test_sturm_count_matches_dense():
@@ -94,7 +90,7 @@ def test_sturm_count_matches_dense():
             float(rng.uniform(-0.9, 0.9)),
             float(rng.uniform(0.3, 2.0)),
         )
-        op = build_hamiltonian(p, disc, enforce_resolution=False)
+        op = build_hamiltonian(p, disc)
         reference = scipy_linalg.eigvalsh(op.dense())
         for shift in rng.uniform(reference[0] - 1.0, reference[-1] + 1.0, size=6):
             assert sturm_count(op, float(shift)) == int(np.sum(reference < shift))
@@ -135,7 +131,7 @@ def test_dense_equivalence_random_instances():
             float(rng.uniform(-1.0, 1.0)),
             float(rng.uniform(0.3, 2.0)),
         )
-        op = build_hamiltonian(p, disc, enforce_resolution=False)
+        op = build_hamiltonian(p, disc)
         reference = scipy_linalg.eigvalsh(op.dense())
         got = eigenvalues_below(op, math.inf)
         assert got.size == n
@@ -148,7 +144,6 @@ def test_constant_potential_has_no_state_below_edge():
     op = build_hamiltonian(
         PhysicalParams(1.0, 0.0, 1.0),
         Discretization(5.0 * math.pi, 400),
-        enforce_resolution=False,
     )
     assert eigenvalues_below(op, 1.0).size == 0
     # and the first few above the edge match the exact discrete dispersion
@@ -168,9 +163,7 @@ def test_rayleigh_lower_bound_and_ascending():
             float(rng.uniform(-1.0, 1.0)),
             float(rng.uniform(0.3, 2.0)),
         )
-        op = build_hamiltonian(
-            p, Discretization(float(rng.uniform(3.0, 20.0)), n), enforce_resolution=False
-        )
+        op = build_hamiltonian(p, Discretization(float(rng.uniform(3.0, 20.0)), n))
         vals = eigenvalues_below(op, math.inf)
         assert np.all(np.diff(vals) >= 0)
         assert vals[0] >= float(np.min(op.v_eff)) - 1e-12
@@ -181,7 +174,6 @@ def test_eigenvector_residual_and_sign():
         PhysicalParams(1.0, 0.0, 1.0),
         Discretization(4.0, 200),
         potential=poschl_teller_well,
-        enforce_resolution=False,
     )
     vals = eigenvalues_below(op, 0.99)
     assert vals.size == 1
@@ -223,9 +215,7 @@ def test_localization_separates_bound_from_box_modes():
     assert metric.edge_amplitude <= 1e-4
     assert metric.localized
     # box artifact: lowest mode of the constant potential fills the box
-    op = build_hamiltonian(
-        PhysicalParams(1.0, 0.0, 1.0), Discretization(10.0, 500), enforce_resolution=False
-    )
+    op = build_hamiltonian(PhysicalParams(1.0, 0.0, 1.0), Discretization(10.0, 500))
     lowest = eigenvalues_below(op, 1.5)[0]
     phi = eigenvector(op, float(lowest))
     box_metric = localization_metric(op.x, phi, op.half_width)

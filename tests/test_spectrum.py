@@ -13,6 +13,7 @@ from pdm_dirac import (
     Classification,
     DimensionlessParams,
     EtaZeroDegenerate,
+    EtaZeroSingular,
     LambdaZero,
     PhysicalParams,
     classify_levels,
@@ -162,7 +163,7 @@ def test_delta1_rejects_lambda_zero():
         delta1(DimensionlessParams(0.5, 0.0))
     with pytest.raises(LambdaZero):  # (eta/lam)^2 overflows: lam is 0 in doubles
         delta1(DimensionlessParams(0.5, 1e-300))
-    with pytest.raises(LambdaZero):  # (lam (n + delta1))^2 underflows
+    with pytest.raises(EtaZeroSingular):  # delta1 is finite, but u^2 underflows
         level_energy(DimensionlessParams(1e-300, 1e-300), 0)
 
 
@@ -262,3 +263,33 @@ def test_spectrum_entry_serialization():
     assert doc["n"] == 0
     assert doc["classification"] == "Imaginary"
     assert doc["e_squared"] == entry.e_squared
+
+
+def test_level_energy_relative_accuracy_against_mpmath():
+    """Every level, ground or excited, holds 1e-12 relative accuracy.
+
+    Reference: the textbook radicand ``(1 + eta^2) - eta^2/y^2 - y^2`` with
+    ``y = lam (n + delta1)`` in 60-digit mpmath, on seeded (eta, lam, n) with
+    lam from 1e-8 to 1e8 and n up to 1000.  The ground level is never on the
+    pole, however large lam makes ``|delta1|`` small.
+    """
+    mp = pytest.importorskip("mpmath")
+    rng = np.random.default_rng(909)
+    etas = rng.uniform(1e-3, 1.0, 2000) * rng.choice([-1.0, 1.0], 2000)
+    lams = 10.0 ** rng.uniform(-8.0, 8.0, 2000)
+    indices = rng.integers(0, 1001, 2000)
+    worst = 0.0
+    with mp.workdps(60):
+        for eta, lam, n in zip(etas.tolist(), lams.tolist(), indices.tolist()):
+            e, l = mp.mpf(eta), mp.mpf(lam)
+            shift = (1 - mp.sqrt(1 + 4 * e * e / (l * l))) / 2
+            for level in (0, n):
+                entry = level_energy(DimensionlessParams(eta, lam), level)
+                y = l * (level + shift)
+                ref = (1 + e * e) - e * e / (y * y) - y * y
+                if level == 0:
+                    assert entry.classification is Classification.IMAGINARY
+                elif entry.classification is Classification.UNDEFINED:
+                    continue  # |lam n - u| <= ABS_TOL u: the formula's pole
+                worst = max(worst, float(abs((entry.e_squared - ref) / ref)))
+    assert worst <= 1e-12
