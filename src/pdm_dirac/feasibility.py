@@ -141,8 +141,10 @@ def f_factored(eta: float, lam: float, n: int = 0) -> float:
     operations of ``-lam (1-u)(1+u) / u``.  ``1 - u`` is summed from
     nonnegative terms, ``(lam + lam^2/(s + 2|eta|) + 2|eta|(1-|eta|)) / (lam +
     s)`` with ``s = hypot(lam, 2 eta)``, so no factor cancels at tiny lambda or
-    at |eta| near 1, and f < 0 for every lam > 0.  The pole ``w = 0`` is the
-    caller's to avoid (:func:`level_energy` tests it).
+    at |eta| near 1, and f < 0 for every lam > 0.  The exact pole ``w = 0``
+    raises :class:`EvaluationError`; next to it the radicand is huge but
+    finite, so callers that classify levels test the pole themselves
+    (:func:`level_energy` uses ``|w| <= ABS_TOL u``).  n = 0 is never a pole.
 
     :func:`_f_grid` repeats the n = 0 arithmetic for arrays: on Python floats
     this route is over ten times faster a call than on numpy scalars.
@@ -153,6 +155,10 @@ def f_factored(eta: float, lam: float, n: int = 0) -> float:
     one_minus_u = (lam + lam * (lam / (s + 2.0 * a)) + 2.0 * a * (1.0 - a)) / (lam + s)
     k = lam * n
     w = u - k
+    if w == 0.0:
+        raise EvaluationError(
+            f"level n={n} sits on the pole lam n = u at eta={eta!r}, lambda={lam!r}"
+        )
     f = -lam * (one_minus_u + k) / w * (1.0 + w) * (((2 * n + 1) * u - k * n) / w)
     if not math.isfinite(f):
         raise EvaluationError(f"f_factored leaves the double range at eta={eta!r}, lambda={lam!r}")

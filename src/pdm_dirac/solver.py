@@ -39,11 +39,8 @@ import numpy as np
 
 from .errors import (
     DomainTooSmall,
-    EtaZeroDegenerate,
-    EtaZeroSingular,
     EvaluationError,
     GridTooCoarse,
-    LambdaZero,
     ParameterError,
 )
 from .params import PhysicalParams, reduce_params
@@ -198,24 +195,25 @@ def build_hamiltonian(
 def sturm_count(op: TridiagonalOperator, sigma: float) -> int:
     """Number of eigenvalues strictly below sigma (Sturm-sequence pivots).
 
-    Runs the LDL^T pivot recurrence q_i = (d_i - sigma) - e^2 / q_{i-1} and
-    counts negative pivots; a vanishing pivot is replaced by -pivmin, the
-    conventional tie-break that counts a value exactly at sigma as below it.
+    Runs the LDL^T pivot recurrence q_i = (d_i - sigma) - e^2 / q_{i-1} on the
+    diagonal shifted once by sigma, and counts negative pivots; a vanishing
+    pivot is replaced by -pivmin, the conventional tie-break that counts a
+    value exactly at sigma as below it.  The recurrence starts from q_0 = inf,
+    so the first pivot is d_1 - sigma itself (e^2 is finite: the off-diagonal
+    of an admitted spacing squares without overflow).
     """
     e2 = op.off * op.off
     pivmin = sys.float_info.min * max(1.0, e2)
     count = 0
-    q = 1.0
-    first = True
-    for d in op.diag.tolist():
-        if first:
-            q = d - sigma
-            first = False
-        else:
-            q = (d - sigma) - e2 / q
-        if abs(q) < pivmin:
-            q = -pivmin
-        if q < 0.0:
+    q = math.inf
+    # an entry that overflows becomes -inf or inf silently, as per entry
+    with np.errstate(over="ignore", invalid="ignore"):
+        shifted = (op.diag - sigma).tolist()
+    for s in shifted:
+        q = s - e2 / q
+        if q < pivmin:
+            if q > -pivmin:
+                q = -pivmin
             count += 1
     return count
 
@@ -441,11 +439,17 @@ class ComparisonReport:
     """Closed-form classifications set against the numeric scan."""
 
     analytic_entries: list[SpectrumEntry]
-    analytic_error: Optional[str]
+    analytic_failure: Optional[EvaluationError]   # why the closed-form side is missing
     numeric: DiscreteSpectrum
     imaginary_levels_consistent: bool    # every Imaginary level has E^2 < 0 < min V_eff
     real_levels_unbound: bool            # Real-classified radicands have no numeric state
     consistent: bool
+
+    @property
+    def analytic_error(self) -> Optional[str]:
+        """``"<error class>: <message>"`` of :attr:`analytic_failure`, or None."""
+        exc = self.analytic_failure
+        return None if exc is None else f"{type(exc).__name__}: {exc}"
 
     def to_dict(self) -> dict:
         return {
@@ -471,16 +475,20 @@ def analytic_vs_numeric(
     min(V_eff)`` on the grid, so it cannot belong to the numeric operator's
     spectrum (Rayleigh bound); and every Real-classified radicand finds no
     localized numeric state, i.e. the candidate set it suggests is empty.
-    At eta = 0 the analytic side is degenerate by construction; the report
-    then carries the numeric side only.  ``potential``/``edge`` pass through
-    to :func:`bound_state_report` for control cases.
+    At eta = 0 (:class:`EtaZeroDegenerate`, or :class:`EtaZeroSingular` where
+    eta is 0 in doubles) and lambda = 0 (:class:`LambdaZero`) the analytic side
+    is degenerate by construction, and a level energy may leave the double
+    range (a plain :class:`EvaluationError`); the report then carries the
+    error as ``analytic_failure`` and the numeric side only.
+    ``potential``/``edge`` pass through to :func:`bound_state_report` for
+    control cases.
     """
     entries: list[SpectrumEntry] = []
-    analytic_error: Optional[str] = None
+    analytic_failure: Optional[EvaluationError] = None
     try:
         entries = classify_levels(reduce_params(params), n_max, M0=params.M0)
-    except (EtaZeroDegenerate, EtaZeroSingular, LambdaZero) as exc:
-        analytic_error = f"{type(exc).__name__}: {exc}"
+    except EvaluationError as exc:
+        analytic_failure = exc
     numeric = bound_state_report(params, disc, potential=potential, edge=edge)
     imag_ok = all(
         entry.e_squared < 0.0 < numeric.v_eff_min
@@ -490,7 +498,7 @@ def analytic_vs_numeric(
     real_unbound = numeric.empty_real_spectrum
     return ComparisonReport(
         analytic_entries=entries,
-        analytic_error=analytic_error,
+        analytic_failure=analytic_failure,
         numeric=numeric,
         imaginary_levels_consistent=imag_ok,
         real_levels_unbound=real_unbound,

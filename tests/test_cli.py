@@ -12,15 +12,17 @@ from scipy.linalg import lapack
 
 import pdm_dirac
 from pdm_dirac import (
+    Box,
     CertificateViolation,
     ConfigKeyError,
     EvaluationError,
     PhysicalParams,
+    f_direct,
     f_factored,
     potential_sample,
 )
 from pdm_dirac import feasibility, solver
-from pdm_dirac.cli import _build_parser, main, resolve_config
+from pdm_dirac.cli import _build_parser, _route_agreement_check, main, resolve_config
 
 
 def run(args, capsys):
@@ -325,6 +327,49 @@ def test_verdict_confirming_run(tmp_path, capsys):
     assert doc["comparison"]["consistent"] is True
 
 
+def _route_agreement_reference(box, seed):
+    # the check as first written: three scalar draws per sample
+    rng = np.random.default_rng(seed)
+    worst = 0.0
+    worst_at = (0.0, 0.0)
+    lam_hi = box.lam_max
+    lam_lo = min(max(box.lam_min, 1e-6), lam_hi)
+    for _ in range(256):
+        eta = float(rng.uniform(1e-3, 1.0))
+        if rng.random() < 0.5:
+            eta = -eta
+        lam = float(rng.uniform(lam_lo, lam_hi))
+        fd = f_direct(eta, lam)
+        ff = f_factored(eta, lam)
+        rel = abs(fd - ff) / max(1.0, abs(fd))
+        if rel > worst:
+            worst, worst_at = rel, (eta, lam)
+    return {"seed": seed, "samples": 256, "max_rel_discrepancy": worst,
+            "worst_at": list(worst_at), "tolerance": 1e-10, "ok": worst <= 1e-10}
+
+
+def _outcome(check, box, seed):
+    try:
+        return check(box, seed)
+    except EvaluationError as exc:
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize("box", [
+    Box(-1.0, 1.0, 1e-3, 10.0),      # the verdict's default
+    Box(-1.0, 1.0, 1e-9, 1e-7),      # below the 1e-6 floor: every sample takes lam_max
+    Box(0.3, 0.31, 0.5, 2.0),        # narrow in eta (the check samples all of eta)
+    Box(-1.0, 1.0, 1e-3, 1e200),     # u^2 underflows: EtaZeroSingular
+])
+def test_route_check_block_draw_is_the_scalar_stream(box):
+    outcomes = [_outcome(_route_agreement_check, box, seed) for seed in range(60)]
+    assert outcomes == [_outcome(_route_agreement_reference, box, seed) for seed in range(60)]
+    if box.lam_max == 1e200:
+        assert all(isinstance(o, tuple) for o in outcomes)
+    else:
+        assert all(o["ok"] for o in outcomes)
+
+
 def test_verdict_control_well_exits_3(tmp_path, capsys):
     out = tmp_path / "verdict.json"
     rc, stdout, _ = run(
@@ -522,6 +567,21 @@ def test_small_alpha_verdict_counts_the_slice(eta, alpha, slice_count, tmp_path,
     assert doc["error_trail"] == []
     assert doc["comparison"]["numeric"]["slice_count"] == slice_count
     assert doc["comparison"]["numeric"]["bound_candidates"] == []
+
+
+def test_level_energy_overflow_keeps_the_numeric_side(tmp_path, capsys):
+    # E_0^2 leaves the double range: the run is inconclusive, but the numeric
+    # route still runs and is reported beside the analytic error
+    out = tmp_path / "verdict.json"
+    rc, _, _ = run(["verdict", "--eta", "1", "--M0", "1e-100", "--alpha", "1e60",
+                    "--out", str(out)], capsys)
+    assert rc == 4
+    doc = json.loads(out.read_text(), parse_constant=_refuse_constant)
+    comparison = doc["comparison"]
+    assert comparison["analytic_error"].startswith("EvaluationError: ")
+    assert comparison["analytic_entries"] == []
+    assert comparison["numeric"]["empty_real_spectrum"] is True
+    assert "solver: " + comparison["analytic_error"] in doc["error_trail"]
 
 
 def test_certificate_violation_lands_in_error_trail(monkeypatch, tmp_path, capsys):

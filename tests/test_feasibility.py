@@ -101,6 +101,17 @@ def test_evenness_is_bitwise():
         assert f_factored(-eta, lam) == f_factored(eta, lam)
 
 
+def test_f_factored_exact_pole_is_structured():
+    # u - lam n is exactly 0.0 here: found by a seeded search over lam = eta /
+    # sqrt(n (n + 1)) and its neighbouring doubles (it once divided by zero)
+    eta, lam, n = 0.15778930185120008, 0.02880825331896465, 5
+    assert aux_root(eta, lam) - lam * n == 0.0
+    with pytest.raises(EvaluationError, match="pole"):
+        f_factored(eta, lam, n)
+    entry = level_energy(DimensionlessParams(eta, lam), n)
+    assert entry.classification is Classification.UNDEFINED
+
+
 def test_domain_errors():
     with pytest.raises(EtaZeroSingular):
         f_direct(0.0, 1.0)

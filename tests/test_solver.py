@@ -1,6 +1,7 @@
 """Finite-difference oracle: operator assembly, Sturm slicing, localization."""
 
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from pdm_dirac import (
     DomainTooSmall,
     GridTooCoarse,
     PhysicalParams,
+    TridiagonalOperator,
     analytic_vs_numeric,
     bound_state_report,
     build_hamiltonian,
@@ -94,6 +96,62 @@ def test_sturm_count_matches_dense():
         reference = scipy_linalg.eigvalsh(op.dense())
         for shift in rng.uniform(reference[0] - 1.0, reference[-1] + 1.0, size=6):
             assert sturm_count(op, float(shift)) == int(np.sum(reference < shift))
+
+
+def _sturm_count_reference(op, sigma):
+    # the recurrence as first written: per-entry shift, first pivot apart
+    e2 = op.off * op.off
+    pivmin = sys.float_info.min * max(1.0, e2)
+    count = 0
+    q = 1.0
+    first = True
+    for d in op.diag.tolist():
+        if first:
+            q = d - sigma
+            first = False
+        else:
+            q = (d - sigma) - e2 / q
+        if abs(q) < pivmin:
+            q = -pivmin
+        if q < 0.0:
+            count += 1
+    return count
+
+
+def test_sturm_count_matches_reference_recurrence():
+    # integer entries times a power of two, so a shift on a diagonal entry
+    # gives exact zero pivots; scales 2^-997 (7e-301) .. 2^498 (8e149)
+    rng = np.random.default_rng(1966)
+    dense_checked = 0
+    for _ in range(3000):
+        size = int(rng.integers(0, 10))
+        scale = 2.0 ** int(rng.integers(-997, 499))
+        diag = rng.integers(-4, 5, size).astype(float) * scale
+        off = 0.0 if rng.random() < 0.2 else float(rng.integers(-3, 4)) * scale
+        op = TridiagonalOperator(diag=diag, off=off, x=diag, v_eff=diag,
+                                 spacing=1.0, half_width=1.0)
+        shifts = [*diag[:3].tolist(), 0.0, float(rng.normal()) * scale,
+                  math.nan, math.inf, -math.inf]
+        for sigma in shifts:
+            count = sturm_count(op, sigma)
+            assert count == _sturm_count_reference(op, sigma)
+            # below about 1e-154 the recurrence's off^2 underflows, so the count
+            # is the dense one only where off^2 is a normal double (or off = 0)
+            if size == 0 or not math.isfinite(sigma):
+                continue
+            if off != 0.0 and off * off < sys.float_info.min:
+                continue
+            values = np.linalg.eigvalsh(op.dense())
+            if np.min(np.abs(values - sigma)) <= 1e-9 * scale:
+                continue  # a tie: the count depends on rounding at sigma
+            assert count == int(np.sum(values < sigma))
+            dense_checked += 1
+    assert dense_checked > 5000
+    # a shifted entry that overflows is -inf or inf, silently, as per entry
+    op = TridiagonalOperator(diag=np.array([-1.5e308, 1.5e308, 0.0]), off=1.0,
+                             x=np.zeros(3), v_eff=np.zeros(3), spacing=1.0, half_width=1.0)
+    for sigma in (-1.5e308, 1.5e308):
+        assert sturm_count(op, sigma) == _sturm_count_reference(op, sigma)
 
 
 def test_toy_eigenvalues_match_dense_reference():
