@@ -1,5 +1,5 @@
 """Ground-level feasibility function f(eta, lam): two routes, sign certificate,
-and a deterministic supremum scan.
+and a supremum scan certified at the box corner.
 
 A real ground level requires the radicand of the closed-form energy to be
 nonnegative, which after reduction is
@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -60,9 +60,6 @@ __all__ = [
     "supremum_scan",
 ]
 
-_INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0  # golden-section shrink ratio
-_SEEDS = 5  # best grid nodes that the scan refines
-_REFINE_STEPS = 60  # golden-section shrink steps per seed, over both coordinates
 # grid nodes the scan evaluates at once: a block and its temporaries (about
 # 1.5 MiB) stay in cache, where the whole grid streamed through memory
 _BLOCK_NODES = 1 << 16
@@ -244,14 +241,13 @@ class Box:
 
 @dataclass
 class SupremumReport:
-    """Outcome of a grid scan plus golden-section refinement."""
+    """Outcome of a supremum scan: the grid maximum, checked against the corner."""
 
     box: Box
     grid_shape: tuple[int, int]          # (eta nodes, lambda nodes) requested
-    sup_estimate: float                  # max of every evaluated f value
-    argmax: tuple[float, float]          # one (eta, lambda) attaining it
+    sup_estimate: float                  # max of every grid value
+    argmax: tuple[float, float]          # the first node attaining it under _rank
     skipped_eta_nodes: list[float]       # gridlines excluded as eta = 0
-    refinement_trace: list[tuple[float, float, float]] = field(default_factory=list)
 
     @property
     def all_nodes_negative(self) -> bool:
@@ -259,14 +255,12 @@ class SupremumReport:
         return self.sup_estimate < 0.0
 
     def to_dict(self) -> dict:
-        """Summary for reports: the refinement trace is given by its length."""
         return {
             "box": self.box.as_list(),
             "grid_shape": list(self.grid_shape),
             "sup_estimate": self.sup_estimate,
             "argmax": list(self.argmax),
             "skipped_eta_nodes": self.skipped_eta_nodes,
-            "refinement_evaluations": len(self.refinement_trace),
             "all_nodes_negative": self.all_nodes_negative,
         }
 
@@ -281,8 +275,8 @@ def _f_grid(eta_nodes: np.ndarray, lam_nodes: np.ndarray) -> np.ndarray:
     the block's size.  Where u^2 underflows (the scalar route's
     EtaZeroSingular) or f is not finite, InvalidBox is raised.
 
-    Kept apart from :func:`f_factored`: each measured merge slowed the scan or
-    its refinement (see ROADMAP.md).
+    Kept apart from :func:`f_factored`: each measured merge slowed the scan
+    or the scalar routes (see ROADMAP.md).
     """
     a = np.abs(eta_nodes)[:, None]
     lam = lam_nodes[None, :]
@@ -318,83 +312,53 @@ def _rank(point: tuple[float, float, float]) -> tuple[float, float, float, float
     return (-value, lam, abs(eta), eta)
 
 
-def _grid_candidates(
-    eta_nodes: np.ndarray, lam_nodes: np.ndarray
-) -> list[tuple[float, float, float]]:
-    """The first ``min(_SEEDS, nodes)`` grid nodes under :func:`_rank`, as (eta, lam, f).
+def _grid_max(eta_nodes: np.ndarray, lam_nodes: np.ndarray) -> tuple[float, float, float]:
+    """The first grid node under :func:`_rank`, as (eta, lam, f).
 
     f depends on eta only through |eta|, so it is evaluated once per distinct
-    |eta| row, in row blocks of about ``_BLOCK_NODES`` cells.  Each block is
-    cut at once to its first ``_SEEDS`` cells in rank order; a cell stands for
-    every signed eta node of its row (negative first), at most ``_SEEDS`` of
-    them, so the candidate list stays bounded even when every node ties.
+    |eta| row, in row blocks of about ``_BLOCK_NODES`` cells.  Each block keeps
+    its largest value at the lowest column (``lam_nodes`` ascend, so the
+    smallest lambda) and then the lowest row (the smallest |eta|) holding it.
+    The winning row stands for its negative eta node when the grid has one.
     """
-    a_rows, row_of = np.unique(np.abs(eta_nodes), return_inverse=True)
-    negative = eta_nodes < 0.0
-    n_neg = np.minimum(np.bincount(row_of[negative], minlength=a_rows.size), _SEEDS)
-    n_pos = np.minimum(np.bincount(row_of[~negative], minlength=a_rows.size), _SEEDS)
+    # sorted distinct |eta|; np.unique's plain form would import numpy.ma (~18 ms)
+    a_rows = np.sort(np.abs(eta_nodes))
+    a_rows = a_rows[np.append(True, a_rows[1:] != a_rows[:-1])]
     rows_per_block = max(1, _BLOCK_NODES // lam_nodes.size)
-    top: list[tuple[float, float, float]] = []
+    block_best: list[tuple[float, float, float]] = []
     for start in range(0, a_rows.size, rows_per_block):
         a = a_rows[start:start + rows_per_block]
-        values = _f_grid(a, lam_nodes).ravel()
-        kth = max(values.size - _SEEDS, 0)
-        idx = np.flatnonzero(values >= np.partition(values, kth)[kth])
-        rows, cols = np.divmod(idx, lam_nodes.size)
-        order = np.lexsort((a[rows], lam_nodes[cols], -values[idx]))[:_SEEDS]
-        for i in order.tolist():
-            row = start + rows[i]
-            eta, lam, f = float(a[rows[i]]), float(lam_nodes[cols[i]]), float(values[idx[i]])
-            top += [(-eta, lam, f)] * int(n_neg[row]) + [(eta, lam, f)] * int(n_pos[row])
-        top = sorted(top, key=_rank)[:_SEEDS]
-    return top
-
-
-def _golden_max(fn, lo: float, hi: float, steps: int, trace: list) -> tuple[float, float]:
-    """Golden-section maximization of fn on [lo, hi]; appends evaluations to trace."""
-    if hi - lo <= 0.0:
-        value = fn(lo)
-        trace.append((lo, value))
-        return lo, value
-    a, b = lo, hi
-    x1 = b - _INV_PHI * (b - a)
-    x2 = a + _INV_PHI * (b - a)
-    f1, f2 = fn(x1), fn(x2)
-    trace.append((x1, f1))
-    trace.append((x2, f2))
-    for _ in range(steps):
-        if f1 < f2:
-            a, x1, f1 = x1, x2, f2
-            x2 = a + _INV_PHI * (b - a)
-            f2 = fn(x2)
-            trace.append((x2, f2))
-        else:
-            b, x2, f2 = x2, x1, f1
-            x1 = b - _INV_PHI * (b - a)
-            f1 = fn(x1)
-            trace.append((x1, f1))
-    if f1 >= f2:
-        return x1, f1
-    return x2, f2
+        values = _f_grid(a, lam_nodes)
+        top = values.max()
+        # the transpose flattens column by column: the first hit is the tie winner
+        col, row = divmod(int(np.argmax(values.T == top)), a.size)
+        block_best.append((float(a[row]), float(lam_nodes[col]), float(top)))
+    a_best, lam, f = min(block_best, key=_rank)
+    eta = -a_best if np.any(eta_nodes == -a_best) else a_best
+    return eta, lam, f
 
 
 def supremum_scan(box: Box, grid: tuple[int, int] = (101, 101)) -> SupremumReport:
-    """Estimate sup f over the box: product grid, then local refinement.
+    """Supremum of f over the box: the certified corner, cross-checked on a grid.
 
-    The grid is ``grid[0]`` eta nodes times ``grid[1]`` lambda nodes.  Eta
-    gridlines within ``ETA_ZERO_SNAP`` of zero are excluded (f is singular
-    along eta = 0) and recorded; a box whose every eta node collapses there
-    raises :class:`BoxIncludesEtaZero`.  The grid is never held whole: f is
-    evaluated once per distinct |eta| gridline, in row blocks of about
-    ``_BLOCK_NODES`` nodes, and each block is cut at once to its best nodes
-    (see :func:`_grid_candidates`).  The grid nodes, with multiplicity, are
-    ordered by :func:`_rank`; the first is the grid maximum and the first
-    five (or every node, if fewer) seed coordinate-wise golden-section
-    refinement (about ``_REFINE_STEPS`` shrink steps per seed) of the
-    surrounding grid cells.  A tie across the fifth place is broken by the
-    same order.  The reported supremum is the best of the grid maximum and
-    every refinement evaluation under :func:`_rank`, so the result is
-    independent of evaluation order.
+    The supremum is attained at the corner ``(max|eta|, lam_min)``.  With ``a =
+    |eta|`` and lam > 0, the root u of ``u^2 + lam u = a^2`` has ``du/da =
+    2a / (2u + lam) > 0`` and ``du/dlam = -u / (2u + lam) < 0``, and ``f = -lam
+    (1/u - u)`` where ``1/u - u`` falls as u rises and is positive (``u < a <=
+    1``).  So f strictly increases in |eta| and strictly decreases in lambda.
+    :func:`sign_certificate` certifies f < 0 at the corner, hence on the whole
+    box.
+
+    The grid is ``grid[0]`` eta nodes times ``grid[1]`` lambda nodes; both
+    axes pin their endpoints, so the corner is a node.  Eta gridlines within
+    ``ETA_ZERO_SNAP`` of zero are excluded (f is singular along eta = 0) and
+    recorded; a box whose every eta node collapses there raises
+    :class:`BoxIncludesEtaZero`.  The grid is never held whole (see
+    :func:`_grid_max`).  The reported supremum and its argmax are the grid
+    maximum, the first node under :func:`_rank`, so ties resolve the same way
+    every run.  A grid maximum above the scalar corner value by more than
+    ``REL_TOL * max(1, |f|)`` contradicts the monotonicity and raises
+    :class:`CertificateViolation`.
     """
     if grid[0] < 2 or grid[1] < 2:
         raise InvalidBox(f"grid must be at least 2x2, got {grid}")
@@ -416,46 +380,20 @@ def supremum_scan(box: Box, grid: tuple[int, int] = (101, 101)) -> SupremumRepor
     with np.errstate(over="ignore"):  # only the last node can overflow; linspace pins it
         lam_nodes = np.linspace(box.lam_min, box.lam_max, grid[1])
 
-    candidates = _grid_candidates(eta_nodes, lam_nodes)
-    best = candidates[0]
-    seeds = [(eta, lam) for eta, lam, _ in candidates]
-
-    d_eta = (box.eta_max - box.eta_min) / (grid[0] - 1)
-    d_lam = (box.lam_max - box.lam_min) / (grid[1] - 1)
-
-    def f_or_neg_inf(eta: float, lam: float) -> float:
-        # Refinement probes never sit on a bracket endpoint, but guard the
-        # singular line anyway so a pathological probe cannot poison the max.
-        if eta == 0.0:
-            return -math.inf
-        return f_factored(eta, lam)
-
-    trace: list[tuple[float, float, float]] = []
-    per_coord = max(1, _REFINE_STEPS // 4)
-    for eta_c, lam_c in seeds:
-        for _ in range(2):  # two alternating coordinate sweeps
-            lam_lo = max(box.lam_min, lam_c - d_lam)
-            lam_hi = min(box.lam_max, lam_c + d_lam)
-            sub: list[tuple[float, float]] = []
-            lam_c, _ = _golden_max(
-                lambda l: f_or_neg_inf(eta_c, l), lam_lo, lam_hi, per_coord, sub
-            )
-            trace.extend((eta_c, l, v) for l, v in sub)
-            eta_lo = max(box.eta_min, eta_c - d_eta)
-            eta_hi = min(box.eta_max, eta_c + d_eta)
-            sub = []
-            eta_c, _ = _golden_max(
-                lambda e: f_or_neg_inf(e, lam_c), eta_lo, eta_hi, per_coord, sub
-            )
-            trace.extend((e, lam_c, v) for e, v in sub)
-    # each seed's final point is one of its evaluations, so it is in trace
-    overall = min([best, *trace], key=_rank)
+    eta, lam, sup = _grid_max(eta_nodes, lam_nodes)
+    corner_eta = max(abs(box.eta_min), abs(box.eta_max))
+    sign_certificate(corner_eta, box.lam_min)
+    corner = f_factored(corner_eta, box.lam_min)
+    if sup > corner + REL_TOL * max(1.0, abs(corner)):
+        raise CertificateViolation(
+            f"grid value {sup!r} at eta={eta}, lam={lam} exceeds the certified "
+            f"supremum {corner!r} at the corner eta={corner_eta}, lam={box.lam_min}"
+        )
 
     return SupremumReport(
         box=box,
         grid_shape=(int(grid[0]), int(grid[1])),
-        sup_estimate=overall[2],
-        argmax=(overall[0], overall[1]),
+        sup_estimate=sup,
+        argmax=(eta, lam),
         skipped_eta_nodes=skipped,
-        refinement_trace=trace,
     )

@@ -109,8 +109,8 @@ class Discretization:
         h2 = self.spacing * self.spacing
         if not sys.float_info.min <= h2 < math.inf:
             raise ParameterError(f"spacing h = {self.spacing:.3g}: h^2 is not a normal double")
-        # the Sturm recurrence squares the off-diagonal 1/h^2, and LAPACK's
-        # bisection multiplies neighbouring diagonal entries (about 2/h^2)
+        # LAPACK's bisection squares the off-diagonal 1/h^2 and multiplies
+        # neighbouring diagonal entries (about 2/h^2)
         if (2.0 / h2) * (2.0 / h2) == math.inf:
             raise ParameterError(f"spacing h = {self.spacing:.3g}: (2/h^2)^2 overflows")
 
@@ -195,22 +195,29 @@ def build_hamiltonian(
 def sturm_count(op: TridiagonalOperator, sigma: float) -> int:
     """Number of eigenvalues strictly below sigma (Sturm-sequence pivots).
 
-    Runs the LDL^T pivot recurrence q_i = (d_i - sigma) - e^2 / q_{i-1} on the
-    diagonal shifted once by sigma, and counts negative pivots; a vanishing
-    pivot is replaced by -pivmin, the conventional tie-break that counts a
-    value exactly at sigma as below it.  The recurrence starts from q_0 = inf,
-    so the first pivot is d_1 - sigma itself (e^2 is finite: the off-diagonal
-    of an admitted spacing squares without overflow).
+    Runs the LDL^T pivot recurrence on the operator scaled to a unit
+    off-diagonal, as LAPACK ``dstebz`` does: q_i = s_i - 1 / q_{i-1} with s_i
+    = (d_i - sigma) / |e|, the diagonal shifted and scaled once.  Unscaled,
+    e^2 underflows for |e| below about 1.5e-154 and the count would be the
+    diagonal's alone.  Negative pivots are counted; a vanishing pivot (below
+    the smallest normal double) is replaced by -pivmin, the conventional
+    tie-break that counts a value exactly at sigma as below it.  The
+    recurrence starts from q_0 = inf, so the first pivot is s_1 itself.  With
+    e = 0 the eigenvalues are the diagonal entries, counted with the same
+    tie-break.
     """
-    e2 = op.off * op.off
-    pivmin = sys.float_info.min * max(1.0, e2)
-    count = 0
-    q = math.inf
+    pivmin = sys.float_info.min
+    scale = abs(op.off)
     # an entry that overflows becomes -inf or inf silently, as per entry
     with np.errstate(over="ignore", invalid="ignore"):
-        shifted = (op.diag - sigma).tolist()
-    for s in shifted:
-        q = s - e2 / q
+        shifted = op.diag - sigma
+        if scale == 0.0:
+            return int(np.count_nonzero(shifted < pivmin))
+        shifted /= scale
+    count = 0
+    q = math.inf
+    for s in shifted.tolist():
+        q = s - 1.0 / q
         if q < pivmin:
             if q > -pivmin:
                 q = -pivmin

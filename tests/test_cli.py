@@ -603,6 +603,24 @@ def test_certificate_violation_lands_in_error_trail(monkeypatch, tmp_path, capsy
     assert entry.startswith("feasibility: CertificateViolation:")
 
 
+def test_grid_above_certified_corner_lands_in_error_trail(monkeypatch, tmp_path, capsys):
+    # halved, every grid value is still negative but above the corner value
+    f_grid = feasibility._f_grid
+    monkeypatch.setattr(feasibility, "_f_grid", lambda eta, lam: 0.5 * f_grid(eta, lam))
+    out = tmp_path / "verdict.json"
+    rc, _, _ = run(
+        ["verdict", "--eta", "0.5", "--lambda", "1", "--N", "800", "--grid", "11,11",
+         "--out", str(out)],
+        capsys,
+    )
+    assert rc == 4
+    doc = json.loads(out.read_text())
+    [entry] = doc["error_trail"]
+    assert entry.startswith("feasibility: CertificateViolation: grid value")
+    assert "feasibility" not in doc
+    assert doc["statement"] == "Inconclusive"
+
+
 def test_dstein_failure_lands_in_error_trail(monkeypatch, tmp_path, capsys):
     def failing_dstein(d, e, w, iblock, isplit):
         return np.zeros((d.size, w.size), order="F"), 1

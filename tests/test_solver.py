@@ -99,18 +99,16 @@ def test_sturm_count_matches_dense():
 
 
 def _sturm_count_reference(op, sigma):
-    # the recurrence as first written: per-entry shift, first pivot apart
-    e2 = op.off * op.off
-    pivmin = sys.float_info.min * max(1.0, e2)
+    # the recurrence as first written: per-entry shift and scale, first pivot
+    # apart, on the operator scaled to a unit off-diagonal (none if off = 0)
+    pivmin = sys.float_info.min
+    scale = abs(op.off) or 1.0
+    unit = 1.0 if op.off else 0.0
     count = 0
-    q = 1.0
-    first = True
+    q = None
     for d in op.diag.tolist():
-        if first:
-            q = d - sigma
-            first = False
-        else:
-            q = (d - sigma) - e2 / q
+        s = (d - sigma) / scale
+        q = s if q is None else s - unit / q
         if abs(q) < pivmin:
             q = -pivmin
         if q < 0.0:
@@ -122,7 +120,7 @@ def test_sturm_count_matches_reference_recurrence():
     # integer entries times a power of two, so a shift on a diagonal entry
     # gives exact zero pivots; scales 2^-997 (7e-301) .. 2^498 (8e149)
     rng = np.random.default_rng(1966)
-    dense_checked = 0
+    dense_checked = underflow_checked = 0
     for _ in range(3000):
         size = int(rng.integers(0, 10))
         scale = 2.0 ** int(rng.integers(-997, 499))
@@ -135,18 +133,18 @@ def test_sturm_count_matches_reference_recurrence():
         for sigma in shifts:
             count = sturm_count(op, sigma)
             assert count == _sturm_count_reference(op, sigma)
-            # below about 1e-154 the recurrence's off^2 underflows, so the count
-            # is the dense one only where off^2 is a normal double (or off = 0)
+            # the scaled recurrence never squares off, so the count is the
+            # dense one down to off = 2^-997, where off^2 underflows to 0
             if size == 0 or not math.isfinite(sigma):
-                continue
-            if off != 0.0 and off * off < sys.float_info.min:
                 continue
             values = np.linalg.eigvalsh(op.dense())
             if np.min(np.abs(values - sigma)) <= 1e-9 * scale:
                 continue  # a tie: the count depends on rounding at sigma
             assert count == int(np.sum(values < sigma))
             dense_checked += 1
+            underflow_checked += 0.0 < abs(off) < 1.5e-154
     assert dense_checked > 5000
+    assert underflow_checked > 2000  # off^2 is subnormal or 0 there
     # a shifted entry that overflows is -inf or inf, silently, as per entry
     op = TridiagonalOperator(diag=np.array([-1.5e308, 1.5e308, 0.0]), off=1.0,
                              x=np.zeros(3), v_eff=np.zeros(3), spacing=1.0, half_width=1.0)
