@@ -22,9 +22,11 @@ flag text the parser cannot read exit 2 with
 All file output is deterministic byte-for-byte for a fixed config: floats are
 written with 17 significant digits, lines end with LF, and files appear
 atomically (temp file + rename) so an error never leaves a partial file.
-``surface`` evaluates f one eta row at a time through the vectorized grid
-evaluator that the verdict's supremum scan also uses; ``potential`` samples
-the profile on its whole x grid in one call.
+``surface`` evaluates f in blocks of eta rows through the grid block
+generator that the verdict's supremum scan also uses, and writes each eta row
+with one ``%`` operation on a template built once per table; ``potential``
+samples the profile on its whole x grid in one call and writes its rows a
+block of a few thousand at a time, one ``%`` per block.
 """
 
 from __future__ import annotations
@@ -44,7 +46,8 @@ import numpy as np
 from .errors import ConfigKeyError, EvaluationError, ParameterError, PdmDiracError
 from .feasibility import (
     Box,
-    _f_grid,
+    _distinct_sorted,
+    _f_blocks,
     evaluate_point,
     f_direct,
     f_factored,
@@ -71,6 +74,7 @@ from .spectrum import classify_levels, potential_sample
 __all__ = ["main", "RunConfig", "resolve_config"]
 
 _SIG = ".17g"
+_SLOT = "%" + _SIG  # writes a float as _fmt does; a table row is one % over its values
 
 # The level table is built row by row; this keeps it to about a second.
 _N_MAX_CEILING = 100_000
@@ -79,6 +83,8 @@ _N_MAX_CEILING = 100_000
 _N_CEILING = 1_000_000
 # Surface and scan nodes (eta nodes x lambda nodes); admits a 2001 x 2001 grid.
 _GRID_NODES_CEILING = 4_100_000
+# potential rows formatted by one % (a block of four-column rows, not the table)
+_FORMAT_ROWS = 4096
 _ROUTE_SAMPLES = 256  # random points of the verdict's check that the two f routes agree
 
 
@@ -382,31 +388,40 @@ def resolve_config(ns: argparse.Namespace) -> RunConfig:
 # --- subcommands ------------------------------------------------------------
 
 
+def _surface_rows(eta_rows: np.ndarray, lam_nodes: np.ndarray):
+    """f at each of ``eta_rows`` as a list of floats, one row after another.
+
+    The rows are evaluated in blocks (:func:`~pdm_dirac.feasibility._f_blocks`),
+    each with the exact boundary identity ``f(eta, 0) = 0`` applied.
+    """
+    boundary = lam_nodes == 0.0
+    for _, block in _f_blocks(eta_rows, lam_nodes):
+        block[:, boundary] = 0.0
+        yield from block.tolist()
+
+
 def cmd_surface(cfg: RunConfig) -> int:
     box = cfg.box if cfg.box is not None else (-1.0, 1.0, 0.0, 10.0)
     grid = cfg.grid if cfg.grid is not None else (101, 101)
     scan_box = Box(*box)  # validates bounds, lambda >= 0 included
-    # unique() collapses a degenerate axis (min == max) to one node
-    eta_nodes = np.unique(np.linspace(scan_box.eta_min, scan_box.eta_max, grid[0]))
+    # a degenerate axis (min == max) collapses to one node
+    eta_nodes = _distinct_sorted(np.linspace(scan_box.eta_min, scan_box.eta_max, grid[0]))
     with np.errstate(over="ignore"):  # only the last node can overflow; linspace pins it
-        lam_nodes = np.unique(np.linspace(scan_box.lam_min, scan_box.lam_max, grid[1]))
-    lam_text = [_fmt(lam) for lam in lam_nodes]
-    boundary = lam_nodes == 0.0
+        lam_nodes = _distinct_sorted(np.linspace(scan_box.lam_min, scan_box.lam_max, grid[1]))
+    # eta_text.join(pieces) is the template of one eta row, a line per lambda node
+    lam_text = [_fmt(lam) for lam in lam_nodes.tolist()]
+    pieces = ["", *(f",{text},{_SLOT}\n" for text in lam_text[:-1]), f",{lam_text[-1]},{_SLOT}"]
+    keep = np.abs(eta_nodes) > ETA_ZERO_SNAP
+    rows = _surface_rows(eta_nodes[keep], lam_nodes)
     lines = ["eta,lambda,f"]
-    rows = 0
-    for eta in eta_nodes.tolist():
-        if abs(eta) <= ETA_ZERO_SNAP:
+    for eta, kept in zip(eta_nodes.tolist(), keep.tolist()):
+        if kept:
+            lines.append(_fmt(eta).join(pieces) % tuple(next(rows)))
+        else:
             lines.append(f"# eta node {_fmt(eta)} skipped: f undefined on the eta=0 line")
-            continue
-        # row by row: whole-grid temporaries would raise the peak memory
-        values = _f_grid(np.array([eta]), lam_nodes)[0]
-        values[boundary] = 0.0  # exact boundary identity f(eta, 0) = 0
-        eta_text = _fmt(eta)
-        lines.extend(f"{eta_text},{lam},{_fmt(v)}" for lam, v in zip(lam_text, values.tolist()))
-        rows += values.size
     _emit(cfg.out, "\n".join(lines) + "\n")
     if cfg.out != "-":
-        print(f"wrote {cfg.out} ({rows} rows)")
+        print(f"wrote {cfg.out} ({int(keep.sum()) * lam_nodes.size} rows)")
     return 0
 
 
@@ -443,8 +458,12 @@ def cmd_potential(cfg: RunConfig) -> int:
         raise ConfigKeyError(
             f"potential table leaves the double range (L={half_width!r}, M0={params.M0!r})"
         )
+    table = np.column_stack(columns)
+    row = ",".join([_SLOT] * len(columns))
     lines = ["x,mass,im_v,v_eff"]
-    lines.extend(",".join(map(_fmt, row)) for row in zip(*(c.tolist() for c in columns)))
+    for start in range(0, count, _FORMAT_ROWS):
+        block = table[start:start + _FORMAT_ROWS]
+        lines.append("\n".join([row] * len(block)) % tuple(block.ravel().tolist()))
     _emit(cfg.out, "\n".join(lines) + "\n")
     if cfg.out != "-":
         print(f"wrote {cfg.out} ({count} rows)")

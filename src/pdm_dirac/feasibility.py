@@ -60,8 +60,8 @@ __all__ = [
     "supremum_scan",
 ]
 
-# grid nodes the scan evaluates at once: a block and its temporaries (about
-# 1.5 MiB) stay in cache, where the whole grid streamed through memory
+# grid nodes evaluated at once (scan and surface): a block and its temporaries
+# (about 1.5 MiB) stay in cache, where the whole grid streamed through memory
 _BLOCK_NODES = 1 << 16
 
 
@@ -268,9 +268,9 @@ class SupremumReport:
 def _f_grid(eta_nodes: np.ndarray, lam_nodes: np.ndarray) -> np.ndarray:
     """Vectorized factored route on the (eta, lambda) product grid.
 
-    Rows follow ``eta_nodes`` and columns ``lam_nodes``; callers pass one
-    row block (the scan) or one row (``surface``) at a time and drop eta = 0
-    nodes themselves.  The arithmetic is that of :func:`f_factored` at n = 0
+    Rows follow ``eta_nodes`` and columns ``lam_nodes``; callers go through
+    :func:`_f_blocks`, one row block at a time, and drop eta = 0 nodes
+    themselves.  The arithmetic is that of :func:`f_factored` at n = 0
     (its last factor, ``u/u = 1``, skipped), done in place on two arrays of
     the block's size.  Where u^2 underflows (the scalar route's
     EtaZeroSingular) or f is not finite, InvalidBox is raised.
@@ -302,6 +302,28 @@ def _f_grid(eta_nodes: np.ndarray, lam_nodes: np.ndarray) -> np.ndarray:
     return values
 
 
+def _distinct_sorted(values: np.ndarray) -> np.ndarray:
+    """Sorted distinct values, kept as plain ``np.unique`` keeps them.
+
+    The same sort and neighbour compare as ``np.unique``'s float path, whose
+    first call in a process imports ``numpy.ma`` (about 18 ms).
+    """
+    ordered = np.sort(values)
+    return ordered[np.append(True, ordered[1:] != ordered[:-1])]
+
+
+def _f_blocks(eta_rows: np.ndarray, lam_nodes: np.ndarray):
+    """Yield ``(rows, f)`` for consecutive blocks of ``eta_rows``.
+
+    Each block holds about ``_BLOCK_NODES`` cells (at least one row), so the
+    grid is never held whole; ``f`` is :func:`_f_grid` on the block.
+    """
+    rows_per_block = max(1, _BLOCK_NODES // lam_nodes.size)
+    for start in range(0, eta_rows.size, rows_per_block):
+        rows = eta_rows[start:start + rows_per_block]
+        yield rows, _f_grid(rows, lam_nodes)
+
+
 def _rank(point: tuple[float, float, float]) -> tuple[float, float, float, float]:
     """Sort key of an (eta, lam, f) candidate; the smallest key wins.
 
@@ -321,14 +343,8 @@ def _grid_max(eta_nodes: np.ndarray, lam_nodes: np.ndarray) -> tuple[float, floa
     smallest lambda) and then the lowest row (the smallest |eta|) holding it.
     The winning row stands for its negative eta node when the grid has one.
     """
-    # sorted distinct |eta|; np.unique's plain form would import numpy.ma (~18 ms)
-    a_rows = np.sort(np.abs(eta_nodes))
-    a_rows = a_rows[np.append(True, a_rows[1:] != a_rows[:-1])]
-    rows_per_block = max(1, _BLOCK_NODES // lam_nodes.size)
     block_best: list[tuple[float, float, float]] = []
-    for start in range(0, a_rows.size, rows_per_block):
-        a = a_rows[start:start + rows_per_block]
-        values = _f_grid(a, lam_nodes)
+    for a, values in _f_blocks(_distinct_sorted(np.abs(eta_nodes)), lam_nodes):
         top = values.max()
         # the transpose flattens column by column: the first hit is the tie winner
         col, row = divmod(int(np.argmax(values.T == top)), a.size)

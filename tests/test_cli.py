@@ -149,18 +149,21 @@ def test_surface_interior_box_strictly_negative(tmp_path, capsys):
     assert max(float(r.split(",")[2]) for r in rows) < 0.0
 
 
-def test_surface_unrepresentable_box_exits_2(capsys):
+def test_surface_unrepresentable_box_exits_2(tmp_path, capsys):
     rc, out, err = run(["surface", "--box=-1,1,-1,1", "--out", "-"], capsys)
     assert rc == 2
     assert out == ""
     assert "lambda must be >= 0" in err
-    # u underflows at lambda = 1e300: rejected, never written as inf or nan
-    rc, out, err = run(
-        ["surface", "--box=0.5,0.6,1e300,1e300", "--grid", "3,3", "--out", "-"], capsys
-    )
-    assert rc == 2
-    assert out == ""
-    assert "InvalidBox" in err
+    # u underflows at lambda = 1e300 and at the top of the double range:
+    # rejected, never written as inf or nan, and no file or temp file is left
+    for box, grid in [("0.5,0.6,1e300,1e300", "3,3"), ("0.5,0.5,0,1.7976931348623157e308", "2,4")]:
+        for out_arg in ["-", str(tmp_path / "s.csv")]:
+            rc, out, err = run(["surface", f"--box={box}", "--grid", grid, "--out", out_arg],
+                               capsys)
+            assert rc == 2
+            assert out == ""
+            assert "InvalidBox" in err
+            assert list(tmp_path.iterdir()) == []
 
 
 def test_potential_origin_row(capsys):
@@ -533,24 +536,38 @@ def test_help_exits_0(args, capsys):
     assert capsys.readouterr().out.startswith("usage: pdm-dirac")
 
 
-_SCIPY_PROBE = """
+_MODULE_PROBE = """
 import json, sys
 import pdm_dirac.cli as cli
-status = cli.main(sys.argv[1:])
-print(json.dumps([status, sorted(m for m in sys.modules if m.split(".")[0] == "scipy")]))
+package = sys.argv[1]
+status = cli.main(sys.argv[2:])
+print(json.dumps([status, sorted(m for m in sys.modules
+                                 if m == package or m.startswith(package + "."))]))
 """
+
+
+def _fresh_run(package, argv, tmp_path):
+    """Exit status of main(argv) in a fresh interpreter, and the modules of
+    package it loaded (this interpreter has them all)."""
+    src = str(Path(pdm_dirac.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    proc = subprocess.run([sys.executable, "-c", _MODULE_PROBE, package, *argv], env=env,
+                          cwd=tmp_path, capture_output=True, text=True, timeout=120, check=True)
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+def test_surface_does_not_import_numpy_ma(tmp_path):
+    # plain np.unique imports numpy.ma (about 18 ms) on its first call
+    rc, loaded = _fresh_run("numpy.ma", ["surface", "--grid", "5,5", "--out", "-"], tmp_path)
+    assert rc == 0
+    assert loaded == []
 
 
 @pytest.mark.parametrize("extra,status", [([], 0), (["--control-well"], 3)])
 def test_scipy_loads_only_on_the_eigen_path(extra, status, tmp_path):
-    # a fresh interpreter: this one has SciPy loaded already
-    src = str(Path(pdm_dirac.__file__).resolve().parent.parent)
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    env = dict(os.environ, PYTHONPATH=path)
     argv = ["verdict", "--eta", "0.5", "--lambda", "1", *extra, "--out", str(tmp_path / "v.json")]
-    proc = subprocess.run([sys.executable, "-c", _SCIPY_PROBE, *argv], env=env, cwd=tmp_path,
-                          capture_output=True, text=True, timeout=120, check=True)
-    rc, loaded = json.loads(proc.stdout.splitlines()[-1])
+    rc, loaded = _fresh_run("scipy", argv, tmp_path)
     assert rc == status
     if extra:
         assert "scipy.linalg" in loaded  # the control well diagonalizes

@@ -1,0 +1,113 @@
+"""``surface`` and ``potential`` tables: byte for byte the line-by-line builders.
+
+The CLI writes a table row with one ``%`` operation on a template of
+``%.17g`` slots.  The builders below format one value at a time with
+``format(v, ".17g")`` and evaluate ``surface`` one eta row at a time; they
+are kept here only as the reference that the CLI output must equal.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from pdm_dirac import Box, PhysicalParams, potential_sample
+from pdm_dirac.cli import _SLOT, main
+from pdm_dirac.feasibility import _BLOCK_NODES, _f_grid
+from pdm_dirac.params import ETA_ZERO_SNAP
+
+
+def _fmt(value):
+    return format(float(value), ".17g")
+
+
+def reference_surface(box, grid):
+    scan_box = Box(*box)
+    eta_nodes = np.unique(np.linspace(scan_box.eta_min, scan_box.eta_max, grid[0]))
+    with np.errstate(over="ignore"):
+        lam_nodes = np.unique(np.linspace(scan_box.lam_min, scan_box.lam_max, grid[1]))
+    lam_text = [_fmt(lam) for lam in lam_nodes]
+    boundary = lam_nodes == 0.0
+    lines = ["eta,lambda,f"]
+    for eta in eta_nodes.tolist():
+        if abs(eta) <= ETA_ZERO_SNAP:
+            lines.append(f"# eta node {_fmt(eta)} skipped: f undefined on the eta=0 line")
+            continue
+        values = _f_grid(np.array([eta]), lam_nodes)[0]
+        values[boundary] = 0.0
+        eta_text = _fmt(eta)
+        lines.extend(f"{eta_text},{lam},{_fmt(v)}" for lam, v in zip(lam_text, values.tolist()))
+    return "\n".join(lines) + "\n"
+
+
+def reference_potential(params, half_width, count):
+    s = potential_sample(params, np.linspace(-half_width, half_width, count))
+    columns = (s.x, s.mass, s.vector_potential.imag, s.v_eff)
+    lines = ["x,mass,im_v,v_eff"]
+    lines.extend(",".join(map(_fmt, row)) for row in zip(*(c.tolist() for c in columns)))
+    return "\n".join(lines) + "\n"
+
+
+def assert_same_table(args, expected, capsys):
+    assert main(args + ["--out", "-"]) == 0
+    actual = capsys.readouterr().out
+    if actual != expected:
+        # name the first differing line: pytest's diff of two multi-megabyte
+        # strings takes minutes
+        got, want = actual.split("\n"), expected.split("\n")
+        line = next((i for i, (a, b) in enumerate(zip(got, want)) if a != b), None)
+        where = "" if line is None else f"; line {line}: {got[line]!r} != {want[line]!r}"
+        pytest.fail(f"{len(got)} lines, expected {len(want)}{where}")
+
+
+BIG = 1.7976931348623157e308
+EDGE_VALUES = [-0.0, 0.0, 5e-324, -5e-324, 2.225e-308, 2.2250738585072014e-308, BIG, -BIG,
+               1e16, 1.2345678901234567e-5, -4.6213203435596426, 1e22, 0.1, 123456789012345680.0]
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(st.lists(st.floats(), min_size=1, max_size=12))
+@example(EDGE_VALUES)
+@example([float("inf"), float("-inf"), float("nan")])
+def test_slot_template_row_is_the_per_value_format(values):
+    row = ",".join([_SLOT] * len(values)) % tuple(values)
+    assert row == ",".join(format(v, ".17g") for v in values)
+
+
+DEFAULT_BOX = (-1.0, 1.0, 0.0, 10.0)
+# id -> (box, grid); None keeps the CLI default
+SURFACE_CASES = {
+    "default box, odd grid": (None, None),
+    "degenerate box": ((0.5, 0.5, 1.0, 1.0), (2, 2)),
+    "lambda = 0 column": ((-0.5, 0.75, 0.0, 0.5), (6, 5)),
+    "rows in blocks of 2": (None, (5, 30000)),
+    "skipped row inside a block": (None, (5, 20000)),
+}
+
+
+@pytest.mark.parametrize("box,grid", SURFACE_CASES.values(), ids=SURFACE_CASES.keys())
+def test_surface_equals_the_line_by_line_builder(box, grid, capsys):
+    args = ["surface"]
+    if box is not None:
+        args.append("--box=" + ",".join(map(repr, box)))
+    if grid is not None:
+        args += ["--grid", f"{grid[0]},{grid[1]}"]
+    expected = reference_surface(box or DEFAULT_BOX, grid or (101, 101))
+    assert_same_table(args, expected, capsys)
+
+
+def test_block_cases_span_several_blocks():
+    # five eta nodes, the middle one on eta = 0: the four kept rows come in
+    # blocks of 2 at 30000 lambda nodes and of 3 at 20000, where the skipped
+    # row lies between two rows of the first block
+    assert _BLOCK_NODES // 30000 == 2
+    assert _BLOCK_NODES // 20000 == 3
+
+
+# 10001 rows are two full blocks of _FORMAT_ROWS and a partial one; 8192 are
+# exactly two
+@pytest.mark.parametrize("count", [3, 8192, 10001])
+def test_potential_equals_the_line_by_line_builder(count, capsys):
+    args = ["potential", "--eta=-0.7", "--alpha", "1.3", "--N", str(count)]
+    expected = reference_potential(PhysicalParams(1.0, -0.7, 1.3), 10.0 / 1.3, count)
+    assert_same_table(args, expected, capsys)
