@@ -17,16 +17,23 @@ check in ``_KEYS`` (type, count, range) that its value passes whether it came
 from a flag or from a config document; a flag overrides the config key.  A
 value that fails its check, a config key the subcommand does not take, and
 flag text the parser cannot read exit 2 with
-:class:`~pdm_dirac.errors.ConfigKeyError`.
+:class:`~pdm_dirac.errors.ConfigKeyError`.  Every subcommand parser keeps
+its name and help line, but only the one that ``argv[0]`` names gets its
+arguments; when ``argv[0]`` names none (``--help``, a typo, no argv) all of
+them do, so help and error text are those of the full parser.
 
 All file output is deterministic byte-for-byte for a fixed config: floats are
 written with 17 significant digits, lines end with LF, and files appear
-atomically (temp file + rename) so an error never leaves a partial file.
-``surface`` evaluates f in blocks of eta rows through the grid block
+atomically (temp file + rename) so an error never leaves a partial file.  A
+written file gets the mode a plain ``open`` would give it, ``0o666`` less the
+umask.  ``surface`` evaluates f in blocks of eta rows through the grid block
 generator that the verdict's supremum scan also uses, and writes each eta row
 with one ``%`` operation on a template built once per table; ``potential``
 samples the profile on its whole x grid in one call and writes its rows a
-block of a few thousand at a time, one ``%`` per block.
+block of a few thousand at a time, one ``%`` per block.  Both tables are
+streamed: each row or block goes to the temp file as soon as it is
+formatted, so a table never stands whole in memory.  With ``--out -`` the
+pieces are joined and written in one call, so an error prints nothing.
 """
 
 from __future__ import annotations
@@ -39,7 +46,7 @@ import sys
 import tempfile
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -92,13 +99,26 @@ def _fmt(value: float) -> str:
     return format(float(value), _SIG)
 
 
-def _atomic_write(path: str, text: str) -> None:
-    """Write text with LF endings; no partial file is ever visible."""
+def _umask() -> int:
+    """The process umask; os can only read it by setting it."""
+    mask = os.umask(0)
+    os.umask(mask)
+    return mask
+
+
+def _atomic_write(path: str, pieces: Iterable[str]) -> None:
+    """Write the text pieces in order with LF endings; no partial file is ever visible.
+
+    The file gets the mode a plain ``open(path, "w")`` gives a new file,
+    ``0o666`` less the umask, rather than the temp file's ``0o600``.
+    """
     target = Path(path)
     fd, tmp_name = tempfile.mkstemp(dir=str(target.parent) or ".", suffix=".tmp")
     try:
         with os.fdopen(fd, "w", newline="\n") as handle:
-            handle.write(text)
+            for piece in pieces:
+                handle.write(piece)
+        os.chmod(tmp_name, 0o666 & ~_umask())
         os.replace(tmp_name, str(target))
     except BaseException:
         try:
@@ -108,11 +128,13 @@ def _atomic_write(path: str, text: str) -> None:
         raise
 
 
-def _emit(out: str, text: str) -> None:
+def _emit(out: str, pieces: Iterable[str]) -> None:
+    """Write the text pieces to ``out``; stdout gets them joined, in one call,
+    so an error while producing them prints nothing there either."""
     if out == "-":
-        sys.stdout.write(text)
+        sys.stdout.write("".join(pieces))
     else:
-        _atomic_write(out, text)
+        _atomic_write(out, pieces)
 
 
 # --- run keys ---------------------------------------------------------------
@@ -276,7 +298,13 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigKeyError(f"{self.prog}: {message}")
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser(argv: Optional[Sequence[str]] = None) -> argparse.ArgumentParser:
+    """The parser for ``argv``: every subcommand keeps its name and help line,
+    but only the one that ``argv[0]`` names gets its arguments.  When
+    ``argv[0]`` names none (``--help``, a typo, no argv at all) every
+    subcommand gets them, so help and error output are those of the full
+    parser."""
+    invoked = argv[0] if argv and argv[0] in _SUBCOMMANDS else None
     parser = _Parser(
         prog="pdm-dirac",
         description="Spectral feasibility checks for a smooth-step "
@@ -285,6 +313,8 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="subcommand", required=True)
     for name, spec in _SUBCOMMANDS.items():
         p = sub.add_parser(name, help=spec.help)
+        if invoked not in (None, name):
+            continue
         if spec.params:
             p.add_argument("--M0", type=float, default=None, help="mass scale (default 1)")
             p.add_argument("--eta", type=float, default=None, help="step depth, |eta| <= 1")
@@ -409,17 +439,19 @@ def cmd_surface(cfg: RunConfig) -> int:
     with np.errstate(over="ignore"):  # only the last node can overflow; linspace pins it
         lam_nodes = _distinct_sorted(np.linspace(scan_box.lam_min, scan_box.lam_max, grid[1]))
     # eta_text.join(pieces) is the template of one eta row, a line per lambda node
-    lam_text = [_fmt(lam) for lam in lam_nodes.tolist()]
-    pieces = ["", *(f",{text},{_SLOT}\n" for text in lam_text[:-1]), f",{lam_text[-1]},{_SLOT}"]
+    pieces = ["", *(f",{_fmt(lam)},{_SLOT}\n" for lam in lam_nodes.tolist())]
     keep = np.abs(eta_nodes) > ETA_ZERO_SNAP
-    rows = _surface_rows(eta_nodes[keep], lam_nodes)
-    lines = ["eta,lambda,f"]
-    for eta, kept in zip(eta_nodes.tolist(), keep.tolist()):
-        if kept:
-            lines.append(_fmt(eta).join(pieces) % tuple(next(rows)))
-        else:
-            lines.append(f"# eta node {_fmt(eta)} skipped: f undefined on the eta=0 line")
-    _emit(cfg.out, "\n".join(lines) + "\n")
+
+    def lines():  # one piece per eta row, as its f values arrive
+        rows = _surface_rows(eta_nodes[keep], lam_nodes)
+        yield "eta,lambda,f\n"
+        for eta, kept in zip(eta_nodes.tolist(), keep.tolist()):
+            if kept:
+                yield _fmt(eta).join(pieces) % tuple(next(rows))
+            else:
+                yield f"# eta node {_fmt(eta)} skipped: f undefined on the eta=0 line\n"
+
+    _emit(cfg.out, lines())
     if cfg.out != "-":
         print(f"wrote {cfg.out} ({int(keep.sum()) * lam_nodes.size} rows)")
     return 0
@@ -443,7 +475,7 @@ def _spectrum_lines(cfg: RunConfig) -> str:
 
 
 def cmd_spectrum(cfg: RunConfig) -> int:
-    _emit(cfg.out, _spectrum_lines(cfg))
+    _emit(cfg.out, [_spectrum_lines(cfg)])
     return 0
 
 
@@ -459,12 +491,15 @@ def cmd_potential(cfg: RunConfig) -> int:
             f"potential table leaves the double range (L={half_width!r}, M0={params.M0!r})"
         )
     table = np.column_stack(columns)
-    row = ",".join([_SLOT] * len(columns))
-    lines = ["x,mass,im_v,v_eff"]
-    for start in range(0, count, _FORMAT_ROWS):
-        block = table[start:start + _FORMAT_ROWS]
-        lines.append("\n".join([row] * len(block)) % tuple(block.ravel().tolist()))
-    _emit(cfg.out, "\n".join(lines) + "\n")
+    row = ",".join([_SLOT] * len(columns)) + "\n"
+
+    def lines():  # one piece per block of rows
+        yield "x,mass,im_v,v_eff\n"
+        for start in range(0, count, _FORMAT_ROWS):
+            block = table[start:start + _FORMAT_ROWS]
+            yield (row * len(block)) % tuple(block.ravel().tolist())
+
+    _emit(cfg.out, lines())
     if cfg.out != "-":
         print(f"wrote {cfg.out} ({count} rows)")
     return 0
@@ -576,7 +611,7 @@ def cmd_verdict(cfg: RunConfig) -> int:
         statement, status = "SpectrumImaginaryOrEmpty", 0
     report["statement"] = statement
 
-    _emit(cfg.out, json.dumps(report, sort_keys=True, indent=2) + "\n")
+    _emit(cfg.out, [json.dumps(report, sort_keys=True, indent=2) + "\n"])
     print(f"verdict: {statement}")
     return status
 
@@ -590,8 +625,9 @@ _COMMANDS = {
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
+    argv = sys.argv[1:] if argv is None else argv
     try:
-        ns = _build_parser().parse_args(argv)
+        ns = _build_parser(argv).parse_args(argv)
         cfg = resolve_config(ns)
     except PdmDiracError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -13,7 +13,9 @@ A genuine bound state must sit below the continuum edge
 ``min(V_eff(-inf), V_eff(+inf)) = M0^2 (1 - |eta|)^2`` *and* be localized away
 from the artificial walls; everything else below the edge is a box artifact.
 The number of eigenvalues below a threshold is the integer-exact
-Sturm-sequence negative-pivot count; only the values counted below the edge
+Sturm-sequence negative-pivot count, returned as 0 without the pivot loop
+when the shifted diagonal is at least twice the off-diagonal's size in every
+row, which rules out a negative pivot (the model's count at its edge); only the values counted below the edge
 are computed (LAPACK ``dstebz``, Kahan bisection), with their eigenvectors
 (LAPACK ``dstein``, inverse iteration), and the near-edge slice is reported
 by its count.  Both the count and the bisection square entries of size
@@ -205,6 +207,17 @@ def sturm_count(op: TridiagonalOperator, sigma: float) -> int:
     recurrence starts from q_0 = inf, so the first pivot is s_1 itself.  With
     e = 0 the eigenvalues are the diagonal entries, counted with the same
     tie-break.
+
+    When every s_i >= 2 the count is 0 without running the recurrence, and
+    that holds in floating point, not only in exact arithmetic: q_1 = s_1 >=
+    2, and if q_{i-1} >= 1 then fl(1/q_{i-1}) <= 1, so s_i - fl(1/q_{i-1}) >=
+    1 and, rounding being monotone, q_i >= 1.  No pivot is ever negative.  A
+    NaN entry fails the test and goes through the recurrence.  The model's
+    operator usually meets the test at its continuum edge: V_eff >= edge
+    holds in doubles, so the scaled diagonal is 2 + (V_eff - edge) h^2 up to
+    rounding, 2.0 exactly at its minimum for the default verdict.  Where the
+    rounding of 2/h^2 + V_eff - edge leaves that minimum an ulp below 2, the
+    recurrence runs as before.
     """
     pivmin = sys.float_info.min
     scale = abs(op.off)
@@ -214,6 +227,8 @@ def sturm_count(op: TridiagonalOperator, sigma: float) -> int:
         if scale == 0.0:
             return int(np.count_nonzero(shifted < pivmin))
         shifted /= scale
+    if shifted.size == 0 or shifted.min() >= 2.0:
+        return 0
     count = 0
     q = math.inf
     for s in shifted.tolist():

@@ -1,7 +1,9 @@
 """Exit-status contract, determinism, and file formats of the CLI."""
 
+import argparse
 import json
 import os
+import stat
 import subprocess
 import sys
 from pathlib import Path
@@ -536,6 +538,95 @@ def test_help_exits_0(args, capsys):
     assert capsys.readouterr().out.startswith("usage: pdm-dirac")
 
 
+def _parse_outcome(parser, argv, capsys):
+    """Exit status (None when argv parses), stdout and stderr of
+    parser.parse_args(argv), an unreadable flag reported as main reports it."""
+    try:
+        parser.parse_args(argv)
+        status = None
+    except SystemExit as exc:
+        status = exc.code
+    except ConfigKeyError as exc:
+        status = f"error: {exc}"
+    captured = capsys.readouterr()
+    return status, captured.out, captured.err
+
+
+SUBCOMMANDS = ["surface", "spectrum", "verdict", "potential"]
+PARSE_CASES = [["-h"], *([sub, "-h"] for sub in SUBCOMMANDS), ["surfac", "--eta", "1"],
+               ["surface", "--eta", "1"], []]
+
+
+@pytest.mark.parametrize("argv", PARSE_CASES, ids=" ".join)
+def test_parser_for_argv_reads_as_the_full_parser(argv, capsys):
+    narrowed = _parse_outcome(_build_parser(argv), argv, capsys)
+    assert narrowed == _parse_outcome(_build_parser(), argv, capsys)
+    assert narrowed[0] is not None
+
+
+def _options(parser):
+    """Subcommand -> the option strings its parser takes."""
+    [sub] = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    return {name: {s for a in p._actions for s in a.option_strings}
+            for name, p in sub.choices.items()}
+
+
+def test_parser_adds_only_the_invoked_subcommands_arguments():
+    full = _options(_build_parser())
+    assert list(full) == SUBCOMMANDS and all("--out" in opts for opts in full.values())
+    for invoked in SUBCOMMANDS:
+        narrowed = _options(_build_parser([invoked, "--out", "-"]))
+        assert list(narrowed) == SUBCOMMANDS
+        for name, opts in narrowed.items():
+            assert opts == (full[name] if name == invoked else {"-h", "--help"})
+
+
+def test_main_reads_sys_argv(monkeypatch, capsys):
+    argv = ["spectrum", "--eta", "0.5", "--lambda", "1"]
+    assert main(argv) == 0
+    expected = capsys.readouterr()
+    monkeypatch.setattr(sys, "argv", ["pdm-dirac", *argv])
+    assert main() == 0
+    assert capsys.readouterr() == expected
+
+
+_MODE_PROBE = """
+import os, sys
+os.umask(int(sys.argv[1], 8))
+from pdm_dirac.cli import main
+runs = {
+    "surface": ["--grid", "3,3"],
+    "spectrum": ["--eta", "0.5", "--lambda", "1"],
+    "verdict": ["--eta", "0.5", "--lambda", "1", "--N", "2000", "--grid", "11,11"],
+    "potential": ["--eta", "0.5", "--lambda", "1", "--N", "5"],
+}
+for sub, args in runs.items():
+    assert main([sub, *args, "--out", sub + ".out"]) == 0
+"""
+
+
+@pytest.mark.parametrize("umask", [0o022, 0o077, 0o002], ids=oct)
+def test_out_files_get_the_mode_of_a_plain_open(umask, tmp_path):
+    # mkstemp makes its temp file 0600; the renamed file gets 0666 less the umask
+    subprocess.run([sys.executable, "-c", _MODE_PROBE, format(umask, "o")], env=_fresh_env(),
+                   cwd=tmp_path, capture_output=True, timeout=120, check=True)
+    modes = {path.name: stat.S_IMODE(path.stat().st_mode) for path in tmp_path.iterdir()}
+    assert modes == {f"{sub}.out": 0o666 & ~umask for sub in SUBCOMMANDS}
+
+
+def test_error_while_streaming_a_table_writes_nothing(monkeypatch, tmp_path, capsys):
+    def failing_rows(eta_rows, lam_nodes):
+        yield [0.0] * lam_nodes.size
+        raise EvaluationError("second row failed")
+
+    monkeypatch.setattr("pdm_dirac.cli._surface_rows", failing_rows)
+    for out in (str(tmp_path / "s.csv"), "-"):
+        rc, stdout, err = run(["surface", "--grid", "5,5", "--out", out], capsys)
+        assert rc == 2 and "second row failed" in err
+        assert stdout == ""
+    assert list(tmp_path.iterdir()) == []  # the temp file is gone too
+
+
 _MODULE_PROBE = """
 import json, sys
 import pdm_dirac.cli as cli
@@ -546,13 +637,17 @@ print(json.dumps([status, sorted(m for m in sys.modules
 """
 
 
+def _fresh_env():
+    """The environment of a fresh interpreter that imports this package."""
+    src = str(Path(pdm_dirac.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return dict(os.environ, PYTHONPATH=path)
+
+
 def _fresh_run(package, argv, tmp_path):
     """Exit status of main(argv) in a fresh interpreter, and the modules of
     package it loaded (this interpreter has them all)."""
-    src = str(Path(pdm_dirac.__file__).resolve().parent.parent)
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    env = dict(os.environ, PYTHONPATH=path)
-    proc = subprocess.run([sys.executable, "-c", _MODULE_PROBE, package, *argv], env=env,
+    proc = subprocess.run([sys.executable, "-c", _MODULE_PROBE, package, *argv], env=_fresh_env(),
                           cwd=tmp_path, capture_output=True, text=True, timeout=120, check=True)
     return json.loads(proc.stdout.splitlines()[-1])
 

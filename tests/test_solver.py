@@ -1,5 +1,6 @@
 """Finite-difference oracle: operator assembly, Sturm slicing, localization."""
 
+import dataclasses
 import math
 import sys
 
@@ -150,6 +151,124 @@ def test_sturm_count_matches_reference_recurrence():
                              x=np.zeros(3), v_eff=np.zeros(3), spacing=1.0, half_width=1.0)
     for sigma in (-1.5e308, 1.5e308):
         assert sturm_count(op, sigma) == _sturm_count_reference(op, sigma)
+
+
+class _WatchedDiag(np.ndarray):
+    """A diagonal whose shifted copies note when the pivot loop reads them."""
+
+    reads = 0
+
+    def tolist(self):
+        _WatchedDiag.reads += 1
+        return super().tolist()
+
+
+def _count_and_loop(op, sigma):
+    """sturm_count(op, sigma), and whether its pivot recurrence ran."""
+    _WatchedDiag.reads = 0
+    watched = dataclasses.replace(op, diag=op.diag.view(_WatchedDiag))
+    return sturm_count(watched, sigma), _WatchedDiag.reads > 0
+
+
+def _bare_operator(diag, off):
+    diag = np.asarray(diag, dtype=float)
+    return TridiagonalOperator(diag=diag, off=off, x=diag, v_eff=diag,
+                               spacing=1.0, half_width=1.0)
+
+
+def _scaled(op, sigma):
+    # the shifted and scaled diagonal, as sturm_count computes it
+    with np.errstate(all="ignore"):
+        return (op.diag - sigma) / abs(op.off)
+
+
+def test_sturm_count_shortcut_at_scaled_minimum_two():
+    # (d - sigma) / |e| is 2.0 exactly at its minimum: no pivot can be
+    # negative, so the count is 0 without the recurrence.  The first case is
+    # the Dirichlet Laplacian at sigma = 0, whose eigenvalues are 2 - 2 cos(.)
+    cases = [
+        (np.full(50, 2.0), -1.0, 0.0),
+        ([2.0, 2.0, 5.0, 2.0, 1e300], -1.0, 0.0),
+        ([-4.0, 12.0, -4.0, 40.0], 4.0, -12.0),           # d = sigma + 2 |e|, exact
+        (np.array([2.0, 3.0, 2.0]) * 2.0**-600, -2.0**-600, 0.0),
+        (np.array([2.0, 2.5, 2.0]) * 2.0**500, 2.0**500, 0.0),
+    ]
+    for diag, off, sigma in cases:
+        op = _bare_operator(diag, off)
+        assert _scaled(op, sigma).min() == 2.0
+        assert _count_and_loop(op, sigma) == (0, False)
+        assert _sturm_count_reference(op, sigma) == 0
+
+
+def test_sturm_count_just_below_two_runs_the_recurrence():
+    below = np.nextafter(2.0, 0.0)
+    assert below == 2.0 - 2.0**-52
+    for diag in (np.full(50, below), [2.0, below, 7.0], [below, -3.0, 2.0, 2.0]):
+        op = _bare_operator(diag, -1.0)
+        count, looped = _count_and_loop(op, 0.0)
+        assert looped
+        assert count == _sturm_count_reference(op, 0.0)
+
+
+def test_sturm_count_shortcut_edge_cases():
+    for off in (-1.0, 0.0):  # an empty operator counts 0, scaled or not
+        assert sturm_count(_bare_operator([], off), 0.0) == 0
+    op = _bare_operator([2.0, 3.0, 2.0], -1.0)
+    count, looped = _count_and_loop(op, math.nan)  # a NaN minimum fails the test
+    assert looped and count == _sturm_count_reference(op, math.nan) == 0
+    nan_entry = _bare_operator([3.0, math.nan, 3.0], -1.0)
+    count, looped = _count_and_loop(nan_entry, 0.0)
+    assert looped and count == _sturm_count_reference(nan_entry, 0.0)
+    # +inf entries pass the test, -inf entries fail it
+    cases = [
+        ([math.inf, 2.0, math.inf], 0.0, False),
+        ([2.0, -math.inf, 3.0], 0.0, True),
+        ([2.0, 3.0, 2.0], -math.inf, False),    # every entry shifts to +inf
+        ([2.0, 3.0, 2.0], math.inf, True),      # every entry shifts to -inf
+    ]
+    for diag, sigma, loops in cases:
+        op = _bare_operator(diag, -1.0)
+        count, looped = _count_and_loop(op, sigma)
+        assert looped == loops
+        assert count == _sturm_count_reference(op, sigma)
+
+
+def test_sturm_count_shortcut_never_hides_a_pivot():
+    # scaled entries at, above and a little below 2 on random operators:
+    # wherever the shortcut applies, the recurrence as first written gives 0
+    rng = np.random.default_rng(2024)
+    applied = 0
+    for _ in range(3000):
+        size = int(rng.integers(1, 60))
+        off = float(rng.choice([-1.0, 1.0])) * 2.0 ** float(rng.uniform(-60.0, 60.0))
+        sigma = float(rng.normal()) * 2.0 ** float(rng.uniform(-60.0, 60.0))
+        bump = rng.exponential(size=size) * 10.0 ** float(rng.uniform(-17.0, 1.0))
+        if rng.random() < 0.5:
+            bump *= rng.choice([-1.0, 0.0, 1.0], size)
+        else:
+            bump *= rng.choice([0.0, 1.0], size)
+        op = _bare_operator(sigma + (2.0 + bump) * abs(off), off)
+        count, looped = _count_and_loop(op, sigma)
+        assert count == _sturm_count_reference(op, sigma)
+        if _scaled(op, sigma).min() >= 2.0:
+            assert not looped and count == 0
+            applied += 1
+        else:
+            assert looped
+    assert 500 < applied < 2500
+
+
+def test_default_verdict_edge_count_takes_the_shortcut():
+    # verdict --eta 0.5 --lambda 1: V_eff >= edge in doubles, and the scaled
+    # diagonal at the edge is 2.0 at its minimum, so the edge count skips the
+    # pivot loop; the count at 1.1 * edge still runs it
+    disc = Discretization.for_params(P_HALF)
+    op = build_hamiltonian(P_HALF, disc)
+    edge = continuum_edge(P_HALF)
+    assert np.min(op.v_eff) >= edge
+    assert _scaled(op, edge).min() >= 2.0
+    assert _count_and_loop(op, edge) == (0, False)
+    assert _count_and_loop(op, 1.1 * edge)[1]
 
 
 def test_toy_eigenvalues_match_dense_reference():

@@ -6,6 +6,8 @@ The CLI writes a table row with one ``%`` operation on a template of
 are kept here only as the reference that the CLI output must equal.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -48,9 +50,13 @@ def reference_potential(params, half_width, count):
     return "\n".join(lines) + "\n"
 
 
-def assert_same_table(args, expected, capsys):
+def assert_same_table(args, expected, capsys, tmp_path):
+    """The table on stdout and in an --out file, streamed there, is ``expected``."""
     assert main(args + ["--out", "-"]) == 0
     actual = capsys.readouterr().out
+    out = tmp_path / "table.csv"
+    assert main(args + ["--out", str(out)]) == 0
+    assert out.read_bytes() == actual.encode()
     if actual != expected:
         # name the first differing line: pytest's diff of two multi-megabyte
         # strings takes minutes
@@ -86,14 +92,14 @@ SURFACE_CASES = {
 
 
 @pytest.mark.parametrize("box,grid", SURFACE_CASES.values(), ids=SURFACE_CASES.keys())
-def test_surface_equals_the_line_by_line_builder(box, grid, capsys):
+def test_surface_equals_the_line_by_line_builder(box, grid, capsys, tmp_path):
     args = ["surface"]
     if box is not None:
         args.append("--box=" + ",".join(map(repr, box)))
     if grid is not None:
         args += ["--grid", f"{grid[0]},{grid[1]}"]
     expected = reference_surface(box or DEFAULT_BOX, grid or (101, 101))
-    assert_same_table(args, expected, capsys)
+    assert_same_table(args, expected, capsys, tmp_path)
 
 
 def test_block_cases_span_several_blocks():
@@ -107,7 +113,20 @@ def test_block_cases_span_several_blocks():
 # 10001 rows are two full blocks of _FORMAT_ROWS and a partial one; 8192 are
 # exactly two
 @pytest.mark.parametrize("count", [3, 8192, 10001])
-def test_potential_equals_the_line_by_line_builder(count, capsys):
+def test_potential_equals_the_line_by_line_builder(count, capsys, tmp_path):
     args = ["potential", "--eta=-0.7", "--alpha", "1.3", "--N", str(count)]
     expected = reference_potential(PhysicalParams(1.0, -0.7, 1.3), 10.0 / 1.3, count)
-    assert_same_table(args, expected, capsys)
+    assert_same_table(args, expected, capsys, tmp_path)
+
+
+def test_surface_file_is_written_as_it_is_formatted(tmp_path):
+    out = tmp_path / "s.csv"
+    tracemalloc.start()
+    try:
+        assert main(["surface", "--grid", "401,401", "--out", str(out)]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the table is 8.9 MB; one block of f values and its rows of text are
+    # about 3 MB, where the whole table held as text would be twice its size
+    assert peak < out.stat().st_size / 2
