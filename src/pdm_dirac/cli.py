@@ -116,8 +116,7 @@ def _atomic_write(path: str, pieces: Iterable[str]) -> None:
     fd, tmp_name = tempfile.mkstemp(dir=str(target.parent) or ".", suffix=".tmp")
     try:
         with os.fdopen(fd, "w", newline="\n") as handle:
-            for piece in pieces:
-                handle.write(piece)
+            handle.writelines(pieces)
         os.chmod(tmp_name, 0o666 & ~_umask())
         os.replace(tmp_name, str(target))
     except BaseException:

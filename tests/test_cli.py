@@ -601,7 +601,9 @@ runs = {
     "potential": ["--eta", "0.5", "--lambda", "1", "--N", "5"],
 }
 for sub, args in runs.items():
-    assert main([sub, *args, "--out", sub + ".out"]) == 0
+    status = main([sub, *args, "--out", sub + ".out"])
+    if status != 0:
+        sys.exit(f"{sub} exited {status}")
 """
 
 
