@@ -492,7 +492,7 @@ def cmd_potential(cfg: RunConfig) -> int:
     table = np.column_stack(columns)
     row = ",".join([_SLOT] * len(columns)) + "\n"
 
-    def lines():  # one piece per block of rows
+    def lines():
         yield "x,mass,im_v,v_eff\n"
         for start in range(0, count, _FORMAT_ROWS):
             block = table[start:start + _FORMAT_ROWS]
