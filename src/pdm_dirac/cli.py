@@ -29,8 +29,8 @@ written file gets the mode a plain ``open`` would give it, ``0o666`` less the
 umask.  ``surface`` evaluates f in blocks of eta rows through the grid block
 generator that the verdict's supremum scan also uses, and writes each eta row
 with one ``%`` operation on a template built once per table; ``potential``
-samples the profile on its whole x grid in one call and writes its rows a
-block of a few thousand at a time, one ``%`` per block.  Both tables are
+samples the profile, checks it is finite and writes it a block of a few
+thousand rows at a time, one ``%`` per block.  Both tables are
 streamed: each row or block goes to the temp file as soon as it is
 formatted, so a table never stands whole in memory.  With ``--out -`` the
 pieces are joined and written in one call, so an error prints nothing.
@@ -50,7 +50,13 @@ from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
-from .errors import ConfigKeyError, EvaluationError, ParameterError, PdmDiracError
+from .errors import (
+    CertificateViolation,
+    ConfigKeyError,
+    EvaluationError,
+    ParameterError,
+    PdmDiracError,
+)
 from .feasibility import (
     Box,
     _distinct_sorted,
@@ -482,20 +488,20 @@ def cmd_potential(cfg: RunConfig) -> int:
     params = cfg.physical()
     half_width = cfg.L if cfg.L is not None else 10.0 / params.alpha
     count = cfg.N if cfg.N is not None else 401
-    with np.errstate(all="ignore"):  # non-finite tables are rejected below
-        s = potential_sample(params, np.linspace(-half_width, half_width, count))
-    columns = (s.x, s.mass, s.vector_potential.imag, s.v_eff)
-    if not all(np.isfinite(c).all() for c in columns):
-        raise ConfigKeyError(
-            f"potential table leaves the double range (L={half_width!r}, M0={params.M0!r})"
-        )
-    table = np.column_stack(columns)
-    row = ",".join([_SLOT] * len(columns)) + "\n"
+    with np.errstate(all="ignore"):  # an overflowing grid fails the block check below
+        x = np.linspace(-half_width, half_width, count)
+    row = ",".join([_SLOT] * 4) + "\n"
 
     def lines():
         yield "x,mass,im_v,v_eff\n"
         for start in range(0, count, _FORMAT_ROWS):
-            block = table[start:start + _FORMAT_ROWS]
+            with np.errstate(all="ignore"):
+                s = potential_sample(params, x[start:start + _FORMAT_ROWS])
+            block = np.column_stack((s.x, s.mass, s.im_v, s.v_eff))
+            if not np.isfinite(block).all():
+                raise ConfigKeyError(
+                    f"potential table leaves the double range (L={half_width!r}, M0={params.M0!r})"
+                )
             yield (row * len(block)) % tuple(block.ravel().tolist())
 
     _emit(cfg.out, lines())
@@ -564,11 +570,18 @@ def cmd_verdict(cfg: RunConfig) -> int:
             point_cert = evaluate_point(dless.eta, dless.lam).to_dict()
             if dless.lam > 0.0 and point_cert["sign_verdict"] != "Negative":
                 evidence_points.append([dless.eta, dless.lam, point_cert["f_factored"]])
+        routes = _route_agreement_check(scan_box, cfg.seed)
         report["feasibility"] = {
             "supremum": scan.to_dict(),
             "point_certificate": point_cert,
-            "route_agreement": _route_agreement_check(scan_box, cfg.seed),
+            "route_agreement": routes,
         }
+        if not routes["ok"]:  # the report keeps the block; the trail gets the failure
+            eta, lam = routes["worst_at"]
+            raise CertificateViolation(
+                f"route spot check: relative gap {routes['max_rel_discrepancy']!r} "
+                f"at eta={eta}, lam={lam} exceeds {REL_TOL!r}"
+            )
     except PdmDiracError as exc:
         errors.append(f"feasibility: {type(exc).__name__}: {exc}")
 

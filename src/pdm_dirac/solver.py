@@ -325,7 +325,7 @@ def poschl_teller_well(x: np.ndarray) -> np.ndarray:
     A detector sanity check, not part of the physical model; its continuum
     edge is 1 and its single localized level sits at a closed-form zero.
     """
-    return 1.0 - 2.0 * np.asarray(sech_squared(x))
+    return 1.0 - 2.0 * sech_squared(x)
 
 
 @dataclass

@@ -24,7 +24,10 @@ whose n = 0 case is the feasibility function f.
 
 This module evaluates those expressions and classifies each level's squared
 energy as real-positive, imaginary (E^2 < 0), threshold, or undefined (level
-index on a formula pole).  A classification only describes the sign of the
+index on a formula pole).  The profile functions take an array of x (a float
+gives a numpy scalar), each quantity with one expression;
+:func:`potential_sample` evaluates the step factor ``1 + eta tanh(alpha x)``
+once for all of its columns.  A classification only describes the sign of the
 radicand; whether a level belongs to the true spectrum is settled by the
 independent finite-difference solver in :mod:`pdm_dirac.solver`.
 """
@@ -48,20 +51,13 @@ __all__ = [
     "SpectrumEntry",
     "sech_squared",
     "mass_profile",
-    "mass_profile_derivative",
     "vector_potential",
     "effective_potential",
-    "rosen_morse_terms",
     "potential_sample",
     "delta1",
     "level_energy",
     "classify_levels",
 ]
-
-# cosh(x) overflows a double near x ~ 710; well before that, sech^2 underflows
-# to exactly 0, so beyond this cutoff we return 0 without touching cosh.
-_SECH_CUTOFF = 400.0
-
 
 class Classification(str, enum.Enum):
     """Sign class of a squared level energy."""
@@ -74,12 +70,12 @@ class Classification(str, enum.Enum):
 
 @dataclass(frozen=True)
 class PotentialSample:
-    """Profile values at one spatial point, or arrays of them on a grid."""
+    """Profile values on a grid of x, one float array per table column."""
 
-    x: float
-    mass: float
-    vector_potential: complex  # purely imaginary by construction
-    v_eff: float               # mass**2
+    x: np.ndarray
+    mass: np.ndarray
+    im_v: np.ndarray   # Im V; the vector potential is purely imaginary
+    v_eff: np.ndarray  # mass**2
 
 
 @dataclass(frozen=True)
@@ -110,89 +106,50 @@ class SpectrumEntry:
         }
 
 
-def _scalar_or_array(values: np.ndarray, scalar_type=float):
-    if values.ndim == 0:
-        return scalar_type(values[()])
-    return values
-
-
 def sech_squared(z):
-    """Overflow-safe sech(z)**2 = (1/cosh(z))**2 for scalars or arrays."""
-    arr = np.asarray(z, dtype=float)
-    out = np.zeros_like(arr)
-    small = np.abs(arr) < _SECH_CUTOFF
-    np.divide(1.0, np.cosh(arr, where=small, out=np.ones_like(arr)) ** 2,
-              where=small, out=out)
-    return _scalar_or_array(out)
+    """sech(z)**2 = 1 / cosh(z)**2; 0.0 where the square overflows (|z| > ~355)."""
+    with np.errstate(over="ignore"):
+        return 1.0 / np.cosh(z) ** 2
 
 
-def mass_profile(params: PhysicalParams, x):
-    """M(x) = M0 * (1 + eta * tanh(alpha x)); accepts scalars or arrays."""
-    arr = np.asarray(x, dtype=float)
-    return _scalar_or_array(params.M0 * (1.0 + params.eta * np.tanh(params.alpha * arr)))
+def _step(params: PhysicalParams, x):
+    """The step factor 1 + eta * tanh(alpha x), so that M(x) = M0 * _step(x)."""
+    return 1.0 + params.eta * np.tanh(params.alpha * x)
 
 
-def mass_profile_derivative(params: PhysicalParams, x):
-    """Closed-form M'(x) = M0 * eta * alpha * sech^2(alpha x)."""
-    arr = np.asarray(x, dtype=float)
-    return _scalar_or_array(params.M0 * params.eta * params.alpha
-                            * np.asarray(sech_squared(params.alpha * arr)))
-
-
-def vector_potential(params: PhysicalParams, x):
-    """Purely imaginary vector potential (i/2) * M'(x) / M(x).
-
-    Evaluated in the closed form
-    ``i * alpha * eta * sech^2(alpha x) / (2 * (1 + eta * tanh(alpha x)))``.
-    Raises :class:`DegenerateMass` where the denominator underflows to zero,
-    which can only happen at |eta| = 1 deep on the vanishing-mass side.
-    """
-    arr = np.asarray(x, dtype=float)
-    den = 1.0 + params.eta * np.tanh(params.alpha * arr)
-    if np.any(den == 0.0):
+def _im_v(params: PhysicalParams, x, step):
+    """Im V(x) = alpha * eta * sech^2(alpha x) / (2 * step), the closed form of
+    M'(x) / (2 M(x)); raises :class:`DegenerateMass` where ``step`` is 0, which
+    can only happen at |eta| = 1 deep on the vanishing-mass side."""
+    if np.any(step == 0.0):
         raise DegenerateMass(
             "mass profile underflowed to zero inside the requested range; "
             "the vector potential is undefined there"
         )
-    imag = 0.5 * params.alpha * params.eta * np.asarray(sech_squared(params.alpha * arr)) / den
-    return _scalar_or_array(np.multiply(1j, imag), complex)
+    return 0.5 * params.alpha * params.eta * sech_squared(params.alpha * x) / step
+
+
+def mass_profile(params: PhysicalParams, x):
+    """M(x) = M0 * (1 + eta * tanh(alpha x))."""
+    return params.M0 * _step(params, x)
+
+
+def vector_potential(params: PhysicalParams, x):
+    """The purely imaginary vector potential (i/2) * M'(x) / M(x)."""
+    return 1j * _im_v(params, x, _step(params, x))
 
 
 def effective_potential(params: PhysicalParams, x):
     """V_eff(x) = M(x)^2, the potential of the squared (Schrodinger-like) problem."""
-    m = np.asarray(mass_profile(params, x))
-    return _scalar_or_array(m * m)
-
-
-def rosen_morse_terms(params: PhysicalParams, x):
-    """Decomposition of V_eff into (constant, tanh term, sech^2 term).
-
-    Returns the triple ``(M0^2 (1+eta^2), 2 eta M0^2 tanh(alpha x),
-    -eta^2 M0^2 sech^2(alpha x))`` whose sum equals
-    :func:`effective_potential` identically.
-    """
-    arr = np.asarray(x, dtype=float)
-    m2 = params.M0 * params.M0
-    const = m2 * (1.0 + params.eta * params.eta)
-    tanh_term = 2.0 * params.eta * m2 * np.tanh(params.alpha * arr)
-    sech_term = -params.eta * params.eta * m2 * np.asarray(sech_squared(params.alpha * arr))
-    if arr.ndim == 0:
-        return const, float(tanh_term), float(sech_term)
-    return np.full_like(arr, const), tanh_term, sech_term
+    m = mass_profile(params, x)
+    return m * m
 
 
 def potential_sample(params: PhysicalParams, x) -> PotentialSample:
-    """All profile values at x, for tables and CSV emission.
-
-    A scalar x gives Python scalars; an array gives one array per field.
-    """
-    arr = np.asarray(x, dtype=float)
-    return PotentialSample(
-        x=_scalar_or_array(arr),
-        mass=mass_profile(params, arr),
-        vector_potential=vector_potential(params, arr),
-        v_eff=effective_potential(params, arr),
-    )
+    """The table columns at the points x: M(x), Im V(x) and V_eff(x)."""
+    step = _step(params, x)
+    mass = params.M0 * step
+    return PotentialSample(x=x, mass=mass, im_v=_im_v(params, x, step), v_eff=mass * mass)
 
 
 def delta1(params: DimensionlessParams) -> float:

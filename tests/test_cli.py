@@ -188,7 +188,7 @@ def test_potential_origin_row(capsys):
     assert len(rows) == 1001
     for line in rows:
         s = potential_sample(params, float(line.split(",")[0]))
-        fields = (s.x, s.mass, s.vector_potential.imag, s.v_eff)
+        fields = (s.x, s.mass, s.im_v, s.v_eff)
         assert line == ",".join(format(v, ".17g") for v in fields)
 
 
@@ -456,6 +456,12 @@ EXIT_CASES = [
     (["spectrum", "--eta", "1e-300", "--lambda", "1e-300"], 2, ["EtaZeroSingular"]),
     (["potential", "--eta", "0.5", "--lambda", "1", "--L", "1e308", "--N", "3"], 2,
      ["leaves the double range"]),
+    (["potential", "--eta=-1", "--alpha", "1", "--L", "1000", "--N", "10001"], 2,
+     ["DegenerateMass"]),
+    # blocks are checked in x order: the first leaves the double range before
+    # the last reaches the vanishing mass
+    (["potential", "--eta", "-1", "--M0", "1e300", "--alpha", "1", "--L", "1000", "--N", "10001"],
+     2, ["leaves the double range"]),
     # the verdict records the solver's spacing error in its trail instead
     (["verdict", "--eta", "0.5", "--lambda", "1", "--L", "1e308"], 4, ["ParameterError"]),
     # f leaves the double range: an error, not -Infinity or an uncompared sample
@@ -715,6 +721,25 @@ def test_certificate_violation_lands_in_error_trail(monkeypatch, tmp_path, capsy
     assert rc == 4
     [entry] = json.loads(out.read_text())["error_trail"]
     assert entry.startswith("feasibility: CertificateViolation:")
+
+
+def test_route_spot_check_failure_lands_in_error_trail(monkeypatch, tmp_path, capsys):
+    # off by 1e-8 above lambda = 5: the point (0.5, 1) still certifies, the
+    # spot check over the box does not
+    monkeypatch.setattr("pdm_dirac.cli.f_direct",
+                        lambda eta, lam: f_direct(eta, lam) + 1e-8 * (lam > 5))
+    out = tmp_path / "verdict.json"
+    rc, _, _ = run(
+        ["verdict", "--eta", "0.5", "--lambda", "1", "--N", "800", "--grid", "11,11",
+         "--out", str(out)],
+        capsys,
+    )
+    assert rc == 4
+    doc = json.loads(out.read_text())
+    [entry] = doc["error_trail"]
+    assert entry.startswith("feasibility: CertificateViolation: route spot check")
+    assert doc["feasibility"]["route_agreement"]["ok"] is False
+    assert doc["statement"] == "Inconclusive"
 
 
 def test_grid_above_certified_corner_lands_in_error_trail(monkeypatch, tmp_path, capsys):

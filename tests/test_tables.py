@@ -14,7 +14,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pdm_dirac import Box, PhysicalParams, potential_sample
-from pdm_dirac.cli import _SLOT, main
+from pdm_dirac.cli import _FORMAT_ROWS, _SLOT, main
 from pdm_dirac.feasibility import _BLOCK_NODES, _f_grid
 from pdm_dirac.params import ETA_ZERO_SNAP
 
@@ -44,7 +44,7 @@ def reference_surface(box, grid):
 
 def reference_potential(params, half_width, count):
     s = potential_sample(params, np.linspace(-half_width, half_width, count))
-    columns = (s.x, s.mass, s.vector_potential.imag, s.v_eff)
+    columns = (s.x, s.mass, s.im_v, s.v_eff)
     lines = ["x,mass,im_v,v_eff"]
     lines.extend(",".join(map(_fmt, row)) for row in zip(*(c.tolist() for c in columns)))
     return "\n".join(lines) + "\n"
@@ -110,10 +110,11 @@ def test_block_cases_span_several_blocks():
     assert _BLOCK_NODES // 20000 == 3
 
 
-# 10001 rows are two full blocks of _FORMAT_ROWS and a partial one; 8192 are
-# exactly two
-@pytest.mark.parametrize("count", [3, 8192, 10001])
+# 4096 rows are exactly one block of _FORMAT_ROWS and 4097 one row more; 8192
+# are exactly two, and 10001 two full blocks and a partial one
+@pytest.mark.parametrize("count", [3, 4096, 4097, 8192, 10001])
 def test_potential_equals_the_line_by_line_builder(count, capsys, tmp_path):
+    assert _FORMAT_ROWS == 4096
     args = ["potential", "--eta=-0.7", "--alpha", "1.3", "--N", str(count)]
     expected = reference_potential(PhysicalParams(1.0, -0.7, 1.3), 10.0 / 1.3, count)
     assert_same_table(args, expected, capsys, tmp_path)
