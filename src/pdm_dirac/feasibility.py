@@ -246,7 +246,7 @@ class SupremumReport:
     box: Box
     grid_shape: tuple[int, int]          # (eta nodes, lambda nodes) requested
     sup_estimate: float                  # max of every grid value
-    argmax: tuple[float, float]          # the first node attaining it under _rank
+    argmax: tuple[float, float]          # the certified corner (max|eta|, lam_min)
     skipped_eta_nodes: list[float]       # gridlines excluded as eta = 0
 
     @property
@@ -324,36 +324,6 @@ def _f_blocks(eta_rows: np.ndarray, lam_nodes: np.ndarray):
         yield rows, _f_grid(rows, lam_nodes)
 
 
-def _rank(point: tuple[float, float, float]) -> tuple[float, float, float, float]:
-    """Sort key of an (eta, lam, f) candidate; the smallest key wins.
-
-    Maximize f; break ties toward the smallest lambda, then the smallest
-    |eta|, then the negative-eta member of an (+eta, -eta) pair.
-    """
-    eta, lam, value = point
-    return (-value, lam, abs(eta), eta)
-
-
-def _grid_max(eta_nodes: np.ndarray, lam_nodes: np.ndarray) -> tuple[float, float, float]:
-    """The first grid node under :func:`_rank`, as (eta, lam, f).
-
-    f depends on eta only through |eta|, so it is evaluated once per distinct
-    |eta| row, in row blocks of about ``_BLOCK_NODES`` cells.  Each block keeps
-    its largest value at the lowest column (``lam_nodes`` ascend, so the
-    smallest lambda) and then the lowest row (the smallest |eta|) holding it.
-    The winning row stands for its negative eta node when the grid has one.
-    """
-    block_best: list[tuple[float, float, float]] = []
-    for a, values in _f_blocks(_distinct_sorted(np.abs(eta_nodes)), lam_nodes):
-        top = values.max()
-        # the transpose flattens column by column: the first hit is the tie winner
-        col, row = divmod(int(np.argmax(values.T == top)), a.size)
-        block_best.append((float(a[row]), float(lam_nodes[col]), float(top)))
-    a_best, lam, f = min(block_best, key=_rank)
-    eta = -a_best if np.any(eta_nodes == -a_best) else a_best
-    return eta, lam, f
-
-
 def supremum_scan(box: Box, grid: tuple[int, int] = (101, 101)) -> SupremumReport:
     """Supremum of f over the box: the certified corner, cross-checked on a grid.
 
@@ -369,12 +339,13 @@ def supremum_scan(box: Box, grid: tuple[int, int] = (101, 101)) -> SupremumRepor
     axes pin their endpoints, so the corner is a node.  Eta gridlines within
     ``ETA_ZERO_SNAP`` of zero are excluded (f is singular along eta = 0) and
     recorded; a box whose every eta node collapses there raises
-    :class:`BoxIncludesEtaZero`.  The grid is never held whole (see
-    :func:`_grid_max`).  The reported supremum and its argmax are the grid
-    maximum, the first node under :func:`_rank`, so ties resolve the same way
-    every run.  A grid maximum above the scalar corner value by more than
-    ``REL_TOL * max(1, |f|)`` contradicts the monotonicity and raises
-    :class:`CertificateViolation`.
+    :class:`BoxIncludesEtaZero`.  f depends on eta only through |eta|, so it
+    is evaluated once per distinct |eta| row, in the row blocks of
+    :func:`_f_blocks`, and the grid is never held whole.  The reported
+    supremum is the grid maximum; the reported argmax is the certified corner,
+    its negative member when ``eta_min == -max|eta|``.  A grid maximum above
+    the scalar corner value by more than ``REL_TOL * max(1, |f|)`` contradicts
+    the monotonicity and raises :class:`CertificateViolation`.
     """
     if grid[0] < 2 or grid[1] < 2:
         raise InvalidBox(f"grid must be at least 2x2, got {grid}")
@@ -396,20 +367,21 @@ def supremum_scan(box: Box, grid: tuple[int, int] = (101, 101)) -> SupremumRepor
     with np.errstate(over="ignore"):  # only the last node can overflow; linspace pins it
         lam_nodes = np.linspace(box.lam_min, box.lam_max, grid[1])
 
-    eta, lam, sup = _grid_max(eta_nodes, lam_nodes)
+    rows = _distinct_sorted(np.abs(eta_nodes))
+    sup = float(max(values.max() for _, values in _f_blocks(rows, lam_nodes)))
     corner_eta = max(abs(box.eta_min), abs(box.eta_max))
     sign_certificate(corner_eta, box.lam_min)
     corner = f_factored(corner_eta, box.lam_min)
     if sup > corner + REL_TOL * max(1.0, abs(corner)):
         raise CertificateViolation(
-            f"grid value {sup!r} at eta={eta}, lam={lam} exceeds the certified "
-            f"supremum {corner!r} at the corner eta={corner_eta}, lam={box.lam_min}"
+            f"grid value {sup!r} exceeds the certified supremum {corner!r} "
+            f"at the corner eta={corner_eta}, lam={box.lam_min}"
         )
 
     return SupremumReport(
         box=box,
         grid_shape=(int(grid[0]), int(grid[1])),
         sup_estimate=sup,
-        argmax=(eta, lam),
+        argmax=(-corner_eta if box.eta_min == -corner_eta else corner_eta, box.lam_min),
         skipped_eta_nodes=skipped,
     )

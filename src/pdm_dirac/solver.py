@@ -389,7 +389,7 @@ def _monotone_nonconstant(v: np.ndarray) -> bool:
 
 def bound_state_report(
     params: PhysicalParams,
-    disc: Optional[Discretization] = None,
+    disc: Discretization,
     potential: Optional[Callable[[np.ndarray], np.ndarray]] = None,
     edge: Optional[float] = None,
 ) -> DiscreteSpectrum:
@@ -409,8 +409,6 @@ def bound_state_report(
     :class:`DomainTooSmall`, while ``alpha * L < 10`` only warns
     (:class:`DomainResolutionWarning`) and sets ``domain_warning``.
     """
-    if disc is None:
-        disc = Discretization.for_params(params)
     if potential is not None and edge is None:
         raise ValueError("a custom potential needs an explicit continuum edge")
     h_alpha = disc.spacing * params.alpha
@@ -463,9 +461,17 @@ class ComparisonReport:
     analytic_entries: list[SpectrumEntry]
     analytic_failure: Optional[EvaluationError]   # why the closed-form side is missing
     numeric: DiscreteSpectrum
-    imaginary_levels_consistent: bool    # every Imaginary level has E^2 < 0 < min V_eff
-    real_levels_unbound: bool            # Real-classified radicands have no numeric state
-    consistent: bool
+    imaginary_levels_consistent: bool    # every Imaginary level has E^2 < min V_eff
+
+    @property
+    def real_levels_unbound(self) -> bool:
+        """Real-classified radicands have no numeric state: no candidate is localized."""
+        return self.numeric.empty_real_spectrum
+
+    @property
+    def consistent(self) -> bool:
+        """Both checks hold: no closed-form level contradicts the numeric scan."""
+        return self.imaginary_levels_consistent and self.real_levels_unbound
 
     @property
     def analytic_error(self) -> Optional[str]:
@@ -486,17 +492,19 @@ class ComparisonReport:
 
 def analytic_vs_numeric(
     params: PhysicalParams,
-    disc: Optional[Discretization] = None,
+    disc: Discretization,
     n_max: int = 5,
     potential: Optional[Callable[[np.ndarray], np.ndarray]] = None,
     edge: Optional[float] = None,
 ) -> ComparisonReport:
     """Juxtapose closed-form level classifications with the numeric scan.
 
-    Consistency means: every Imaginary-classified level has ``E^2 < 0 <
+    Consistency means: every Imaginary-classified level has ``E^2 <
     min(V_eff)`` on the grid, so it cannot belong to the numeric operator's
-    spectrum (Rayleigh bound); and every Real-classified radicand finds no
-    localized numeric state, i.e. the candidate set it suggests is empty.
+    spectrum (Rayleigh bound: T is positive definite, so every eigenvalue of
+    ``T/h^2 + diag(V_eff)`` lies strictly above ``min(V_eff)``); and every
+    Real-classified radicand finds no localized numeric state, i.e. the
+    candidate set it suggests is empty.
     At eta = 0 (:class:`EtaZeroDegenerate`, or :class:`EtaZeroSingular` where
     eta is 0 in doubles) and lambda = 0 (:class:`LambdaZero`) the analytic side
     is degenerate by construction, and a level energy may leave the double
@@ -513,17 +521,14 @@ def analytic_vs_numeric(
         analytic_failure = exc
     numeric = bound_state_report(params, disc, potential=potential, edge=edge)
     imag_ok = all(
-        entry.e_squared < 0.0 < numeric.v_eff_min
+        entry.e_squared < numeric.v_eff_min
         for entry in entries
         if entry.classification is Classification.IMAGINARY
     )
-    real_unbound = numeric.empty_real_spectrum
     return ComparisonReport(
         analytic_entries=entries,
         analytic_failure=analytic_failure,
         numeric=numeric,
         imaginary_levels_consistent=imag_ok,
-        real_levels_unbound=real_unbound,
-        consistent=imag_ok and real_unbound,
     )
 

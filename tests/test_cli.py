@@ -332,6 +332,19 @@ def test_verdict_confirming_run(tmp_path, capsys):
     assert doc["comparison"]["consistent"] is True
 
 
+@pytest.mark.parametrize("eta,lam", [("1", "1"), ("-1", "0.5")])
+def test_verdict_consistent_where_the_mass_vanishes(eta, lam, tmp_path, capsys):
+    # at |eta| = 1 tanh saturates on the grid, so min V_eff is exactly 0.0;
+    # every Imaginary level still lies below it (the Rayleigh bound)
+    out = tmp_path / "verdict.json"
+    rc, _, _ = run(["verdict", f"--eta={eta}", "--lambda", lam, "--out", str(out)], capsys)
+    assert rc == 0
+    doc = json.loads(out.read_text())
+    assert doc["comparison"]["numeric"]["v_eff_min"] == 0.0
+    assert doc["comparison"]["imaginary_levels_consistent"] is True
+    assert doc["comparison"]["consistent"] is True
+
+
 def _route_agreement_reference(box, seed):
     # the check as first written: three scalar draws per sample
     rng = np.random.default_rng(seed)
@@ -483,6 +496,11 @@ EXIT_CASES = [
     (["verdict", "--eta", "0.5", "--lambda", "1", "--grid", "3,3", "--box=0.9,1,1e-30,1e-3"],
      0, []),
     (["verdict", "--eta", "0.5", "--lambda", "1", "--grid", "3,3", "--box=-1,1,1e-20,1e-3"],
+     0, []),
+    # f underflows to -0.0 at |eta| = 1: the sign certificate still says Negative
+    (["verdict", "--eta", "0.5", "--lambda", "1", "--grid", "3,3", "--box=-1,1,1e-200,1e-3"],
+     0, []),
+    (["verdict", "--eta", "0.5", "--lambda", "1", "--grid", "3,3", "--box=-1,1,5e-324,1e-323"],
      0, []),
     (["spectrum", "--eta", "0.5", "--M0", "1e200", "--alpha", "1e200", "--n-max", "1"], 2,
      ["M0^2 is not a normal double"]),

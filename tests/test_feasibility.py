@@ -9,6 +9,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from pdm_dirac import (
+    ETA_ZERO_SNAP,
     REL_TOL,
     BothZero,
     Box,
@@ -316,15 +317,10 @@ def test_scan_deterministic():
 
 
 def test_scan_tie_break_prefers_negative_eta():
-    # f is even in eta, so (+1, lam) and (-1, lam) tie exactly; the scan
-    # must resolve the tie the same way regardless of evaluation order
+    # f is even in eta, so (+1, lam) and (-1, lam) tie exactly; the argmax is
+    # the corner's negative member
     report = supremum_scan(Box(-1.0, 1.0, 1.0, 1.0), grid=(5, 2))
-    assert report.argmax[0] == -1.0
-    # the one ranking: largest f, then smallest lambda, smallest |eta|, eta < 0
-    tied = [(0.5, 2.0, -1.0), (0.9, 1.0, -1.0), (-0.9, 1.0, -1.0), (0.7, 1.0, -1.0)]
-    assert sorted(tied, key=feasibility._rank) == [
-        (0.7, 1.0, -1.0), (-0.9, 1.0, -1.0), (0.9, 1.0, -1.0), (0.5, 2.0, -1.0)
-    ]
+    assert report.argmax == (-1.0, 1.0)
 
 
 def test_scan_sup_is_grid_maximum():
@@ -393,15 +389,12 @@ def test_scan_report_serialization():
     assert report.all_nodes_negative == (report.sup_estimate < 0.0)
 
 
-def _brute_force_max(eta_nodes, lam_nodes):
-    # every node with multiplicity, evaluated on its signed eta; the first in
-    # _rank order
-    values = feasibility._f_grid(eta_nodes, lam_nodes)
-    eta = np.repeat(eta_nodes, lam_nodes.size)
-    lam = np.tile(lam_nodes, eta_nodes.size)
-    f = values.ravel()
-    i = np.lexsort((eta, np.abs(eta), lam, -f))[0]
-    return float(eta[i]), float(lam[i]), float(f[i])
+def _every_node_max(box, grid):
+    # every kept node with multiplicity, evaluated on its signed eta at once
+    eta_nodes = np.linspace(box.eta_min, box.eta_max, grid[0])
+    eta_nodes = eta_nodes[np.abs(eta_nodes) > ETA_ZERO_SNAP]
+    lam_nodes = np.linspace(box.lam_min, box.lam_max, grid[1])
+    return float(feasibility._f_grid(eta_nodes, lam_nodes).max())
 
 
 SCAN_REFERENCE_CASES = [
@@ -416,6 +409,9 @@ SCAN_REFERENCE_CASES = [
     (Box(0.5, 0.5, 1.0, 2.0), (201, 3)),          # each eta node repeated 201 times
     (Box(-1.0, 1.0, 1e-3, 1e-2), (40, 41)),       # the maximum is a +-eta tie
     (Box(0.4, 0.6, 1.0, 2.0), (2, 2)),            # the smallest grid
+    # f at |eta| = 1 and at the next double below tie in floats: the argmax
+    # is the corner (-1, 2), not the tied node of smaller |eta|
+    (Box(-1.0, math.nextafter(1.0, 0.0), 2.0, 3.0), (2, 3)),
 ]
 
 
@@ -424,37 +420,16 @@ SCAN_REFERENCE_CASES = [
 def test_scan_matches_brute_force_reference(box, grid, block_nodes, monkeypatch):
     monkeypatch.setattr(feasibility, "_BLOCK_NODES", block_nodes)
     report = supremum_scan(box, grid=grid)
-    with monkeypatch.context() as patch:
-        patch.setattr(feasibility, "_grid_max", _brute_force_max)
-        reference = supremum_scan(box, grid=grid)
-    assert report.to_dict() == reference.to_dict()
+    assert report.sup_estimate == _every_node_max(box, grid)
+    corner = max(abs(box.eta_min), abs(box.eta_max))
+    assert report.argmax == (-corner if box.eta_min == -corner else corner, box.lam_min)
 
 
 def test_scan_tie_order_on_the_grid_maximum():
-    # f is even in eta: the maximum is the tied (-1, lam_min), (+1, lam_min)
-    # pair, and the negative member wins
-    eta_nodes = np.linspace(-1.0, 1.0, 40)
-    lam_nodes = np.linspace(1e-3, 1e-2, 41)
-    best = feasibility._grid_max(eta_nodes, lam_nodes)
-    assert best == (-1.0, lam_nodes[0], feasibility._f_grid(np.array([1.0]), lam_nodes[:1])[0, 0])
-    # every node ties: smallest lambda, then smallest |eta|
+    # every node of a 2001^2 grid ties: the argmax is the box's one point (the
+    # +-eta tie at the maximum is a reference case above)
     report = supremum_scan(Box(0.5, 0.5, 1.0, 1.0), grid=(2001, 2001))
     assert report.argmax == (0.5, 1.0)
-
-
-@pytest.mark.parametrize("block_nodes", [feasibility._BLOCK_NODES, 64])
-def test_scan_ties_everywhere_follow_rank(block_nodes, monkeypatch):
-    # a constant f: smallest lambda first, then smallest |eta|, negative first
-    monkeypatch.setattr(feasibility, "_BLOCK_NODES", block_nodes)
-    monkeypatch.setattr(
-        feasibility, "_f_grid", lambda eta, lam: np.full((eta.size, lam.size), -1.0)
-    )
-    eta_nodes = np.linspace(-1.0, 1.0, 40)
-    lam_nodes = np.linspace(1.0, 2.0, 7)
-    best = feasibility._grid_max(eta_nodes, lam_nodes)
-    assert best == _brute_force_max(eta_nodes, lam_nodes)
-    nearest = min(eta_nodes.tolist(), key=lambda eta: (abs(eta), eta))
-    assert best == (nearest, 1.0, -1.0)
 
 
 @pytest.mark.parametrize("box", [Box(-1.0, 1.0, 1e-3, 10.0), Box(0.5, 0.5, 1.0, 1.0)])
