@@ -622,7 +622,8 @@ def cmd_verdict(cfg: RunConfig) -> int:
     report["statement"] = statement
 
     _emit(cfg.out, [json.dumps(report, sort_keys=True, indent=2) + "\n"])
-    print(f"verdict: {statement}")
+    if cfg.out != "-":
+        print(f"verdict: {statement}")
     return status
 
 

@@ -251,8 +251,13 @@ class SupremumReport:
 
     @property
     def all_nodes_negative(self) -> bool:
-        """Every evaluated value is < 0 (the supremum is the largest of them)."""
-        return self.sup_estimate < 0.0
+        """Every evaluated value is < 0 (the supremum is the largest of them).
+
+        Read from the sign bit: where f underflows at |eta| = 1 the grid
+        maximum is -0.0, a negative f rounded to zero (every factor of the
+        product keeps its sign), not a zero of f.
+        """
+        return math.copysign(1.0, self.sup_estimate) < 0.0
 
     def to_dict(self) -> dict:
         return {
@@ -275,13 +280,29 @@ def _f_grid(eta_nodes: np.ndarray, lam_nodes: np.ndarray) -> np.ndarray:
     the block's size.  Where u^2 underflows (the scalar route's
     EtaZeroSingular) or f is not finite, InvalidBox is raised.
 
+    ``s = sqrt(lam^2 + (2 eta)^2)`` is a sum of squares and one square root,
+    where the scalar route calls ``math.hypot``: numpy runs ``np.hypot`` as a
+    libm call per element, with no SIMD path, which cost over a third of a
+    2001x2001 scan, and libm's last bit can differ between glibc versions.
+    Squaring, adding and ``sqrt`` are correctly rounded IEEE operations, so
+    the grid's bytes depend on neither libm nor numpy's CPU dispatch.  The
+    domain is that of hypot.  ``lam * lam`` overflows only where f does
+    (``|f| = lam (1/u - u) > lam^2 - lam``, as ``u < eta^2/lam``), and an
+    overflowed node has u = 0, so the box is refused.  Callers pass ``|eta| >
+    ETA_ZERO_SNAP``, so ``(2 eta)^2 >= 4e-24`` is a normal double, and where
+    ``lam * lam`` underflows it lies below half an ulp of it: s is ``2|eta|``
+    exactly, as hypot gives.  Elsewhere s is within an ulp of hypot's, and f
+    keeps its accuracy: against 90-digit mpmath, on ten seeds of the accuracy
+    test's draw, the largest relative error is 5.2e-16 with either s.
+
     Kept apart from :func:`f_factored`: each measured merge slowed the scan
     or the scalar routes (see ROADMAP.md).
     """
     a = np.abs(eta_nodes)[:, None]
     lam = lam_nodes[None, :]
     with np.errstate(all="ignore"):  # non-finite values are rejected below
-        s = np.hypot(lam, 2.0 * a)
+        s = (2.0 * a) * (2.0 * a) + lam * lam  # squared on the broadcast vectors
+        np.sqrt(s, out=s)
         values = s + 2.0 * a
         np.divide(lam, values, out=values)
         values *= lam

@@ -345,6 +345,24 @@ def test_verdict_consistent_where_the_mass_vanishes(eta, lam, tmp_path, capsys):
     assert doc["comparison"]["consistent"] is True
 
 
+def test_verdict_reads_an_underflowed_grid_maximum_as_negative(tmp_path, capsys):
+    # f underflows to -0.0 at |eta| = 1 on this box; the sign bit keeps f < 0
+    out = tmp_path / "verdict.json"
+    rc, _, _ = run(["verdict", "--eta", "0.5", "--lambda", "1", "--box=-1,1,1e-200,1e-3",
+                    "--grid", "3,3", "--out", str(out)], capsys)
+    assert rc == 0
+    sup = json.loads(out.read_text())["feasibility"]["supremum"]
+    assert repr(sup["sup_estimate"]) == "-0.0"
+    assert sup["all_nodes_negative"] is True
+
+
+def test_verdict_to_stdout_is_one_json_document(capsys):
+    rc, stdout, _ = run(["verdict", "--eta", "0.5", "--lambda", "1", "--box=-1,1,5e-324,1e-323",
+                         "--grid", "3,3", "--out", "-"], capsys)
+    assert rc == 0
+    assert json.loads(stdout)["statement"] == "SpectrumImaginaryOrEmpty"
+
+
 def _route_agreement_reference(box, seed):
     # the check as first written: three scalar draws per sample
     rng = np.random.default_rng(seed)
@@ -694,6 +712,51 @@ def test_scipy_loads_only_on_the_eigen_path(extra, status, tmp_path):
         assert "scipy.linalg" in loaded  # the control well diagonalizes
     else:
         assert loaded == []  # the model's Sturm count finds nothing below the edge
+
+
+_DISPATCH_PROBE = """
+import sys
+from pdm_dirac.cli import main
+runs = {
+    "surface.csv": ["surface", "--grid", "201,201", "--box=-0.9,0.95,1e-3,7"],
+    "verdict.json": ["verdict", "--eta", "0.5", "--lambda", "1", "--grid", "401,401"],
+}
+for name, argv in runs.items():
+    status = main([*argv, "--out", name])
+    if status != 0:
+        sys.exit(f"{argv[0]} exited {status}")
+"""
+
+
+def _dispatch_levels():
+    """``NPY_DISABLE_CPU_FEATURES`` values, one per SIMD level this host runs:
+    all of its dispatch targets, none of AVX512 (numpy 2's ``X86_V4`` and the
+    ``AVX512_*`` targets, numpy 1.x's ``AVX512F``, ``AVX512_SKX``, ...), and
+    numpy's baseline alone."""
+    try:
+        from numpy._core import _multiarray_umath as umath
+    except ImportError:  # numpy 1.x
+        from numpy.core import _multiarray_umath as umath
+    targets = [t for t in umath.__cpu_dispatch__ if umath.__cpu_features__.get(t)]
+    avx512 = [t for t in targets if t.startswith("AVX512") or t == "X86_V4"]
+    return list(dict.fromkeys(["", " ".join(avx512), " ".join(targets)]))
+
+
+def test_grid_outputs_do_not_depend_on_simd_dispatch(tmp_path):
+    # numpy picks its tanh and cosh kernels from the CPU; f on grids uses only
+    # correctly rounded IEEE operations, so surface and the model verdict at
+    # the default L (where tanh saturates) keep their bytes at every level
+    levels = _dispatch_levels()
+    if len(levels) == 1:
+        pytest.skip("this host has no numpy SIMD level above the baseline to compare with")
+    for i, disabled in enumerate(levels):
+        (tmp_path / str(i)).mkdir()  # the verdict records its --out path
+        env = dict(_fresh_env(), NPY_DISABLE_CPU_FEATURES=disabled)
+        subprocess.run([sys.executable, "-c", _DISPATCH_PROBE], env=env, cwd=tmp_path / str(i),
+                       capture_output=True, timeout=120, check=True)
+    for name in ("surface.csv", "verdict.json"):
+        outputs = {(tmp_path / str(i) / name).read_bytes() for i in range(len(levels))}
+        assert len(outputs) == 1, f"{name} differs across dispatch levels {levels}"
 
 
 @pytest.mark.parametrize("eta,alpha,slice_count", [("0.01", "0.01", 441), ("0.1", "0.02", 109)])

@@ -1,6 +1,7 @@
 """Two-route evaluation of the feasibility surface, sign certificate, scans."""
 
 import math
+import sys
 import tracemalloc
 
 import numpy as np
@@ -203,6 +204,40 @@ def test_both_evaluators_relative_accuracy_against_mpmath():
                 assert abs((got - ref) / ref) <= 2e-15
 
 
+# lambda where lam*lam reaches DBL_MAX; at |eta| = 1, f is about -lam^2
+LAM_SQUARE_EDGE = 1.3407807929942596e154
+
+
+def test_grid_range_ends_where_lambda_squared_overflows():
+    # the grid squares lambda itself: |f| > lam^2 - lam, so f leaves the
+    # double range no later than lam*lam does, and the edge stays where it was
+    # with hypot; an overflowed lam*lam makes u = 0, so the whole grid is refused
+    value = feasibility._f_grid(np.array([1.0]), np.array([LAM_SQUARE_EDGE]))[0, 0]
+    assert -math.inf < value < 0.0
+    for lam in (math.nextafter(LAM_SQUARE_EDGE, math.inf), 1e200, 1.7e308):
+        for etas, lam_nodes in (([1.0], [lam]), ([-1.0, 1e-12, 0.5, 1.0], [1.0, lam])):
+            with pytest.raises(InvalidBox):
+                feasibility._f_grid(np.array(etas), np.array(lam_nodes))
+
+
+@pytest.mark.parametrize("lam,eta", [
+    *[(lam, eta) for lam in (5e-324, 1e-200) for eta in (1e-150, -1e-100, 1e-17)],
+    *[(1e-200, eta) for eta in (0.5, -(1.0 - 1e-9), 1e-12)],
+    *[(lam, eta) for lam in (1e100, 1e150) for eta in (1.0, -0.5, 0.1)],
+])
+def test_grid_accuracy_at_the_ends_of_lambda(lam, eta):
+    # lam*lam underflows at the small end, so s is exactly 2|eta| there, as
+    # hypot gives; the reference carries enough digits for u^2 - eta^2 = -lam u
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(400):
+        e, l = mp.mpf(eta), mp.mpf(lam)
+        u = 2 * e * e / (l + mp.sqrt(l * l + 4 * e * e))
+        ref = (1 - u * u) * (u * u - e * e) / (u * u)
+        assert abs(ref) >= sys.float_info.min  # a normal double: relative error is meaningful
+        for got in (f_factored(eta, lam), feasibility._f_grid(np.array([eta]), np.array([lam]))[0, 0]):
+            assert abs((got - ref) / ref) <= 2e-15
+
+
 def test_feasibility_inequality_reference_points():
     # the margin is the ground level's E_0^2; Real or ZeroThreshold would
     # satisfy the inequality
@@ -239,6 +274,19 @@ def test_f_monotone_in_eta_and_lambda(a1, a2, lam1, lam2, negative):
     for a in (a1, a2):
         upper = f_factored(sign * a, lam1)
         assert f_factored(a, lam2) <= upper + math.ulp(upper)
+
+
+@PROPERTY
+@given(st.floats(-12.0, 0.0), st.floats(-300.0, 130.0), st.booleans())
+def test_grid_agrees_with_the_scalar_route(log_a, log_lam, negative):
+    # |eta| from ETA_ZERO_SNAP to 1, as the scans and surface pass it; f stays a
+    # normal double on the whole range.  The grid's sqrt of a sum and the scalar
+    # route's hypot differ by an ulp at most; the surface test uses the same bound.
+    eta = (-1.0 if negative else 1.0) * 10.0**log_a
+    lam = 10.0**log_lam
+    scalar = f_factored(eta, lam)
+    grid = feasibility._f_grid(np.array([eta]), np.array([lam]))[0, 0]
+    assert abs(grid - scalar) <= 1e-14 * abs(scalar)
 
 
 # --- supremum scan ----------------------------------------------------------
