@@ -362,7 +362,12 @@ def supremum_scan(box: Box, grid: tuple[int, int] = (101, 101)) -> SupremumRepor
     recorded; a box whose every eta node collapses there raises
     :class:`BoxIncludesEtaZero`.  f depends on eta only through |eta|, so it
     is evaluated once per distinct |eta| row, in the row blocks of
-    :func:`_f_blocks`, and the grid is never held whole.  The reported
+    :func:`_f_blocks`, and the grid is never held whole.  A symmetric box
+    (``eta_min == -eta_max``) has its lower-half eta nodes set to the exact
+    negatives of the upper half (the middle node of an odd count stays), so
+    every mirror pair is one row: ``np.linspace(-1, 1, 2001)`` rounds mirror
+    nodes apart, and only 572 of its 1000 pairs collapsed.  ``surface`` keeps
+    plain ``np.linspace`` nodes, since its rows are an output.  The reported
     supremum is the grid maximum; the reported argmax is the certified corner,
     its negative member when ``eta_min == -max|eta|``.  A grid maximum above
     the scalar corner value by more than ``REL_TOL * max(1, |f|)`` contradicts
@@ -377,9 +382,11 @@ def supremum_scan(box: Box, grid: tuple[int, int] = (101, 101)) -> SupremumRepor
         )
 
     eta_all = np.linspace(box.eta_min, box.eta_max, grid[0])
-    eta_all[np.abs(eta_all) <= ETA_ZERO_SNAP] = 0.0
-    keep = eta_all != 0.0
-    skipped = [float(v) for v in np.linspace(box.eta_min, box.eta_max, grid[0])[~keep]]
+    if box.eta_min == -box.eta_max:
+        half = grid[0] // 2
+        eta_all[:half] = -eta_all[::-1][:half]
+    keep = np.abs(eta_all) > ETA_ZERO_SNAP
+    skipped = [float(v) for v in eta_all[~keep]]
     eta_nodes = eta_all[keep]
     if eta_nodes.size == 0:
         raise BoxIncludesEtaZero(

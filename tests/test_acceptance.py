@@ -91,7 +91,7 @@ def test_criterion_03_negativity_scan(capsys):
     t0 = time.perf_counter()
     grid_n = 801
     box = Box(-1.0, 1.0, 1e-3, 10.0)
-    scan = supremum_scan(box, grid=(grid_n, grid_n))  # single-threaded default
+    scan = supremum_scan(box, grid=(grid_n, grid_n))
     # certify the sign at every grid node, not just the float maximum
     eta_nodes = [float(e) for e in np.linspace(-1.0, 1.0, grid_n) if abs(e) > 1e-12]
     lam_nodes = [float(l) for l in np.linspace(1e-3, 10.0, grid_n)]

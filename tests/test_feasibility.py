@@ -473,6 +473,55 @@ def test_scan_matches_brute_force_reference(box, grid, block_nodes, monkeypatch)
     assert report.argmax == (-corner if box.eta_min == -corner else corner, box.lam_min)
 
 
+def _scan_rows(box, eta_count, monkeypatch):
+    rows = []
+    f_grid = feasibility._f_grid
+
+    def counting(eta, lam):
+        rows.append(eta.size)
+        return f_grid(eta, lam)
+
+    monkeypatch.setattr(feasibility, "_f_grid", counting)
+    supremum_scan(box, grid=(eta_count, 3))
+    return sum(rows)
+
+
+@pytest.mark.parametrize("eta_count,rows", [(201, 100), (2001, 1000), (200, 100), (2000, 1000)])
+def test_symmetric_scan_evaluates_one_row_per_mirror_pair(eta_count, rows, monkeypatch):
+    # np.linspace(-1, 1, 2001) rounds mirror nodes apart: 1428 distinct |eta|
+    assert _scan_rows(Box(-1.0, 1.0, 1e-3, 10.0), eta_count, monkeypatch) == rows
+
+
+@pytest.mark.parametrize("eta_count", [27, 201, 2000])
+def test_asymmetric_scan_keeps_the_linspace_nodes(eta_count, monkeypatch):
+    box = Box(-0.4, 0.9, 1e-3, 3.0)
+    eta = np.linspace(box.eta_min, box.eta_max, eta_count)
+    distinct = np.unique(np.abs(eta[np.abs(eta) > ETA_ZERO_SNAP])).size
+    assert _scan_rows(box, eta_count, monkeypatch) == distinct
+
+
+@PROPERTY
+@given(
+    st.floats(1e-3, 1.0), st.floats(1e-6, 10.0), st.floats(1e-6, 10.0),
+    st.integers(2, 401), st.integers(2, 401),
+)
+def test_symmetric_scan_reports_what_every_linspace_node_gives(
+    eta_max, lam_a, lam_b, eta_count, lam_count
+):
+    # the mirrored eta axis moves no output byte against the plain np.linspace grid
+    box = Box(-eta_max, eta_max, min(lam_a, lam_b), max(lam_a, lam_b))
+    grid = (eta_count, lam_count)
+    eta = np.linspace(box.eta_min, box.eta_max, eta_count)
+    reference = feasibility.SupremumReport(
+        box=box,
+        grid_shape=grid,
+        sup_estimate=_every_node_max(box, grid),
+        argmax=(-eta_max, box.lam_min),
+        skipped_eta_nodes=[float(v) for v in eta[np.abs(eta) <= ETA_ZERO_SNAP]],
+    )
+    assert supremum_scan(box, grid=grid).to_dict() == reference.to_dict()
+
+
 def test_scan_tie_order_on_the_grid_maximum():
     # every node of a 2001^2 grid ties: the argmax is the box's one point (the
     # +-eta tie at the maximum is a reference case above)
