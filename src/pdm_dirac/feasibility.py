@@ -24,12 +24,19 @@ level index n: the same factorization gives every level's ``E_n^2 / M0^2``.
 
 No route returns a non-finite f: where f leaves the double range, the scalar
 routes raise :class:`EvaluationError` and the grid evaluator :class:`InvalidBox`.
+
+The supremum scan splits its grid rows across ``W = min(usable CPUs, row
+blocks, 4)`` threads.  Nothing sets W but the host and the grid, the report
+does not record it, and its bytes do not depend on it: every node is the same
+elementwise IEEE arithmetic in any block, and a maximum is exact.
 """
 
 from __future__ import annotations
 
 import enum
 import math
+import os
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -61,8 +68,14 @@ __all__ = [
 ]
 
 # grid nodes evaluated at once (scan and surface): a block and its temporaries
-# (about 1.5 MiB) stay in cache, where the whole grid streamed through memory
+# (about 1.5 MiB) stay in cache, where the whole grid streamed through memory.
+# Each scan worker holds one block at a time (see _grid_max).
 _BLOCK_NODES = 1 << 16
+
+# most scan workers: four blocks keep a 2001^2 scan near 6.2 MiB traced, and
+# on a 2-core host more workers than cores were slower (a 2001^2 scan took
+# 26.2 ms at 4 workers, 20.1 at 2; BENCH_16.json)
+_MAX_WORKERS = 4
 
 
 class SignVerdict(str, enum.Enum):
@@ -345,6 +358,65 @@ def _f_blocks(eta_rows: np.ndarray, lam_nodes: np.ndarray):
         yield rows, _f_grid(rows, lam_nodes)
 
 
+def _usable_cpus() -> int:
+    """CPUs this process may run on: its affinity set, else the CPU count."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _grid_max(rows: np.ndarray, lam_nodes: np.ndarray) -> float:
+    """Largest f on the ``rows x lam_nodes`` grid, its rows split across cores.
+
+    The sorted rows are cut into ``W = min(usable CPUs, blocks, _MAX_WORKERS)``
+    contiguous parts of equal size (``np.array_split``).  Part 0 runs on the
+    calling thread and parts 1..W-1 on one ``threading.Thread`` each; numpy
+    releases the interpreter lock inside the block arithmetic.  Each part runs
+    :func:`_f_blocks` over its rows, so each worker holds one block at a time.
+    At W = 1 this is the serial loop over every block.
+
+    The result does not depend on W: each node's value is elementwise IEEE
+    arithmetic on its own row and column, whatever block holds the row, and
+    the maximum of the part maxima is exact.  No node is +0.0 or NaN (f keeps
+    the sign of ``-lam``, and :func:`_f_grid` refuses non-finite values), so
+    no tie between signed zeros makes the maximum depend on order.  Every
+    thread is joined before the call returns or raises; when parts fail, the
+    exception of the lowest-index one is raised.
+
+    Workers call private functions only: a public one could be wrapped by a
+    caller's tracer, which would then see calls from several threads.
+    """
+    rows_per_block = max(1, _BLOCK_NODES // lam_nodes.size)
+    blocks = -(-rows.size // rows_per_block)
+    parts = np.array_split(rows, min(_usable_cpus(), blocks, _MAX_WORKERS))
+
+    def part_max(part: np.ndarray) -> float:
+        return float(max(values.max() for _, values in _f_blocks(part, lam_nodes)))
+
+    outcomes: list = [None] * len(parts)
+
+    def worker(index: int) -> None:
+        try:
+            outcomes[index] = part_max(parts[index])
+        except BaseException as exc:  # re-raised on the calling thread below
+            outcomes[index] = exc
+
+    started = []
+    try:
+        for index in range(1, len(parts)):
+            thread = threading.Thread(target=worker, args=(index,))
+            thread.start()
+            started.append(thread)
+        outcomes[0] = part_max(parts[0])
+    finally:
+        for thread in started:
+            thread.join()
+    for outcome in outcomes:
+        if isinstance(outcome, BaseException):
+            raise outcome
+    return max(outcomes)
+
+
 def supremum_scan(box: Box, grid: tuple[int, int] = (101, 101)) -> SupremumReport:
     """Supremum of f over the box: the certified corner, cross-checked on a grid.
 
@@ -362,7 +434,12 @@ def supremum_scan(box: Box, grid: tuple[int, int] = (101, 101)) -> SupremumRepor
     recorded; a box whose every eta node collapses there raises
     :class:`BoxIncludesEtaZero`.  f depends on eta only through |eta|, so it
     is evaluated once per distinct |eta| row, in the row blocks of
-    :func:`_f_blocks`, and the grid is never held whole.  A symmetric box
+    :func:`_f_blocks`, and the grid is never held whole.  :func:`_grid_max`
+    splits those rows into ``W = min(usable CPUs, blocks, 4)`` contiguous
+    parts, one thread each, so a worker holds one block at a time; a grid of
+    one block stays on the calling thread.  The report does not record W and
+    its bytes do not depend on it: a node's value does not depend on the
+    block that holds its row, and the maximum is exact.  A symmetric box
     (``eta_min == -eta_max``) has its lower-half eta nodes set to the exact
     negatives of the upper half (the middle node of an odd count stays), so
     every mirror pair is one row: ``np.linspace(-1, 1, 2001)`` rounds mirror
@@ -396,7 +473,7 @@ def supremum_scan(box: Box, grid: tuple[int, int] = (101, 101)) -> SupremumRepor
         lam_nodes = np.linspace(box.lam_min, box.lam_max, grid[1])
 
     rows = _distinct_sorted(np.abs(eta_nodes))
-    sup = float(max(values.max() for _, values in _f_blocks(rows, lam_nodes)))
+    sup = _grid_max(rows, lam_nodes)
     corner_eta = max(abs(box.eta_min), abs(box.eta_max))
     sign_certificate(corner_eta, box.lam_min)
     corner = f_factored(corner_eta, box.lam_min)

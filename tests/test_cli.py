@@ -841,6 +841,22 @@ def test_grid_above_certified_corner_lands_in_error_trail(monkeypatch, tmp_path,
     assert doc["statement"] == "Inconclusive"
 
 
+def test_scan_failure_trail_does_not_depend_on_the_worker_count(monkeypatch, tmp_path, capsys):
+    # 400 x 2001 is 13 row blocks, and every row overflows at lambda = 1e160
+    args = ["verdict", "--eta", "0.5", "--lambda", "1", "--box=0.1,0.9,1e150,1e160",
+            "--grid", "400,2001"]
+    trails = []
+    for cpus in (1, 2):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid, n=cpus: set(range(n)),
+                            raising=False)
+        out = tmp_path / f"verdict-{cpus}.json"
+        rc, _, _ = run(args + ["--out", str(out)], capsys)
+        assert rc == 4
+        trails.append(json.dumps(json.loads(out.read_text())["error_trail"]))
+    assert trails[0] == trails[1]
+    assert "feasibility: InvalidBox: f is not finite on the box" in trails[0]
+
+
 def test_dstein_failure_lands_in_error_trail(monkeypatch, tmp_path, capsys):
     def failing_dstein(d, e, w, iblock, isplit):
         return np.zeros((d.size, w.size), order="F"), 1

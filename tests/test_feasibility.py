@@ -1,7 +1,10 @@
 """Two-route evaluation of the feasibility surface, sign certificate, scans."""
 
 import math
+import os
 import sys
+import threading
+import time
 import tracemalloc
 
 import numpy as np
@@ -412,14 +415,16 @@ def test_scan_grid_below_corner_is_reported(monkeypatch):
     assert report.sup_estimate == f_grid(np.array([1.0]), np.array([1e-3]))[0, 0] - 1.0
 
 
+# (21, 21) is one block; (401, 2001) is 200 rows of 32 per block, so 7 blocks
+@pytest.mark.parametrize("grid", [(21, 21), (401, 2001)])
 @pytest.mark.parametrize("lift", [0.5, -1.0])
-def test_scan_grid_above_corner_raises(lift, monkeypatch):
+def test_scan_grid_above_corner_raises(lift, grid, monkeypatch):
     # halving f lifts every node toward 0; negating it makes every node
     # positive.  Either contradicts the certified corner.
     f_grid = feasibility._f_grid
     monkeypatch.setattr(feasibility, "_f_grid", lambda eta, lam: lift * f_grid(eta, lam))
     with pytest.raises(CertificateViolation, match="exceeds the certified supremum"):
-        supremum_scan(Box(-1.0, 1.0, 1e-3, 10.0), grid=(21, 21))
+        supremum_scan(Box(-1.0, 1.0, 1e-3, 10.0), grid=grid)
 
 
 def test_scan_report_serialization():
@@ -471,6 +476,97 @@ def test_scan_matches_brute_force_reference(box, grid, block_nodes, monkeypatch)
     assert report.sup_estimate == _every_node_max(box, grid)
     corner = max(abs(box.eta_min), abs(box.eta_max))
     assert report.argmax == (-corner if box.eta_min == -corner else corner, box.lam_min)
+
+
+def _use_cpus(monkeypatch, cpus):
+    # the usable-CPU count the scan reads from the affinity set
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+
+
+@pytest.mark.parametrize("cpus", [2, 3, 4, 8])
+@pytest.mark.parametrize("box,grid", SCAN_REFERENCE_CASES)
+def test_scan_report_does_not_depend_on_the_worker_count(box, grid, cpus, monkeypatch):
+    monkeypatch.setattr(feasibility, "_BLOCK_NODES", 64)
+    _use_cpus(monkeypatch, 1)
+    serial = supremum_scan(box, grid=grid).to_dict()
+    _use_cpus(monkeypatch, cpus)
+    assert supremum_scan(box, grid=grid).to_dict() == serial
+
+
+def test_scan_workers_under_fast_thread_switching(monkeypatch):
+    # four workers on any host, switching threads every microsecond: each
+    # writes only its own outcome slot, so no part maximum may be lost
+    monkeypatch.setattr(feasibility, "_BLOCK_NODES", 64)
+    box, grid = Box(-1.0, 1.0, 1e-3, 10.0), (201, 64)
+    _use_cpus(monkeypatch, 1)
+    serial = supremum_scan(box, grid=grid).to_dict()
+    _use_cpus(monkeypatch, 8)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        reports = [supremum_scan(box, grid=grid).to_dict() for _ in range(20)]
+    finally:
+        sys.setswitchinterval(interval)
+    assert all(report == serial for report in reports)
+
+
+# (usable CPUs, or None where os.cpu_count() cannot tell; whether the
+#  affinity set exists; grid, with 64 lambda nodes one row per 64-node block;
+#  threads that evaluate f)
+@pytest.mark.parametrize("cpus,affinity,grid,workers", [
+    (1, True, (8, 64), 1),
+    (2, True, (8, 64), 2),
+    (3, True, (8, 64), 3),
+    (8, True, (8, 64), 4),    # the cap
+    (8, True, (3, 64), 3),    # no more workers than blocks
+    (8, True, (2, 32), 1),    # one block stays on the calling thread
+    (3, False, (8, 64), 3),   # no sched_getaffinity: os.cpu_count()
+    (None, False, (8, 64), 1),
+])
+def test_scan_worker_count(cpus, affinity, grid, workers, monkeypatch):
+    monkeypatch.setattr(feasibility, "_BLOCK_NODES", 64)
+    box = Box(0.1, 0.9, 1e-3, 10.0)
+    _use_cpus(monkeypatch, 1)
+    serial = supremum_scan(box, grid=grid).to_dict()
+    if affinity:
+        _use_cpus(monkeypatch, cpus)
+    else:
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+    seen = set()
+    f_grid = feasibility._f_grid
+
+    def recording(eta, lam):
+        seen.add(threading.current_thread())
+        return f_grid(eta, lam)
+
+    monkeypatch.setattr(feasibility, "_f_grid", recording)
+    assert supremum_scan(box, grid=grid).to_dict() == serial
+    assert len(seen) == workers
+    assert threading.current_thread() in seen
+
+
+# 40 rows of one block each, four parts of 10 rows; the parts listed raise
+@pytest.mark.parametrize("failing,raised", [((3,), 3), ((1, 3), 1), ((0, 2), 0)])
+def test_scan_failure_in_a_part_is_raised_after_every_join(failing, raised, monkeypatch):
+    monkeypatch.setattr(feasibility, "_BLOCK_NODES", 64)
+    _use_cpus(monkeypatch, 4)
+    box, grid = Box(0.1, 0.9, 1e-3, 10.0), (40, 64)
+    parts = np.array_split(np.linspace(box.eta_min, box.eta_max, grid[0]), 4)
+    f_grid = feasibility._f_grid
+
+    def failing_grid(eta, lam):
+        for index in failing:
+            if eta[0] in parts[index]:
+                raise InvalidBox(f"part {index}")
+        time.sleep(0.002)  # the other parts still run when a part fails
+        return f_grid(eta, lam)
+
+    monkeypatch.setattr(feasibility, "_f_grid", failing_grid)
+    before = threading.active_count()
+    with pytest.raises(InvalidBox, match=f"^part {raised}$"):
+        supremum_scan(box, grid=grid)
+    assert threading.active_count() == before
 
 
 def _scan_rows(box, eta_count, monkeypatch):
@@ -529,9 +625,13 @@ def test_scan_tie_order_on_the_grid_maximum():
     assert report.argmax == (0.5, 1.0)
 
 
+# cpus = 8 forces the cap of four workers, each holding a block, on any host
+@pytest.mark.parametrize("cpus", [None, 8])
 @pytest.mark.parametrize("box", [Box(-1.0, 1.0, 1e-3, 10.0), Box(0.5, 0.5, 1.0, 1.0)])
-def test_scan_memory_stays_block_sized(box):
+def test_scan_memory_stays_block_sized(box, cpus, monkeypatch):
     # a whole 2001^2 grid of doubles is 30.5 MiB; one block is 0.5 MiB
+    if cpus is not None:
+        _use_cpus(monkeypatch, cpus)
     tracemalloc.start()
     try:
         supremum_scan(box, grid=(2001, 2001))
