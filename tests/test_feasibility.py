@@ -415,16 +415,25 @@ def test_scan_grid_below_corner_is_reported(monkeypatch):
     assert report.sup_estimate == f_grid(np.array([1.0]), np.array([1e-3]))[0, 0] - 1.0
 
 
-# (21, 21) is one block; (401, 2001) is 200 rows of 32 per block, so 7 blocks
-@pytest.mark.parametrize("grid", [(21, 21), (401, 2001)])
-@pytest.mark.parametrize("lift", [0.5, -1.0])
-def test_scan_grid_above_corner_raises(lift, grid, monkeypatch):
+def _assert_grid_above_corner_raises(lift, grid, monkeypatch):
     # halving f lifts every node toward 0; negating it makes every node
     # positive.  Either contradicts the certified corner.
     f_grid = feasibility._f_grid
     monkeypatch.setattr(feasibility, "_f_grid", lambda eta, lam: lift * f_grid(eta, lam))
     with pytest.raises(CertificateViolation, match="exceeds the certified supremum"):
         supremum_scan(Box(-1.0, 1.0, 1e-3, 10.0), grid=grid)
+
+
+@pytest.mark.parametrize("lift", [0.5, -1.0])
+def test_scan_grid_above_corner_raises(lift, monkeypatch):
+    # (21, 21) is one block
+    _assert_grid_above_corner_raises(lift, (21, 21), monkeypatch)
+
+
+@pytest.mark.parametrize("lift", [0.5, -1.0])
+def test_scan_grid_above_corner_raises_multi_block(lift, monkeypatch):
+    # (401, 2001) is 200 rows of 32 per block, so 7 blocks
+    _assert_grid_above_corner_raises(lift, (401, 2001), monkeypatch)
 
 
 def test_scan_report_serialization():
@@ -625,13 +634,23 @@ def test_scan_tie_order_on_the_grid_maximum():
     assert report.argmax == (0.5, 1.0)
 
 
-# cpus = 8 forces the cap of four workers, each holding a block, on any host
-@pytest.mark.parametrize("cpus", [None, 8])
-@pytest.mark.parametrize("box", [Box(-1.0, 1.0, 1e-3, 10.0), Box(0.5, 0.5, 1.0, 1.0)])
-def test_scan_memory_stays_block_sized(box, cpus, monkeypatch):
+MEMORY_BOXES = [Box(-1.0, 1.0, 1e-3, 10.0), Box(0.5, 0.5, 1.0, 1.0)]
+
+
+@pytest.mark.parametrize("box", MEMORY_BOXES)
+def test_scan_memory_stays_block_sized(box):
+    _assert_scan_memory_stays_block_sized(box)
+
+
+# 8 usable cpus force the cap of four workers, each holding a block, on any host
+@pytest.mark.parametrize("box", MEMORY_BOXES)
+def test_scan_memory_stays_block_sized_at_the_worker_cap(box, monkeypatch):
+    _use_cpus(monkeypatch, 8)
+    _assert_scan_memory_stays_block_sized(box)
+
+
+def _assert_scan_memory_stays_block_sized(box):
     # a whole 2001^2 grid of doubles is 30.5 MiB; one block is 0.5 MiB
-    if cpus is not None:
-        _use_cpus(monkeypatch, cpus)
     tracemalloc.start()
     try:
         supremum_scan(box, grid=(2001, 2001))
