@@ -18,10 +18,11 @@ check in ``_KEYS`` (type, count, range) that its value passes whether it came
 from a flag or from a config document; a flag overrides the config key.  A
 value that fails its check, a config key the subcommand does not take, and
 flag text the parser cannot read exit 2 with
-:class:`~pdm_dirac.errors.ConfigKeyError`.  Every subcommand parser keeps
-its name and help line, but only the one that ``argv[0]`` names gets its
-arguments; when ``argv[0]`` names none (``--help``, a typo, no argv) all of
-them do, so help and error text are those of the full parser.
+:class:`~pdm_dirac.errors.ConfigKeyError`.  A run builds only the parser of
+the subcommand that ``argv[0]`` names, and reports leftover arguments as the
+full parser does; when ``argv[0]`` names none (``--help``, a typo, no argv)
+the full parser reads it.  Help text, error text and exit status are those
+of the full parser either way.
 
 All file output is deterministic byte-for-byte for a fixed config: floats are
 written with 17 significant digits, lines end with LF, and files appear
@@ -90,7 +91,9 @@ __all__ = ["main", "RunConfig", "resolve_config"]
 _SIG = ".17g"
 _SLOT = "%" + _SIG  # writes a float as _fmt does; a table row is one % over its values
 
-# The level table is built row by row; this keeps it to about a second.
+# Level table rows (n = 0..n_max), each classified and formatted on its own:
+# the ceiling bounds the table at 100,001 rows, which a fresh `spectrum` run
+# writes in about 1.2 s and a fresh `verdict` in about 3 s (2 cores).
 _N_MAX_CEILING = 100_000
 # Solver and sampling points: each costs several doubles of memory, so an
 # unbounded N ends in a MemoryError.  Tests and benchmark use at most 16000.
@@ -304,13 +307,38 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigKeyError(f"{self.prog}: {message}")
 
 
-def _build_parser(argv: Optional[Sequence[str]] = None) -> argparse.ArgumentParser:
-    """The parser for ``argv``: every subcommand keeps its name and help line,
-    but only the one that ``argv[0]`` names gets its arguments.  When
-    ``argv[0]`` names none (``--help``, a typo, no argv at all) every
-    subcommand gets them, so help and error output are those of the full
-    parser."""
-    invoked = argv[0] if argv and argv[0] in _SUBCOMMANDS else None
+def _add_arguments(parser: argparse.ArgumentParser, spec: _Subcommand) -> None:
+    """Give ``parser`` the flags of the subcommand that ``spec`` declares."""
+    if spec.params:
+        parser.add_argument("--M0", type=float, default=None, help="mass scale (default 1)")
+        parser.add_argument("--eta", type=float, default=None, help="step depth, |eta| <= 1")
+        parser.add_argument("--alpha", type=float, default=None, help="step steepness")
+        parser.add_argument("--lambda", dest="lam", type=float, default=None,
+                            help="dimensionless steepness alpha/M0 (alternative to --alpha)")
+    parser.add_argument("--config", type=str, default=None,
+                        help="JSON config document (exclusive with parameter flags)")
+    parser.add_argument("--dump-config", action="store_true",
+                        help="print the resolved config as JSON and exit")
+    helps = {
+        "out": f"output path ('-' for stdout; default {spec.out})",
+        "format": f"output format: {', '.join(spec.formats)} (default {spec.formats[0]})",
+        **spec.flags,
+    }
+    for key, text in helps.items():
+        read = _KEYS[key][0]
+        kind = {"action": "store_true"} if read is None else {"type": read}
+        parser.add_argument("--" + key.replace("_", "-"), dest=key, default=None, help=text,
+                            **kind)
+
+
+def _build_parser(name: Optional[str] = None) -> argparse.ArgumentParser:
+    """The parser of subcommand ``name`` alone, as the full parser's subparser
+    for it would be, or with no ``name`` the full parser: ``pdm-dirac`` with
+    one subparser per subcommand."""
+    if name is not None:
+        parser = _Parser(prog=f"pdm-dirac {name}")
+        _add_arguments(parser, _SUBCOMMANDS[name])
+        return parser
     parser = _Parser(
         prog="pdm-dirac",
         description="Spectral feasibility checks for a smooth-step "
@@ -318,29 +346,25 @@ def _build_parser(argv: Optional[Sequence[str]] = None) -> argparse.ArgumentPars
     )
     sub = parser.add_subparsers(dest="subcommand", required=True)
     for name, spec in _SUBCOMMANDS.items():
-        p = sub.add_parser(name, help=spec.help)
-        if invoked not in (None, name):
-            continue
-        if spec.params:
-            p.add_argument("--M0", type=float, default=None, help="mass scale (default 1)")
-            p.add_argument("--eta", type=float, default=None, help="step depth, |eta| <= 1")
-            p.add_argument("--alpha", type=float, default=None, help="step steepness")
-            p.add_argument("--lambda", dest="lam", type=float, default=None,
-                           help="dimensionless steepness alpha/M0 (alternative to --alpha)")
-        p.add_argument("--config", type=str, default=None,
-                       help="JSON config document (exclusive with parameter flags)")
-        p.add_argument("--dump-config", action="store_true",
-                       help="print the resolved config as JSON and exit")
-        helps = {
-            "out": f"output path ('-' for stdout; default {spec.out})",
-            "format": f"output format: {', '.join(spec.formats)} (default {spec.formats[0]})",
-            **spec.flags,
-        }
-        for key, text in helps.items():
-            read = _KEYS[key][0]
-            kind = {"action": "store_true"} if read is None else {"type": read}
-            p.add_argument("--" + key.replace("_", "-"), dest=key, default=None, help=text, **kind)
+        _add_arguments(sub.add_parser(name, help=spec.help), spec)
     return parser
+
+
+def _parse_args(argv: Sequence[str]) -> argparse.Namespace:
+    """Read ``argv`` as the full parser reads it, building only the parser it uses.
+
+    When ``argv[0]`` names a subcommand, the full parser would hand the rest
+    to that subcommand's parser and report what is left over itself; this
+    does the same with the subcommand's parser alone.  Otherwise (``--help``,
+    a typo, no argv) the full parser reads it.
+    """
+    if not argv or argv[0] not in _SUBCOMMANDS:
+        return _build_parser().parse_args(argv)
+    ns, extra = _build_parser(argv[0]).parse_known_args(argv[1:])
+    if extra:
+        raise ConfigKeyError(f"pdm-dirac: unrecognized arguments: {' '.join(extra)}")
+    ns.subcommand = argv[0]
+    return ns
 
 
 def _load_config_doc(path: str) -> dict:
@@ -638,7 +662,7 @@ _COMMANDS = {
 def main(argv: Optional[Sequence[str]] = None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     try:
-        ns = _build_parser(argv).parse_args(argv)
+        ns = _parse_args(argv)
         cfg = resolve_config(ns)
     except PdmDiracError as exc:
         print(f"error: {exc}", file=sys.stderr)

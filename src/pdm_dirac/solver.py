@@ -15,13 +15,14 @@ from the artificial walls; everything else below the edge is a box artifact.
 The number of eigenvalues below a threshold is the integer-exact
 Sturm-sequence negative-pivot count, returned as 0 without the pivot loop
 when the shifted diagonal is at least twice the off-diagonal's size in every
-row, which rules out a negative pivot (the model's count at its edge); only the values counted below the edge
-are computed (LAPACK ``dstebz``, Kahan bisection), with their eigenvectors
-(LAPACK ``dstein``, inverse iteration), and the near-edge slice is reported
-by its count.  Both the count and the bisection square entries of size
-``2/h^2``, so a spacing for which that square overflows is rejected.  By
-the Rayleigh bound every eigenvalue exceeds the grid minimum of V_eff, which
-for the monotone step profile already rules the discrete spectrum out.
+row, which rules out a negative pivot (the model's count at its edge); only
+the values counted below the edge are computed (LAPACK ``dstebz``, Kahan
+bisection), with their eigenvectors (LAPACK ``dstein``, inverse iteration),
+and the near-edge slice is reported by its count.  Both the count and the
+bisection square entries of size ``2/h^2``, so a spacing for which that
+square overflows is rejected.  By the Rayleigh bound every eigenvalue
+exceeds the grid minimum of V_eff, which for the monotone step profile
+already rules the discrete spectrum out.
 
 SciPy's wrappers of the two LAPACK routines are imported inside the only
 functions that call them, :func:`eigenvalues_below` (past its zero-count

@@ -24,7 +24,14 @@ from pdm_dirac import (
     potential_sample,
 )
 from pdm_dirac import feasibility, solver
-from pdm_dirac.cli import _build_parser, _route_agreement_check, main, resolve_config
+from pdm_dirac.cli import (
+    _SUBCOMMANDS,
+    _build_parser,
+    _parse_args,
+    _route_agreement_check,
+    main,
+    resolve_config,
+)
 
 
 def run(args, capsys):
@@ -580,47 +587,81 @@ def test_help_exits_0(args, capsys):
     assert capsys.readouterr().out.startswith("usage: pdm-dirac")
 
 
-def _parse_outcome(parser, argv, capsys):
-    """Exit status (None when argv parses), stdout and stderr of
-    parser.parse_args(argv), an unreadable flag reported as main reports it."""
+def _parse_outcome(parse, argv, capsys):
+    """parse(argv) as main sees it: the parsed namespace or the exit status, an
+    unreadable flag reported as main reports it, and stdout and stderr."""
     try:
-        parser.parse_args(argv)
-        status = None
+        result = vars(parse(argv))
     except SystemExit as exc:
-        status = exc.code
+        result = exc.code
     except ConfigKeyError as exc:
-        status = f"error: {exc}"
+        result = f"error: {exc}"
     captured = capsys.readouterr()
-    return status, captured.out, captured.err
+    return result, captured.out, captured.err
 
 
 SUBCOMMANDS = ["surface", "spectrum", "verdict", "potential"]
+_POINT = ["--eta", "0.5", "--lambda", "1"]
 PARSE_CASES = [["-h"], *([sub, "-h"] for sub in SUBCOMMANDS), ["surfac", "--eta", "1"],
-               ["surface", "--eta", "1"], []]
+               ["surface", "--eta", "1"], [],
+               *([sub, "--no-such-flag"] for sub in SUBCOMMANDS),
+               ["verdict", "--eta", "x", "--lambda", "1"],
+               ["verdict", "verdict", *_POINT],
+               ["verdict", "--et", "0.5", "--lambda", "1"],
+               ["verdict", *_POINT, "--", "--out", "x"],
+               ["spectrum", *_POINT, "--dump-config"],
+               ["--", "verdict", *_POINT]]
 
 
 @pytest.mark.parametrize("argv", PARSE_CASES, ids=" ".join)
 def test_parser_for_argv_reads_as_the_full_parser(argv, capsys):
-    narrowed = _parse_outcome(_build_parser(argv), argv, capsys)
-    assert narrowed == _parse_outcome(_build_parser(), argv, capsys)
-    assert narrowed[0] is not None
+    outcome = _parse_outcome(_parse_args, argv, capsys)
+    assert outcome == _parse_outcome(_build_parser().parse_args, argv, capsys)
 
 
 def _options(parser):
-    """Subcommand -> the option strings its parser takes."""
-    [sub] = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
-    return {name: {s for a in p._actions for s in a.option_strings}
-            for name, p in sub.choices.items()}
+    return {s for action in parser._actions for s in action.option_strings}
 
 
-def test_parser_adds_only_the_invoked_subcommands_arguments():
-    full = _options(_build_parser())
-    assert list(full) == SUBCOMMANDS and all("--out" in opts for opts in full.values())
-    for invoked in SUBCOMMANDS:
-        narrowed = _options(_build_parser([invoked, "--out", "-"]))
-        assert list(narrowed) == SUBCOMMANDS
-        for name, opts in narrowed.items():
-            assert opts == (full[name] if name == invoked else {"-h", "--help"})
+def _parsers_built(argv, monkeypatch):
+    """The argument parsers that reading argv constructs, in order."""
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def record(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(argparse.ArgumentParser, "__init__", record)
+        try:
+            _parse_args(argv)
+        except (SystemExit, ConfigKeyError):
+            pass
+    return built
+
+
+def test_a_run_builds_only_the_invoked_subcommands_parser(monkeypatch):
+    top, *subs = _parsers_built([], monkeypatch)
+    assert top.prog == "pdm-dirac"
+    assert [p.prog for p in subs] == [f"pdm-dirac {name}" for name in SUBCOMMANDS]
+    full = {name: p for name, p in zip(SUBCOMMANDS, subs)}
+    for name, parser in full.items():
+        spec = _SUBCOMMANDS[name]
+        params = {"--M0", "--eta", "--alpha", "--lambda"} if spec.params else set()
+        flags = {"--" + key.replace("_", "-") for key in spec.keys}
+        assert _options(parser) == {"-h", "--help", "--config", "--dump-config",
+                                    *params, *flags}
+    for argv in (["--help"], ["surfac", "--eta", "1"]):
+        built = _parsers_built(argv, monkeypatch)
+        assert [p.prog for p in built] == [top.prog, *(p.prog for p in subs)]
+        assert [_options(p) for p in built[1:]] == [_options(p) for p in subs]
+    for name in SUBCOMMANDS:
+        for argv in ([name, "--out", "-"], [name, "-h"]):
+            [parser] = _parsers_built(argv, monkeypatch)
+            assert parser.prog == f"pdm-dirac {name}"
+            assert _options(parser) == _options(full[name])
+            assert parser.format_help() == full[name].format_help()
 
 
 def test_main_reads_sys_argv(monkeypatch, capsys):
