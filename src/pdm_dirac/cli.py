@@ -18,7 +18,9 @@ check in ``_KEYS`` (type, count, range) that its value passes whether it came
 from a flag or from a config document; a flag overrides the config key.  A
 value that fails its check, a config key the subcommand does not take, and
 flag text the parser cannot read exit 2 with
-:class:`~pdm_dirac.errors.ConfigKeyError`.  A run builds only the parser of
+:class:`~pdm_dirac.errors.ConfigKeyError`.  Parameter flags are read as the
+parameter document they stand for, so they pass the config document's checks,
+with its error text, and before any run key.  A run builds only the parser of
 the subcommand that ``argv[0]`` names, and reports leftover arguments as the
 full parser does; when ``argv[0]`` names none (``--help``, a typo, no argv)
 the full parser reads it.  Help text, error text and exit status are those
@@ -73,6 +75,7 @@ from .params import (
     LAMBDA_MIN_SCAN,
     REL_TOL,
     DimensionlessParams,
+    Params,
     PhysicalParams,
     number_from_json,
     params_from_json,
@@ -88,8 +91,7 @@ from .spectrum import classify_levels, potential_sample
 
 __all__ = ["main", "RunConfig", "resolve_config"]
 
-_SIG = ".17g"
-_SLOT = "%" + _SIG  # writes a float as _fmt does; a table row is one % over its values
+_SLOT = "%.17g"  # every float is written as format(value, ".17g"); a row is one %
 
 # Level table rows (n = 0..n_max), each classified and formatted on its own:
 # the ceiling bounds the table at 100,001 rows, which a fresh `spectrum` run
@@ -103,10 +105,6 @@ _GRID_NODES_CEILING = 4_100_000
 # potential rows formatted by one % (a block of four-column rows, not the table)
 _FORMAT_ROWS = 4096
 _ROUTE_SAMPLES = 256  # random points of the verdict's check that the two f routes agree
-
-
-def _fmt(value: float) -> str:
-    return format(float(value), _SIG)
 
 
 def _umask() -> int:
@@ -257,15 +255,19 @@ _SUBCOMMANDS = {
 }
 
 
+def _physical(params: Params) -> PhysicalParams:
+    """``params`` as physical parameters; reduced ones are read at M0 = 1."""
+    if isinstance(params, PhysicalParams):
+        return params
+    return PhysicalParams(1.0, params.eta, params.lam)
+
+
 @dataclass(frozen=True)
 class RunConfig:
     """Fully resolved run description; serializes to a round-trippable JSON doc."""
 
     subcommand: str
-    eta: Optional[float] = None
-    lam: Optional[float] = None          # set iff reduced parameterization
-    M0: Optional[float] = None
-    alpha: Optional[float] = None        # set iff physical parameterization
+    params: Optional[Params] = None      # None iff the subcommand takes no parameters
     n_max: int = 5
     L: Optional[float] = None            # solver or sampling half-width
     N: Optional[int] = None              # solver or sampling points
@@ -277,19 +279,15 @@ class RunConfig:
     seed: int = 0
 
     def physical(self) -> PhysicalParams:
-        m0 = 1.0 if self.M0 is None else self.M0
-        if self.alpha is not None:
-            return PhysicalParams(m0, self.eta, self.alpha)
-        return PhysicalParams(m0, self.eta, self.lam * m0)
+        return _physical(self.params)
 
     def dimensionless(self) -> DimensionlessParams:
         return reduce_params(self.physical())
 
     def to_json_doc(self) -> dict:
         doc: dict = {"subcommand": self.subcommand}
-        if self.eta is not None:
-            reduced = self.lam is not None and self.M0 in (None, 1.0)
-            doc.update(params_to_json(self.dimensionless() if reduced else self.physical()))
+        if self.params is not None:
+            doc.update(params_to_json(self.params))
         for key in _SUBCOMMANDS[self.subcommand].keys:
             value = getattr(self, key)
             if value is not None:
@@ -380,56 +378,57 @@ def _load_config_doc(path: str) -> dict:
     return doc
 
 
+def _flag_doc(ns: argparse.Namespace) -> dict:
+    """The parameter document that the parameter flags stand for.
+
+    ``--lambda`` without ``--M0``, or with ``--M0 1``, stands for ``{"eta",
+    "lambda"}``; otherwise ``--alpha`` or ``--lambda`` stands for ``{"M0",
+    "eta", "alpha"}``, with M0 = 1 by default and alpha = lambda * M0.  Any
+    other set of flags keeps the keys it names, which :func:`params_from_json`
+    refuses as it refuses such a config document.
+    """
+    given = (("M0", ns.M0), ("eta", ns.eta), ("alpha", ns.alpha), ("lambda", ns.lam))
+    doc = {key: value for key, value in given if value is not None}
+    if "lambda" in doc and doc.get("M0", 1.0) == 1.0:
+        doc.pop("M0", None)
+    elif "lambda" in doc or "alpha" in doc:
+        m0 = doc.setdefault("M0", 1.0)
+        if "alpha" not in doc:
+            doc["alpha"] = doc.pop("lambda") * m0
+    return doc
+
+
 def resolve_config(ns: argparse.Namespace) -> RunConfig:
     """Merge flags and optional JSON config into a fully resolved RunConfig.
 
-    Parameters come from exactly one source: flags or the config document.
-    Run keys in the config may be overridden by explicitly given flags; every
+    Parameters come from exactly one source: the flags, read as the document
+    they stand for (:func:`_flag_doc`), or the config document; either way
+    :func:`params_from_json` reads them, before any run key is checked.  Run
+    keys in the config may be overridden by explicitly given flags; every
     given run-key value, from either source, passes its key's check.
     """
     sub = ns.subcommand
     spec = _SUBCOMMANDS[sub]
 
-    flag_params = {key: getattr(ns, key) for key in ("M0", "eta", "alpha", "lam")
-                   if spec.params and getattr(ns, key) is not None}
-
-    cfg_doc = {}
+    doc = _flag_doc(ns) if spec.params else {}
     if ns.config is not None:
-        if flag_params:
-            raise ConfigKeyError(
-                "give parameters either as flags or in --config, not both"
-            )
-        cfg_doc = _load_config_doc(ns.config)
-        claimed = cfg_doc.pop("subcommand", sub)
+        if doc:
+            raise ConfigKeyError("give parameters either as flags or in --config, not both")
+        doc = _load_config_doc(ns.config)
+        claimed = doc.pop("subcommand", sub)
         if claimed != sub:
             raise ConfigKeyError(f"config is for subcommand {claimed!r}, invoked {sub!r}")
 
     # keys other than the run keys are parameters, which params_from_json checks
-    param_doc = {k: v for k, v in cfg_doc.items() if k not in spec.keys}
+    param_doc = {k: v for k, v in doc.items() if k not in spec.keys}
     if param_doc and not spec.params:
         raise ConfigKeyError(f"subcommand {sub!r} takes no config keys {sorted(param_doc)}")
-    eta = lam = m0 = alpha = None
-    if ns.config is not None and spec.params:
+    params = None
+    if spec.params:
         params = params_from_json(param_doc)
-        if isinstance(params, PhysicalParams):
-            m0, eta, alpha = params.M0, params.eta, params.alpha
-        else:
-            eta, lam = params.eta, params.lam
-    elif spec.params:
-        if "eta" not in flag_params:
-            raise ConfigKeyError(f"subcommand {sub!r} needs --eta (or --config)")
-        eta = flag_params["eta"]
-        m0 = flag_params.get("M0")
-        if "alpha" in flag_params and "lam" in flag_params:
-            raise ConfigKeyError("give either --alpha or --lambda, not both")
-        if "alpha" in flag_params:
-            alpha = flag_params["alpha"]
-        elif "lam" in flag_params:
-            lam = flag_params["lam"]
-        else:
-            raise ConfigKeyError(f"subcommand {sub!r} needs --alpha or --lambda")
+        _physical(params)  # validate eagerly: lambda = 0 has no alpha > 0
 
-    given = [(key, value) for key, value in cfg_doc.items() if key in spec.keys]
+    given = [(key, value) for key, value in doc.items() if key in spec.keys]
     given += [(key, getattr(ns, key)) for key in spec.keys if getattr(ns, key) is not None]
     run = {"out": spec.out, "format": spec.formats[0]}
     for key, value in given:  # flags come last, so they override the config
@@ -438,11 +437,7 @@ def resolve_config(ns: argparse.Namespace) -> RunConfig:
         raise ConfigKeyError(
             f"subcommand {sub!r} supports formats {spec.formats}, got {run['format']!r}"
         )
-
-    cfg = RunConfig(subcommand=sub, eta=eta, lam=lam, M0=m0, alpha=alpha, **run)
-    if spec.params:
-        cfg.physical()  # validate eagerly: bad parameters exit with status 2
-    return cfg
+    return RunConfig(subcommand=sub, params=params, **run)
 
 
 # --- subcommands ------------------------------------------------------------
@@ -469,7 +464,7 @@ def cmd_surface(cfg: RunConfig) -> int:
     with np.errstate(over="ignore"):  # only the last node can overflow; linspace pins it
         lam_nodes = _distinct_sorted(np.linspace(scan_box.lam_min, scan_box.lam_max, grid[1]))
     # eta_text.join(pieces) is the template of one eta row, a line per lambda node
-    pieces = ["", *(f",{_fmt(lam)},{_SLOT}\n" for lam in lam_nodes.tolist())]
+    pieces = ["", *(f",{_SLOT % lam},{_SLOT}\n" for lam in lam_nodes.tolist())]
     keep = np.abs(eta_nodes) > ETA_ZERO_SNAP
 
     def lines():  # one piece per eta row, as its f values arrive
@@ -477,9 +472,9 @@ def cmd_surface(cfg: RunConfig) -> int:
         yield "eta,lambda,f\n"
         for eta, kept in zip(eta_nodes.tolist(), keep.tolist()):
             if kept:
-                yield _fmt(eta).join(pieces) % tuple(next(rows))
+                yield (_SLOT % eta).join(pieces) % tuple(next(rows))
             else:
-                yield f"# eta node {_fmt(eta)} skipped: f undefined on the eta=0 line\n"
+                yield f"# eta node {_SLOT % eta} skipped: f undefined on the eta=0 line\n"
 
     _emit(cfg.out, lines())
     if cfg.out != "-":
@@ -497,10 +492,10 @@ def _spectrum_lines(cfg: RunConfig) -> str:
             "entries": [e.to_dict() for e in entries],
         }
         return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+    row = f"%d,{_SLOT},{_SLOT},%s,{_SLOT}"  # an Undefined row's NaN values are written as nan
     lines = ["n,delta1,e_squared,classification,energy_magnitude"]
-    for e in entries:  # an Undefined row's NaN values are written as nan
-        e2, mag = _fmt(e.e_squared), _fmt(e.energy_magnitude)
-        lines.append(f"{e.n},{_fmt(e.delta1)},{e2},{e.classification.value},{mag}")
+    lines.extend(row % (e.n, e.delta1, e.e_squared, e.classification.value, e.energy_magnitude)
+                 for e in entries)
     return "\n".join(lines) + "\n"
 
 

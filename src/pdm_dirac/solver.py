@@ -34,7 +34,6 @@ from __future__ import annotations
 
 import math
 import sys
-import warnings
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -62,7 +61,6 @@ __all__ = [
     "BoundCandidate",
     "DiscreteSpectrum",
     "ComparisonReport",
-    "DomainResolutionWarning",
     "build_hamiltonian",
     "sturm_count",
     "eigenvalues_below",
@@ -91,10 +89,6 @@ EDGE_AMPLITUDE_MAX = 1e-4
 # Eigenvalues are counted slightly above the continuum edge so that near-edge
 # box modes are still seen; only values strictly below the edge are candidates.
 _EDGE_SLACK = 1.1
-
-
-class DomainResolutionWarning(UserWarning):
-    """Domain is usable but shorter than the recommended alpha*L >= 10."""
 
 
 @dataclass(frozen=True)
@@ -148,8 +142,6 @@ class TridiagonalOperator:
     off: float                  # -1/h^2 (constant for central differences)
     x: np.ndarray
     v_eff: np.ndarray
-    spacing: float
-    half_width: float
 
     @property
     def size(self) -> int:
@@ -185,14 +177,7 @@ def build_hamiltonian(
         diag = 2.0 * inv_h2 + v
     if v.shape != x.shape or not np.all(np.isfinite(diag)):
         raise ParameterError("potential must give finite operator entries matching the grid")
-    return TridiagonalOperator(
-        diag=diag,
-        off=-inv_h2,
-        x=x,
-        v_eff=v,
-        spacing=h,
-        half_width=disc.half_width,
-    )
+    return TridiagonalOperator(diag=diag, off=-inv_h2, x=x, v_eff=v)
 
 
 def sturm_count(op: TridiagonalOperator, sigma: float) -> int:
@@ -244,12 +229,12 @@ def sturm_count(op: TridiagonalOperator, sigma: float) -> int:
 def eigenvalues_below(op: TridiagonalOperator, threshold: float) -> np.ndarray:
     """All eigenvalues strictly below ``threshold``, ascending.
 
-    The count is :func:`sturm_count` at the threshold (every eigenvalue for an
-    infinite threshold), exact up to floating comparisons at the threshold
-    itself; the values are the lowest that many eigenvalues from LAPACK
-    ``dstebz``.
+    The count is :func:`sturm_count` at the threshold (every eigenvalue at
+    ``+inf``, none at ``-inf`` or NaN), exact up to floating comparisons at
+    the threshold itself; the values are the lowest that many eigenvalues
+    from LAPACK ``dstebz``.
     """
-    k = sturm_count(op, threshold) if math.isfinite(threshold) else op.size
+    k = sturm_count(op, threshold)
     if k == 0:
         return np.empty(0)
     from scipy.linalg import eigvalsh_tridiagonal
@@ -358,11 +343,13 @@ class DiscreteSpectrum:
     bound_candidates: list[BoundCandidate]
     v_eff_min: float
     v_eff_monotone: bool
-    empty_real_spectrum: bool
-    spacing: float
-    half_width: float
-    num_points: int
-    domain_warning: bool
+    disc: Discretization
+    domain_warning: bool               # alpha*L < 10: tail truncation may be visible
+
+    @property
+    def empty_real_spectrum(self) -> bool:
+        """No candidate passes the localization gate."""
+        return not any(c.localized for c in self.bound_candidates)
 
     def to_dict(self) -> dict:
         return {
@@ -373,9 +360,9 @@ class DiscreteSpectrum:
             "v_eff_monotone": self.v_eff_monotone,
             "empty_real_spectrum": self.empty_real_spectrum,
             "grid": {
-                "half_width": self.half_width,
-                "num_points": self.num_points,
-                "spacing": self.spacing,
+                "half_width": self.disc.half_width,
+                "num_points": self.disc.num_points,
+                "spacing": self.disc.spacing,
             },
             "domain_warning": self.domain_warning,
         }
@@ -407,11 +394,14 @@ def bound_state_report(
 
     The grid must resolve the step: ``h * alpha > 0.2`` raises
     :class:`GridTooCoarse` and ``alpha * L < 3`` raises
-    :class:`DomainTooSmall`, while ``alpha * L < 10`` only warns
-    (:class:`DomainResolutionWarning`) and sets ``domain_warning``.
+    :class:`DomainTooSmall`, while ``alpha * L < 10`` only sets
+    ``domain_warning`` in the report.  A non-finite ``edge`` raises
+    :class:`ParameterError`.
     """
     if potential is not None and edge is None:
         raise ValueError("a custom potential needs an explicit continuum edge")
+    if edge is not None and not math.isfinite(edge):
+        raise ParameterError(f"continuum edge must be finite, got {edge!r}")
     h_alpha = disc.spacing * params.alpha
     if h_alpha > _MAX_H_ALPHA:
         raise GridTooCoarse(
@@ -421,14 +411,6 @@ def bound_state_report(
     if alpha_l < _MIN_ALPHA_L_ERROR:
         raise DomainTooSmall(
             f"alpha*L = {alpha_l:.3g} < {_MIN_ALPHA_L_ERROR}: box does not contain the step"
-        )
-    domain_warning = alpha_l < _MIN_ALPHA_L_WARN
-    if domain_warning:
-        warnings.warn(
-            f"alpha*L = {alpha_l:.3g} is below the recommended {_MIN_ALPHA_L_WARN}; "
-            "tail truncation may be visible",
-            DomainResolutionWarning,
-            stacklevel=2,
         )
     # assemble first: it rejects an overflowing V_eff before the edge squares M0
     op = build_hamiltonian(params, disc, potential=potential)
@@ -447,11 +429,8 @@ def bound_state_report(
         bound_candidates=candidates,
         v_eff_min=float(np.min(op.v_eff)),
         v_eff_monotone=_monotone_nonconstant(op.v_eff),
-        empty_real_spectrum=not any(c.localized for c in candidates),
-        spacing=disc.spacing,
-        half_width=disc.half_width,
-        num_points=disc.num_points,
-        domain_warning=domain_warning,
+        disc=disc,
+        domain_warning=alpha_l < _MIN_ALPHA_L_WARN,
     )
 
 
@@ -462,7 +441,15 @@ class ComparisonReport:
     analytic_entries: list[SpectrumEntry]
     analytic_failure: Optional[EvaluationError]   # why the closed-form side is missing
     numeric: DiscreteSpectrum
-    imaginary_levels_consistent: bool    # every Imaginary level has E^2 < min V_eff
+
+    @property
+    def imaginary_levels_consistent(self) -> bool:
+        """Every Imaginary level has ``E^2 < min V_eff`` (the Rayleigh bound)."""
+        return all(
+            entry.e_squared < self.numeric.v_eff_min
+            for entry in self.analytic_entries
+            if entry.classification is Classification.IMAGINARY
+        )
 
     @property
     def real_levels_unbound(self) -> bool:
@@ -520,16 +507,9 @@ def analytic_vs_numeric(
         entries = classify_levels(reduce_params(params), n_max, M0=params.M0)
     except EvaluationError as exc:
         analytic_failure = exc
-    numeric = bound_state_report(params, disc, potential=potential, edge=edge)
-    imag_ok = all(
-        entry.e_squared < numeric.v_eff_min
-        for entry in entries
-        if entry.classification is Classification.IMAGINARY
-    )
     return ComparisonReport(
         analytic_entries=entries,
         analytic_failure=analytic_failure,
-        numeric=numeric,
-        imaginary_levels_consistent=imag_ok,
+        numeric=bound_state_report(params, disc, potential=potential, edge=edge),
     )
 

@@ -91,7 +91,10 @@ class SpectrumEntry:
     delta1: float
     e_squared: float
     classification: Classification
-    energy_magnitude: float
+
+    @property
+    def energy_magnitude(self) -> float:
+        return math.sqrt(abs(self.e_squared))
 
     def to_dict(self) -> dict:
         def _num(v: float):
@@ -202,7 +205,7 @@ def level_energy(params: DimensionlessParams, n: int, M0: float = 1.0) -> Spectr
     shift = delta1(params)
     u = aux_root(params.eta, params.lam)
     if abs(u - params.lam * n) <= ABS_TOL * u:
-        return SpectrumEntry(n, shift, math.nan, Classification.UNDEFINED, math.nan)
+        return SpectrumEntry(n, shift, math.nan, Classification.UNDEFINED)
     e_squared = m2 * f_factored(params.eta, params.lam, n)
     if not math.isfinite(e_squared):
         raise EvaluationError(
@@ -213,7 +216,6 @@ def level_energy(params: DimensionlessParams, n: int, M0: float = 1.0) -> Spectr
         delta1=shift,
         e_squared=e_squared,
         classification=_classify(e_squared, ABS_TOL * m2),
-        energy_magnitude=math.sqrt(abs(e_squared)),
     )
 
 

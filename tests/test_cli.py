@@ -2,6 +2,7 @@
 
 import argparse
 import json
+import math
 import os
 import stat
 import subprocess
@@ -315,6 +316,40 @@ def test_flags_override_config_keys(tmp_path, capsys):
     assert rc == 0
     assert json.loads(out)["n_max"] == 1
     assert json.loads(out)["format"] == "json"
+
+
+@pytest.mark.parametrize("lam", [0.5, 0.0, -1.0, math.inf, math.nan])
+@pytest.mark.parametrize("eta", [0.5, 2.0])
+def test_flags_and_config_share_one_parameter_path(eta, lam, tmp_path, capsys):
+    # the flags are read as the document they stand for: same status and bytes
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"eta": eta, "lambda": lam}))
+    by_flags = run(["spectrum", "--eta", repr(eta), "--lambda", repr(lam)], capsys)
+    by_config = run(["spectrum", "--config", str(cfg_path)], capsys)
+    assert by_flags == by_config
+    assert by_flags[0] == (0 if eta == 0.5 and lam == 0.5 else 2)
+
+
+@pytest.mark.parametrize("source", ["flags", "config"])
+def test_parameters_are_checked_before_run_keys(source, tmp_path, capsys):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"eta": 0.5, "lambda": -1, "n_max": -1}))
+    args = (["spectrum", "--eta", "0.5", "--lambda", "-1", "--n-max", "-1"]
+            if source == "flags" else ["spectrum", "--config", str(cfg_path)])
+    assert run(args, capsys) == (2, "", "error: lambda must be >= 0, got -1.0\n")
+
+
+@pytest.mark.parametrize("flags,echo", [
+    (["--lambda", "0.25"], {"eta": 0.5, "lambda": 0.25}),
+    (["--M0", "1", "--lambda", "0.25"], {"eta": 0.5, "lambda": 0.25}),
+    (["--M0", "2", "--lambda", "0.25"], {"M0": 2.0, "alpha": 0.5, "eta": 0.5}),
+    (["--alpha", "0.25"], {"M0": 1.0, "alpha": 0.25, "eta": 0.5}),
+])
+def test_dump_config_echoes_the_document_the_flags_stand_for(flags, echo, capsys):
+    rc, out, _ = run(["spectrum", "--eta", "0.5", *flags, "--dump-config"], capsys)
+    assert rc == 0
+    assert json.loads(out) == {"subcommand": "spectrum", **echo, "format": "csv", "n_max": 5,
+                               "out": "-"}
 
 
 def test_verdict_confirming_run(tmp_path, capsys):

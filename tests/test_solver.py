@@ -3,6 +3,7 @@
 import dataclasses
 import math
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -10,9 +11,9 @@ from scipy.linalg import eigh_tridiagonal
 
 from pdm_dirac import (
     Discretization,
-    DomainResolutionWarning,
     DomainTooSmall,
     GridTooCoarse,
+    ParameterError,
     PhysicalParams,
     TridiagonalOperator,
     analytic_vs_numeric,
@@ -56,7 +57,7 @@ def test_for_params_defaults():
 
 def test_build_hamiltonian_structure():
     op = toy_operator()
-    h = op.spacing
+    h = Discretization(2.5, 5).spacing
     assert op.off == pytest.approx(-1.0 / h**2)
     assert np.allclose(op.diag, 2.0 / h**2 + op.v_eff)
     # x = 0 is not a node of this even-N-like toy; check V_eff directly
@@ -67,8 +68,9 @@ def test_build_hamiltonian_structure():
 
 
 def test_build_hamiltonian_constant_potential_diagonal():
-    op = build_hamiltonian(PhysicalParams(1.0, 0.0, 1.0), Discretization(20.0, 50))
-    h = op.spacing
+    disc = Discretization(20.0, 50)
+    op = build_hamiltonian(PhysicalParams(1.0, 0.0, 1.0), disc)
+    h = disc.spacing
     assert np.allclose(op.diag, 2.0 / h**2 + 1.0)
 
 
@@ -77,9 +79,13 @@ def test_resolution_guards():
         bound_state_report(PhysicalParams(1.0, 0.5, 1.0), Discretization(25.0, 100))
     with pytest.raises(DomainTooSmall):
         bound_state_report(PhysicalParams(1.0, 0.5, 1.0), Discretization(2.5, 2000))
-    with pytest.warns(DomainResolutionWarning):
+    # a short domain is flagged in the report alone, without a Python warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
         report = bound_state_report(PhysicalParams(1.0, 0.5, 1.0), Discretization(8.0, 2000))
     assert report.domain_warning
+    assert report.to_dict()["domain_warning"] is True
+    assert not bound_state_report(P_HALF, Discretization(10.0, 2000)).domain_warning
 
 
 def test_sturm_count_matches_dense():
@@ -127,8 +133,7 @@ def test_sturm_count_matches_reference_recurrence():
         scale = 2.0 ** int(rng.integers(-997, 499))
         diag = rng.integers(-4, 5, size).astype(float) * scale
         off = 0.0 if rng.random() < 0.2 else float(rng.integers(-3, 4)) * scale
-        op = TridiagonalOperator(diag=diag, off=off, x=diag, v_eff=diag,
-                                 spacing=1.0, half_width=1.0)
+        op = TridiagonalOperator(diag=diag, off=off, x=diag, v_eff=diag)
         shifts = [*diag[:3].tolist(), 0.0, float(rng.normal()) * scale,
                   math.nan, math.inf, -math.inf]
         for sigma in shifts:
@@ -148,7 +153,7 @@ def test_sturm_count_matches_reference_recurrence():
     assert underflow_checked > 2000  # off^2 is subnormal or 0 there
     # a shifted entry that overflows is -inf or inf, silently, as per entry
     op = TridiagonalOperator(diag=np.array([-1.5e308, 1.5e308, 0.0]), off=1.0,
-                             x=np.zeros(3), v_eff=np.zeros(3), spacing=1.0, half_width=1.0)
+                             x=np.zeros(3), v_eff=np.zeros(3))
     for sigma in (-1.5e308, 1.5e308):
         assert sturm_count(op, sigma) == _sturm_count_reference(op, sigma)
 
@@ -172,8 +177,7 @@ def _count_and_loop(op, sigma):
 
 def _bare_operator(diag, off):
     diag = np.asarray(diag, dtype=float)
-    return TridiagonalOperator(diag=diag, off=off, x=diag, v_eff=diag,
-                               spacing=1.0, half_width=1.0)
+    return TridiagonalOperator(diag=diag, off=off, x=diag, v_eff=diag)
 
 
 def _scaled(op, sigma):
@@ -281,6 +285,21 @@ def test_toy_eigenvalues_match_dense_reference():
     np.testing.assert_allclose(got, reference, rtol=1e-10, atol=1e-10)
 
 
+def test_eigenvalues_below_counts_every_threshold_as_sturm_count_does():
+    # one count for every threshold: all values at +inf, none at -inf or NaN
+    op = build_hamiltonian(P_HALF, Discretization(25.0, 200))
+    assert eigenvalues_below(op, math.inf).size == sturm_count(op, math.inf) == 200
+    assert eigenvalues_below(op, -math.inf).size == sturm_count(op, -math.inf) == 0
+    assert eigenvalues_below(op, math.nan).size == sturm_count(op, math.nan) == 0
+
+
+@pytest.mark.parametrize("edge", [math.nan, math.inf, -math.inf])
+def test_bound_state_report_rejects_a_non_finite_edge(edge):
+    with pytest.raises(ParameterError, match="edge must be finite"):
+        bound_state_report(P_HALF, Discretization(25.0, 200), potential=poschl_teller_well,
+                           edge=edge)
+
+
 def test_slice_values_bracketed_by_sturm_count():
     # sturm_count is the oracle: the slice holds exactly the counted values,
     # and the j-th one sits where the count steps from <= j to > j
@@ -316,13 +335,11 @@ def test_dense_equivalence_random_instances():
 
 def test_constant_potential_has_no_state_below_edge():
     # Dirichlet box modes sit at 1 + (2/h^2)(1 - cos(k pi / (N+1))) > 1
-    op = build_hamiltonian(
-        PhysicalParams(1.0, 0.0, 1.0),
-        Discretization(5.0 * math.pi, 400),
-    )
+    disc = Discretization(5.0 * math.pi, 400)
+    op = build_hamiltonian(PhysicalParams(1.0, 0.0, 1.0), disc)
     assert eigenvalues_below(op, 1.0).size == 0
     # and the first few above the edge match the exact discrete dispersion
-    h = op.spacing
+    h = disc.spacing
     n = op.size
     exact = [1.0 + (2.0 / h**2) * (1.0 - math.cos(k * math.pi / (n + 1))) for k in (1, 2, 3)]
     got = eigenvalues_below(op, exact[2] * 1.000001)
@@ -390,10 +407,11 @@ def test_localization_separates_bound_from_box_modes():
     assert metric.edge_amplitude <= 1e-4
     assert metric.localized
     # box artifact: lowest mode of the constant potential fills the box
-    op = build_hamiltonian(PhysicalParams(1.0, 0.0, 1.0), Discretization(10.0, 500))
+    disc = Discretization(10.0, 500)
+    op = build_hamiltonian(PhysicalParams(1.0, 0.0, 1.0), disc)
     lowest = eigenvalues_below(op, 1.5)[0]
     phi = eigenvector(op, float(lowest))
-    box_metric = localization_metric(op.x, phi, op.half_width)
+    box_metric = localization_metric(op.x, phi, disc.half_width)
     assert not box_metric.localized
     assert box_metric.interior_mass_fraction < 0.9
 
@@ -481,7 +499,7 @@ def test_grid_refinement_second_order_on_control_well():
         )
         [candidate] = report.bound_candidates
         errors.append(abs(candidate.e_squared))
-        spacings.append(report.spacing)
+        spacings.append(report.disc.spacing)
     slope = np.polyfit(np.log(spacings), np.log(errors), 1)[0]
     assert 1.7 <= slope <= 2.3
 

@@ -75,9 +75,10 @@ EDGE_VALUES = [-0.0, 0.0, 5e-324, -5e-324, 2.225e-308, 2.2250738585072014e-308, 
 @given(st.lists(st.floats(), min_size=1, max_size=12))
 @example(EDGE_VALUES)
 @example([float("inf"), float("-inf"), float("nan")])
+@example([np.float64(-4.6213203435596426)])  # a numpy scalar writes as the float it holds
 def test_slot_template_row_is_the_per_value_format(values):
     row = ",".join([_SLOT] * len(values)) % tuple(values)
-    assert row == ",".join(format(v, ".17g") for v in values)
+    assert row == ",".join(format(float(v), ".17g") for v in values)
 
 
 DEFAULT_BOX = (-1.0, 1.0, 0.0, 10.0)
