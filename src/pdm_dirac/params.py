@@ -64,11 +64,13 @@ class PhysicalParams:
     alpha: float
 
     def __post_init__(self) -> None:
+        # M0 first: the flags give alpha as lambda * M0, so a bad M0 can make
+        # an alpha the user never wrote (lambda = inf, M0 = 0 gives nan)
         object.__setattr__(self, "M0", _require_finite("M0", self.M0))
-        object.__setattr__(self, "eta", _require_finite("eta", self.eta))
-        object.__setattr__(self, "alpha", _require_finite("alpha", self.alpha))
         if self.M0 <= 0.0:
             raise NonPositiveMass(f"M0 must be > 0, got {self.M0}")
+        object.__setattr__(self, "eta", _require_finite("eta", self.eta))
+        object.__setattr__(self, "alpha", _require_finite("alpha", self.alpha))
         if abs(self.eta) > 1.0:
             raise EtaOutOfRange(f"|eta| must be <= 1, got {self.eta}")
         if self.alpha <= 0.0:

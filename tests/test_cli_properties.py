@@ -70,12 +70,11 @@ grids = st.tuples(st.integers(2, 12), st.integers(2, 12))
 @EXAMPLES
 @given(eta=eta, steep=positive, use_alpha=st.booleans(), m0=optional, half_width=optional,
        num_points=st.none() | st.integers(3, 400), box=st.none() | boxes, grid=grids,
-       n_max=st.integers(0, 8), seed=st.integers())
+       n_max=st.integers(0, 8))
 def test_verdict_exit_status(eta, steep, use_alpha, m0, half_width, num_points, box, grid,
-                             n_max, seed):
+                             n_max):
     args = ["verdict", *_params(eta, steep, use_alpha, m0), *_flag("L", half_width),
-            *_flag("N", num_points), "--grid", f"{grid[0]},{grid[1]}", "--n-max", str(n_max),
-            *_flag("seed", seed)]
+            *_flag("N", num_points), "--grid", f"{grid[0]},{grid[1]}", "--n-max", str(n_max)]
     if box is not None:
         args.append("--box=" + ",".join(map(repr, box)))
     _run(args)
@@ -113,7 +112,7 @@ def test_surface_exit_status(box, grid):
 RUN_KEYS = {
     "surface": ["out", "format", "box", "grid"],
     "spectrum": ["out", "format", "n_max"],
-    "verdict": ["out", "format", "n_max", "L", "N", "box", "grid", "control_well", "seed"],
+    "verdict": ["out", "format", "n_max", "L", "N", "box", "grid", "control_well"],
     "potential": ["out", "format", "L", "N"],
 }
 PARAM_SETS = [["eta", "lambda"], ["M0", "eta", "alpha"]]
@@ -127,7 +126,7 @@ valid = {
     "eta": eta, "lambda": positive, "alpha": positive, "M0": positive,
     "n_max": st.integers(0, 8), "L": positive, "N": st.integers(2, 400),
     "box": boxes.map(list), "grid": grids.map(list), "control_well": st.booleans(),
-    "seed": st.integers(0, 2**70), "format": st.sampled_from(["csv", "json"]),
+    "format": st.sampled_from(["csv", "json"]),
     "out": st.just("ignored.txt"), "mystery": st.none(),
 }
 
