@@ -63,6 +63,8 @@ import numpy as np
 from .errors import (
     ConfigKeyError,
     EvaluationError,
+    NonFinite,
+    NonPositiveAlpha,
     ParameterError,
     PdmDiracError,
 )
@@ -384,6 +386,13 @@ def _flag_doc(ns: argparse.Namespace) -> dict:
     "eta", "alpha"}``, with M0 = 1 by default and alpha = lambda * M0.  Any
     other set of flags keeps the keys it names, which :func:`params_from_json`
     refuses as it refuses such a config document.
+
+    So that an error names a value the user gave, lambda becomes alpha only
+    beside an eta (without one, the keys are refused as given), a valid M0
+    leaves lambda to be checked as the ``{"eta", "lambda"}`` document checks
+    it, before the product, and a product that leaves the double range names
+    both factors.  An invalid M0 is named by :class:`PhysicalParams`, which
+    checks it first.
     """
     given = (("M0", ns.M0), ("eta", ns.eta), ("alpha", ns.alpha), ("lambda", ns.lam))
     doc = {key: value for key, value in given if value is not None}
@@ -391,8 +400,16 @@ def _flag_doc(ns: argparse.Namespace) -> dict:
         doc.pop("M0", None)
     elif "lambda" in doc or "alpha" in doc:
         m0 = doc.setdefault("M0", 1.0)
-        if "alpha" not in doc:
-            doc["alpha"] = doc.pop("lambda") * m0
+        if "alpha" not in doc and "eta" in doc:
+            lam = doc.pop("lambda")
+            doc["alpha"] = alpha = lam * m0
+            if math.isfinite(m0) and m0 > 0.0:
+                DimensionlessParams(doc["eta"], lam)
+                factors = f"lambda = {lam!r}, M0 = {m0!r}"
+                if alpha == math.inf:
+                    raise NonFinite(f"alpha = lambda * M0 overflows: {factors}")
+                if alpha == 0.0 < lam:
+                    raise NonPositiveAlpha(f"alpha = lambda * M0 underflows: {factors}")
     return doc
 
 

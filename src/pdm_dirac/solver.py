@@ -17,12 +17,17 @@ Sturm-sequence negative-pivot count, returned as 0 without the pivot loop
 when the shifted diagonal is at least twice the off-diagonal's size in every
 row, which rules out a negative pivot (the model's count at its edge); only
 the values counted below the edge are computed (LAPACK ``dstebz``, Kahan
-bisection), with their eigenvectors (LAPACK ``dstein``, inverse iteration),
-and the near-edge slice is reported by its count.  Both the count and the
-bisection square entries of size ``2/h^2``, so a spacing for which that
-square overflows is rejected.  By the Rayleigh bound every eigenvalue
-exceeds the grid minimum of V_eff, which for the monotone step profile
-already rules the discrete spectrum out.
+bisection), with their eigenvectors (LAPACK ``dstein``, inverse iteration).
+Both the count and the bisection square entries of size ``2/h^2``, so a
+spacing for which that square overflows is rejected.
+
+The count at the edge is certified in closed form.  The operator is ``T/h^2
++ diag(V_eff)`` with ``lambda_min(T) = 4 sin^2(pi/(2(N+1)))``, so by Weyl's
+inequality every eigenvalue clears the edge by at least ``min(V_eff) - edge
++ lambda_min(T)/h^2`` (:func:`_weyl_certificate`).  For the model ``V_eff =
+M^2 >= M0^2 (1 - |eta|)^2`` pointwise, so that margin is positive and the
+count must be 0; a margin above the count's rounding error together with a
+counted eigenvalue is a contradiction, not evidence.
 
 SciPy's wrappers of the two LAPACK routines are imported inside the only
 functions that call them, :func:`eigenvalues_below` (past its zero-count
@@ -40,6 +45,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import (
+    CertificateViolation,
     DomainTooSmall,
     EvaluationError,
     GridTooCoarse,
@@ -85,10 +91,6 @@ _MIN_ALPHA_L_WARN = 10.0
 # Localization gate for bound-state candidates.
 INTERIOR_MASS_MIN = 0.99
 EDGE_AMPLITUDE_MAX = 1e-4
-
-# Eigenvalues are counted slightly above the continuum edge so that near-edge
-# box modes are still seen; only values strictly below the edge are candidates.
-_EDGE_SLACK = 1.1
 
 
 @dataclass(frozen=True)
@@ -305,6 +307,42 @@ def continuum_edge(params: PhysicalParams) -> float:
     return (params.M0 * (1.0 - abs(params.eta))) ** 2
 
 
+def _weyl_certificate(
+    op: TridiagonalOperator, v_eff_min: float, edge: float
+) -> tuple[float, float]:
+    """``(weyl_margin, count_error_bound)``: how far every eigenvalue clears ``edge``.
+
+    The operator is ``|e| T + diag(d_i - 2|e|)`` with ``|e| = 1/h^2`` its
+    off-diagonal size and ``T = tridiag(-1, 2, -1)``, whose smallest
+    eigenvalue is ``4 sin^2(pi/(2(N+1)))``.  By Weyl's inequality
+    ``lambda_min >= |e| lambda_min(T) + min_i (d_i - 2|e|)``, so
+
+        weyl_margin = v_eff_min - edge + 4 sin^2(pi/(2(N+1))) / h^2
+
+    bounds ``lambda_min - edge`` from below, up to rounding.  With u the unit
+    roundoff, ``D = max |d_i|`` and ``E = |edge|``, three roundings separate
+    it from the count at the edge: forming ``d_i = fl(2|e| + V_eff(x_i))``
+    (at most ``u D``); the Sturm count, which is exact for a matrix whose
+    scaled diagonal moved by ``2u`` relatively and whose off-diagonal moved by
+    ``u`` relatively (Kahan 1966; Demmel, *Applied Numerical Linear
+    Algebra*, sec. 5.3), at most ``2u (D + E) + 2u |e|`` in norm; and the
+    margin's own arithmetic (``sin`` within an ulp), at most ``2u (D + 2|e|
+    + E) + 45u |e|``.  Their sum is below ``13u (D + E + 4|e|)``, and
+
+        count_error_bound = 16 eps (D + E + 4|e|)
+
+    with ``eps = 2u`` leaves room for the bound's own rounding.  So where
+    ``weyl_margin > count_error_bound`` the Sturm count at the edge is 0.
+    Each term is scaled before the sum, so the bound stays finite.
+    """
+    scale = abs(op.off)
+    lowest_t = 4.0 * math.sin(math.pi / (2 * (op.size + 1))) ** 2
+    margin = (v_eff_min - edge) + lowest_t * scale
+    k = 16.0 * sys.float_info.epsilon
+    largest = max(float(op.diag.max()), -float(op.diag.min()))
+    return margin, k * largest + k * abs(edge) + 4.0 * k * scale
+
+
 def poschl_teller_well(x: np.ndarray) -> np.ndarray:
     """Control well 1 - 2 sech^2(x): exactly one bound state, at E^2 = 0.
 
@@ -336,9 +374,18 @@ class BoundCandidate:
 
 @dataclass
 class DiscreteSpectrum:
-    """Numeric spectrum scan below (just above) the continuum edge."""
+    """Numeric spectrum scan below the continuum edge.
 
-    slice_count: int                   # eigenvalues below edge*1.1 (Sturm count)
+    ``bound_candidates`` holds every eigenvalue below the edge, so the Sturm
+    count at the edge is its length.  ``weyl_margin`` bounds how far every
+    eigenvalue lies above the edge, and ``count_error_bound`` how far rounding
+    can move that bound (:func:`_weyl_certificate`): where the margin is the
+    larger, the count at the edge is certified to be 0.  A negative margin
+    certifies nothing, as for a well that dips below its edge.
+    """
+
+    weyl_margin: float
+    count_error_bound: float
     continuum_edge: float
     bound_candidates: list[BoundCandidate]
     v_eff_min: float
@@ -353,7 +400,8 @@ class DiscreteSpectrum:
 
     def to_dict(self) -> dict:
         return {
-            "slice_count": self.slice_count,
+            "weyl_margin": self.weyl_margin,
+            "count_error_bound": self.count_error_bound,
             "continuum_edge": self.continuum_edge,
             "bound_candidates": [c.to_dict() for c in self.bound_candidates],
             "v_eff_min": self.v_eff_min,
@@ -384,10 +432,14 @@ def bound_state_report(
     """Scan for genuine bound states below the continuum edge.
 
     Only the eigenvalues below the edge are computed: each is a candidate,
-    kept or dismissed by the localization metrics of its eigenvector.  The
-    slice up to ``edge * 1.1`` is only counted (``slice_count``), so near-edge
-    box modes stay visible.  ``empty_real_spectrum`` is True iff no candidate
-    passes the gate.
+    kept or dismissed by the localization metrics of its eigenvector, and
+    their number is the Sturm count at the edge.  ``empty_real_spectrum`` is
+    True iff no candidate passes the gate.  The report carries the Weyl
+    margin and its error bound (:func:`_weyl_certificate`); a margin above
+    the bound with any eigenvalue counted below the edge raises
+    :class:`CertificateViolation`.  For the model the margin is positive and
+    the count takes :func:`sturm_count`'s diagonal shortcut, so the report
+    runs no pivot loop.
 
     ``potential``/``edge`` override the model profile for control cases; the
     default edge is ``M0^2 (1 - |eta|)^2``.
@@ -416,18 +468,27 @@ def bound_state_report(
     op = build_hamiltonian(params, disc, potential=potential)
     if edge is None:
         edge = continuum_edge(params)
+    v_eff_min = float(np.min(op.v_eff))
+    margin, error_bound = _weyl_certificate(op, v_eff_min, edge)
+    values = eigenvalues_below(op, edge)
+    if values.size and margin > error_bound:
+        raise CertificateViolation(
+            f"Weyl margin {margin!r} exceeds the count error bound {error_bound!r}, "
+            f"yet {values.size} eigenvalue(s) counted below the edge {edge!r}"
+        )
     candidates = [
         BoundCandidate(
             e_squared=value,
             localization=localization_metric(op.x, eigenvector(op, value), disc.half_width),
         )
-        for value in eigenvalues_below(op, edge).tolist()
+        for value in values.tolist()
     ]
     return DiscreteSpectrum(
-        slice_count=sturm_count(op, edge * _EDGE_SLACK),
+        weyl_margin=margin,
+        count_error_bound=error_bound,
         continuum_edge=edge,
         bound_candidates=candidates,
-        v_eff_min=float(np.min(op.v_eff)),
+        v_eff_min=v_eff_min,
         v_eff_monotone=_monotone_nonconstant(op.v_eff),
         disc=disc,
         domain_warning=alpha_l < _MIN_ALPHA_L_WARN,

@@ -348,6 +348,23 @@ def test_m0_is_checked_before_the_alpha_it_scales(source, tmp_path, capsys):
     assert run(args, capsys) == (2, "", "error: M0 must be > 0, got 0.0\n")
 
 
+@pytest.mark.parametrize("flags,stderr", [
+    (["--lambda", "inf", "--M0", "2"], "error: lambda must be finite, got inf\n"),
+    (["--lambda", "-1", "--M0", "2"], "error: lambda must be >= 0, got -1.0\n"),
+    (["--lambda", "1e300", "--M0", "1e10"],
+     "error: alpha = lambda * M0 overflows: lambda = 1e+300, M0 = 10000000000.0\n"),
+    (["--lambda", "1e-300", "--M0", "1e-100"],
+     "error: alpha = lambda * M0 underflows: lambda = 1e-300, M0 = 1e-100\n"),
+])
+def test_lambda_flag_is_named_before_it_scales_m0(flags, stderr, capsys):
+    # --lambda with an M0 other than 1 stands for alpha = lambda * M0; an
+    # error names the values the user gave, not the product
+    assert run(["spectrum", "--eta", "0.5", *flags], capsys) == (2, "", stderr)
+    keys = ("error: parameter document keys ['M0', 'lambda'] match neither "
+            "['M0', 'alpha', 'eta'] nor ['eta', 'lambda']\n")
+    assert run(["spectrum", *flags], capsys) == (2, "", keys)
+
+
 @pytest.mark.parametrize("flags,echo", [
     (["--lambda", "0.25"], {"eta": 0.5, "lambda": 0.25}),
     (["--M0", "1", "--lambda", "0.25"], {"eta": 0.5, "lambda": 0.25}),
@@ -812,15 +829,38 @@ def test_grid_outputs_do_not_depend_on_simd_dispatch(tmp_path):
         assert len(outputs) == 1, f"{name} differs across dispatch levels {levels}"
 
 
-@pytest.mark.parametrize("eta,alpha,slice_count", [("0.01", "0.01", 441), ("0.1", "0.02", 109)])
-def test_small_alpha_verdict_counts_the_slice(eta, alpha, slice_count, tmp_path, capsys):
+@pytest.mark.parametrize("eta,alpha,box_modes", [("0.01", "0.01", 441), ("0.1", "0.02", 109)])
+def test_small_alpha_verdict_is_certified_above_the_box_modes(eta, alpha, box_modes, tmp_path,
+                                                              capsys):
+    # up to 1.1 * edge the operator holds hundreds of box modes; the Weyl
+    # margin still certifies that none lies below the edge
+    params = PhysicalParams(1.0, float(eta), float(alpha))
+    op = solver.build_hamiltonian(params, solver.Discretization.for_params(params))
+    assert solver.sturm_count(op, 1.1 * solver.continuum_edge(params)) == box_modes
     out = tmp_path / "verdict.json"
     rc, _, _ = run(["verdict", "--eta", eta, "--alpha", alpha, "--out", str(out)], capsys)
     assert rc == 0
     doc = json.loads(out.read_text())
     assert doc["error_trail"] == []
-    assert doc["comparison"]["numeric"]["slice_count"] == slice_count
-    assert doc["comparison"]["numeric"]["bound_candidates"] == []
+    numeric = doc["comparison"]["numeric"]
+    assert "slice_count" not in numeric
+    assert numeric["weyl_margin"] > numeric["count_error_bound"]
+    assert numeric["bound_candidates"] == []
+
+
+def test_edge_count_that_contradicts_the_weyl_margin_is_inconclusive(monkeypatch, tmp_path,
+                                                                     capsys):
+    # a certified model operator whose edge count reads 1: the verdict does
+    # not report a candidate, it reports the contradiction and exits 4
+    monkeypatch.setattr(solver, "sturm_count", lambda op, sigma: 1)
+    out = tmp_path / "verdict.json"
+    rc, _, _ = run(["verdict", "--eta", "0.5", "--lambda", "1", "--out", str(out)], capsys)
+    assert rc == 4
+    doc = json.loads(out.read_text())
+    [error] = doc["error_trail"]
+    assert error.startswith("solver: CertificateViolation: Weyl margin ")
+    assert error.endswith(" 1 eigenvalue(s) counted below the edge 0.25")
+    assert "comparison" not in doc and doc["statement"] == "Inconclusive"
 
 
 def test_level_energy_overflow_keeps_the_numeric_side(tmp_path, capsys):

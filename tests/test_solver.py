@@ -7,6 +7,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.linalg import eigh_tridiagonal
 
 from pdm_dirac import (
@@ -24,8 +26,11 @@ from pdm_dirac import (
     eigenvector,
     localization_metric,
     poschl_teller_well,
+    sech_squared,
+    solver,
     sturm_count,
 )
+from pdm_dirac.cli import main
 
 P_HALF = PhysicalParams(1.0, 0.5, 1.0)
 
@@ -265,7 +270,7 @@ def test_sturm_count_shortcut_never_hides_a_pivot():
 def test_default_verdict_edge_count_takes_the_shortcut():
     # verdict --eta 0.5 --lambda 1: V_eff >= edge in doubles, and the scaled
     # diagonal at the edge is 2.0 at its minimum, so the edge count skips the
-    # pivot loop; the count at 1.1 * edge still runs it
+    # pivot loop; a count among the box modes just above the edge runs it
     disc = Discretization.for_params(P_HALF)
     op = build_hamiltonian(P_HALF, disc)
     edge = continuum_edge(P_HALF)
@@ -273,6 +278,60 @@ def test_default_verdict_edge_count_takes_the_shortcut():
     assert _scaled(op, edge).min() >= 2.0
     assert _count_and_loop(op, edge) == (0, False)
     assert _count_and_loop(op, 1.1 * edge)[1]
+
+
+@pytest.mark.parametrize("argv,loops", [
+    *(((f"--eta {eta} --lambda 1 --N {n}", False)
+       for eta in ("0.5", "-0.5") for n in (4000, 8000, 16000))),
+    # the shortcut's one-ulp miss: the scaled edge minimum is 2 - 4.4e-16
+    ("--M0 2 --eta 0.01 --alpha 0.01", True),
+])
+def test_model_verdict_runs_no_pivot_loop(argv, loops, monkeypatch, tmp_path):
+    # the edge count is the verdict's only Sturm count; the Weyl margin
+    # replaced the count above the edge, which always ran the loop
+    looped = []
+
+    def watched(op, sigma):
+        count, ran = _count_and_loop(op, sigma)
+        looped.append(ran)
+        return count
+
+    monkeypatch.setattr(solver, "sturm_count", watched)
+    assert main(["verdict", *argv.split(), "--out", str(tmp_path / "v.json")]) == 0
+    assert looped == [loops]
+
+
+def _rosen_morse_well(a, b):
+    # A^2 + B^2/A^2 + 2B tanh x - A(A+1) sech^2 x: #{n : (A-n)^2 > |B|} levels
+    def well(x):
+        return a * a + b * b / (a * a) + 2.0 * b * np.tanh(x) - a * (a + 1.0) * sech_squared(x)
+    return well
+
+
+@settings(max_examples=60, deadline=None)
+@given(m0_exp=st.floats(-3.0, 3.0), eta=st.floats(-1.0, 1.0), lam_exp=st.floats(-3.0, 3.0),
+       num_points=st.integers(30, 400), box=st.floats(0.0, 1.0))
+def test_weyl_margin_bounds_the_dense_minimum(m0_exp, eta, lam_exp, num_points, box):
+    # alpha L anywhere in [3.01, 0.099 (N+1)], inside both resolution guards
+    m0 = 10.0**m0_exp
+    params = PhysicalParams(m0, eta, 10.0**lam_exp * m0)
+    alpha_l = 3.01 + box * (0.099 * (num_points + 1) - 3.01)
+    disc = Discretization(alpha_l / params.alpha, num_points)
+    report = bound_state_report(params, disc)
+    lowest = np.linalg.eigvalsh(build_hamiltonian(params, disc).dense())[0]
+    assert lowest - report.continuum_edge >= report.weyl_margin - report.count_error_bound
+    assert report.weyl_margin > report.count_error_bound > 0.0
+
+
+def test_wells_that_bind_report_a_negative_margin():
+    # the control well and a Rosen-Morse II member (A, B) = (4, 2), which
+    # binds three levels below its edge A^2 + B^2/A^2 - 2|B| = 12.25
+    disc = Discretization(25.0, 2000)
+    for potential, edge, levels in ((poschl_teller_well, 1.0, 1),
+                                    (_rosen_morse_well(4.0, 2.0), 12.25, 3)):
+        report = bound_state_report(P_HALF, disc, potential=potential, edge=edge)
+        assert report.weyl_margin < 0.0 < report.count_error_bound
+        assert sum(c.localized for c in report.bound_candidates) == levels
 
 
 def test_toy_eigenvalues_match_dense_reference():
@@ -427,10 +486,13 @@ def test_core_experiment_is_empty():
     disc = Discretization(25.0, 8000)
     report = bound_state_report(P_HALF, disc)
     assert report.continuum_edge == pytest.approx(0.25)
-    # the slice may pick up box modes just above the edge; nothing below it
+    # box modes crowd the edge from above; nothing lies below it, as the
+    # Weyl margin certifies
     op = build_hamiltonian(P_HALF, disc)
     assert sturm_count(op, report.continuum_edge) == 0
-    assert report.slice_count == sturm_count(op, 1.1 * report.continuum_edge)
+    assert sturm_count(op, 1.1 * report.continuum_edge) > 0
+    assert report.weyl_margin > report.count_error_bound > 0.0
+    assert "slice_count" not in report.to_dict()
     assert report.bound_candidates == []
     assert report.empty_real_spectrum
     assert report.v_eff_monotone
@@ -451,7 +513,9 @@ def test_eta_zero_free_case_verdict():
     assert report.continuum_edge == pytest.approx(1.0)
     op = build_hamiltonian(params, disc)
     assert sturm_count(op, 1.0) == 0  # box modes only, none below M0^2
-    assert report.slice_count == sturm_count(op, 1.1) > 0
+    assert sturm_count(op, 1.1) > 0
+    # a constant V_eff at the edge: the margin is lambda_min(T)/h^2 alone
+    assert report.weyl_margin > report.count_error_bound > 0.0
     assert report.bound_candidates == []
     assert report.empty_real_spectrum
 
@@ -465,9 +529,10 @@ def test_control_well_finds_the_known_state():
     assert report.bound_candidates[0].e_squared == pytest.approx(0.0, abs=2e-3)
 
 
-def test_report_counts_slice_and_solves_only_below_edge():
-    # production operator (11 box modes in the slice, none below the edge)
-    # and the control well (5 in the slice, its one state below the edge)
+def test_report_certifies_and_solves_only_below_edge():
+    # production operator (11 box modes up to 1.1 * edge, none below the
+    # edge, certified) and the control well (5 up to 1.1 * edge, its one
+    # state below the edge, which its negative margin leaves uncertified)
     cases = [
         (PhysicalParams(1.0, 0.1, 0.2), None, None, 11, 0),
         (P_HALF, poschl_teller_well, 1.0, 5, 1),
@@ -477,11 +542,15 @@ def test_report_counts_slice_and_solves_only_below_edge():
         report = bound_state_report(p, disc, potential=potential, edge=edge)
         op = build_hamiltonian(p, disc, potential=potential)
         edge = report.continuum_edge
-        assert report.slice_count == sturm_count(op, 1.1 * edge) == slice_size
+        assert sturm_count(op, 1.1 * edge) == slice_size
         values = [c.e_squared for c in report.bound_candidates]
         assert values == eigenvalues_below(op, edge).tolist()
-        assert len(values) == candidates
-        assert report.to_dict()["slice_count"] == report.slice_count
+        assert len(values) == sturm_count(op, edge) == candidates
+        assert (report.weyl_margin > report.count_error_bound) == (candidates == 0)
+        doc = report.to_dict()
+        assert "slice_count" not in doc
+        assert (doc["weyl_margin"], doc["count_error_bound"]) == (
+            report.weyl_margin, report.count_error_bound)
 
 
 def test_custom_potential_requires_explicit_edge():
