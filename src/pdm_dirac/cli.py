@@ -32,9 +32,12 @@ full parser does; when ``argv[0]`` names none (``--help``, a typo, no argv)
 the full parser reads it.  Help text, error text and exit status are those
 of the full parser either way.
 
-All file output is deterministic byte-for-byte for a fixed config: floats are
-written with 17 significant digits, lines end with LF, and files appear
-atomically (temp file + rename) so an error never leaves a partial file.  A
+All file output is deterministic byte-for-byte for a fixed config: table
+(CSV) floats are written with 17 significant digits (``%.17g``), JSON floats
+as Python's shortest round-trip ``repr`` (``0.25``, ``1e-06``), lines end
+with LF, and files appear atomically (temp file + rename) so an error never
+leaves a partial file.  JSON output (the verdict report, ``spectrum --format
+json`` and ``--dump-config``) is written by :func:`_json_text`.  A
 written file gets the mode a plain ``open`` would give it, ``0o666`` less the
 umask.  ``surface`` evaluates f in blocks of eta rows through the grid block
 generator that the verdict's supremum scan also uses, and writes each eta row
@@ -49,9 +52,11 @@ pieces are joined and written in one call, so an error prints nothing.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
+import shutil
 import sys
 import tempfile
 from dataclasses import dataclass
@@ -63,6 +68,7 @@ import numpy as np
 from .errors import (
     ConfigKeyError,
     EvaluationError,
+    LambdaZero,
     NonFinite,
     NonPositiveAlpha,
     ParameterError,
@@ -99,7 +105,8 @@ _SLOT = "%.17g"  # every float is written as format(value, ".17g"); a row is one
 
 # Level table rows (n = 0..n_max), each classified and formatted on its own:
 # the ceiling bounds the table at 100,001 rows, which a fresh `spectrum` run
-# writes in about 1.2 s and a fresh `verdict` in about 3 s (2 cores).
+# writes in about 1.3 s and a fresh `verdict` in about 2.4 s (medians of 8
+# runs, 2 cores).
 _N_MAX_CEILING = 100_000
 # Solver and sampling points: each costs several doubles of memory, so an
 # unbounded N ends in a MemoryError.  Tests and benchmark use at most 16000.
@@ -145,6 +152,79 @@ def _emit(out: str, pieces: Iterable[str]) -> None:
         sys.stdout.write("".join(pieces))
     else:
         _atomic_write(out, pieces)
+
+
+# --- JSON text --------------------------------------------------------------
+
+_quote = json.encoder.encode_basestring_ascii  # json's own (C) string encoder
+_NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}  # json's names
+
+
+def _json_text(doc) -> str:
+    """``doc`` as json's ``dumps(doc, sort_keys=True, indent=2)`` writes it.
+
+    With an ``indent``, json runs its pure-Python generators instead of its C
+    encoder; this builds the same text into one list and joins it once.  It
+    takes json's types in json's order (str, None, True, False, int, float,
+    list or tuple, dict), writes them with json's string encoder,
+    ``int.__repr__`` and ``float.__repr__`` (``NaN``, ``Infinity``,
+    ``-Infinity``), sorts dict items as json does and raises ``TypeError``
+    where json does.  A document is a tree: this does not look for cycles.
+    """
+    out: list[str] = []
+    _json_append(doc, "\n", out)
+    return "".join(out)
+
+
+def _json_key(key) -> str:
+    """A dict key as json writes it: a float, int, bool or None key as its JSON text, quoted."""
+    if isinstance(key, str):
+        return _quote(key)
+    if isinstance(key, (int, float)) or key is None:  # a bool is an int
+        return _quote(_json_text(key))
+    raise TypeError(f"keys must be str, int, float, bool or None, not {key.__class__.__name__}")
+
+
+def _json_append(value, newline: str, out: list) -> None:
+    """Append the text of ``value`` to ``out``; ``newline`` starts a line at its depth."""
+    if isinstance(value, str):
+        out.append(_quote(value))
+    elif value is None:
+        out.append("null")
+    elif value is True:
+        out.append("true")
+    elif value is False:
+        out.append("false")
+    elif isinstance(value, int):
+        out.append(int.__repr__(value))
+    elif isinstance(value, float):
+        text = float.__repr__(value)
+        out.append(_NON_FINITE.get(text, text))
+    elif isinstance(value, (list, tuple)):
+        if not value:
+            out.append("[]")
+            return
+        inner = newline + "  "
+        comma = "," + inner
+        out.append("[" + inner)
+        for item in value:
+            _json_append(item, inner, out)
+            out.append(comma)
+        out[-1] = newline + "]"  # the last comma's place closes the array
+    elif isinstance(value, dict):
+        if not value:
+            out.append("{}")
+            return
+        inner = newline + "  "
+        comma = "," + inner
+        out.append("{" + inner)
+        for key, item in sorted(value.items()):
+            out.append(_json_key(key) + ": ")
+            _json_append(item, inner, out)
+            out.append(comma)
+        out[-1] = newline + "}"
+    else:
+        raise TypeError(f"Object of type {value.__class__.__name__} is not JSON serializable")
 
 
 # --- run keys ---------------------------------------------------------------
@@ -295,7 +375,7 @@ class RunConfig:
         return doc
 
     def dump(self) -> str:
-        return json.dumps(self.to_json_doc(), sort_keys=True, indent=2) + "\n"
+        return _json_text(self.to_json_doc()) + "\n"
 
 
 class _Parser(argparse.ArgumentParser):
@@ -333,18 +413,23 @@ def _build_parser(name: Optional[str] = None) -> argparse.ArgumentParser:
     """The parser of subcommand ``name`` alone, as the full parser's subparser
     for it would be, or with no ``name`` the full parser: ``pdm-dirac`` with
     one subparser per subcommand."""
+    # argparse builds a formatter for each add_argument check, and each one
+    # without a width reads the terminal; this is the width it would read
+    width = shutil.get_terminal_size().columns - 2
+    formatter = functools.partial(argparse.HelpFormatter, width=width)
     if name is not None:
-        parser = _Parser(prog=f"pdm-dirac {name}")
+        parser = _Parser(prog=f"pdm-dirac {name}", formatter_class=formatter)
         _add_arguments(parser, _SUBCOMMANDS[name])
         return parser
     parser = _Parser(
         prog="pdm-dirac",
         description="Spectral feasibility checks for a smooth-step "
         "position-dependent-mass Dirac model.",
+        formatter_class=formatter,
     )
     sub = parser.add_subparsers(dest="subcommand", required=True)
     for name, spec in _SUBCOMMANDS.items():
-        _add_arguments(sub.add_parser(name, help=spec.help), spec)
+        _add_arguments(sub.add_parser(name, help=spec.help, formatter_class=formatter), spec)
     return parser
 
 
@@ -498,15 +583,18 @@ def cmd_surface(cfg: RunConfig) -> int:
 
 
 def _spectrum_lines(cfg: RunConfig) -> str:
-    entries = classify_levels(
-        cfg.dimensionless(), cfg.n_max, M0=cfg.physical().M0
-    )
+    params = cfg.physical()
+    dless = cfg.dimensionless()
+    if dless.lam == 0.0:  # alpha > 0, so alpha / M0 underflowed: name the values given
+        raise LambdaZero(f"lambda = alpha / M0 underflows: alpha = {params.alpha!r}, "
+                         f"M0 = {params.M0!r}")
+    entries = classify_levels(dless, cfg.n_max, M0=params.M0)
     if cfg.format == "json":
         doc = {
             "params": cfg.to_json_doc(),
             "entries": [e.to_dict() for e in entries],
         }
-        return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+        return _json_text(doc) + "\n"
     row = f"%d,{_SLOT},{_SLOT},%s,{_SLOT}"  # an Undefined row's NaN values are written as nan
     lines = ["n,delta1,e_squared,classification,energy_magnitude"]
     lines.extend(row % (e.n, e.delta1, e.e_squared, e.classification.value, e.energy_magnitude)
@@ -603,7 +691,7 @@ def cmd_verdict(cfg: RunConfig) -> int:
         statement, status = "SpectrumImaginaryOrEmpty", 0
     report["statement"] = statement
 
-    _emit(cfg.out, [json.dumps(report, sort_keys=True, indent=2) + "\n"])
+    _emit(cfg.out, [_json_text(report) + "\n"])
     if cfg.out != "-":
         print(f"verdict: {statement}")
     return status

@@ -107,8 +107,16 @@ ETA_ZERO_SNAP = 1e-12
 
 
 def reduce_params(params: PhysicalParams) -> DimensionlessParams:
-    """Reduce dimensional parameters to (eta, lambda) with lambda = alpha / M0."""
-    return DimensionlessParams(eta=params.eta, lam=params.alpha / params.M0)
+    """Reduce dimensional parameters to (eta, lambda) with lambda = alpha / M0.
+
+    A quotient that overflows raises :class:`NonFinite` naming both factors,
+    the values the user gave, rather than the ``inf`` they make.
+    """
+    lam = params.alpha / params.M0
+    if lam == math.inf:
+        raise NonFinite(f"lambda = alpha / M0 overflows: alpha = {params.alpha!r}, "
+                        f"M0 = {params.M0!r}")
+    return DimensionlessParams(eta=params.eta, lam=lam)
 
 
 _PHYSICAL_KEYS = frozenset({"M0", "eta", "alpha"})

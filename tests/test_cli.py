@@ -4,6 +4,7 @@ import argparse
 import json
 import math
 import os
+import shutil
 import stat
 import subprocess
 import sys
@@ -26,7 +27,9 @@ from pdm_dirac import (
 from pdm_dirac import feasibility, solver
 from pdm_dirac.cli import (
     _SUBCOMMANDS,
+    _add_arguments,
     _build_parser,
+    _Parser,
     _parse_args,
     main,
     resolve_config,
@@ -365,6 +368,32 @@ def test_lambda_flag_is_named_before_it_scales_m0(flags, stderr, capsys):
     assert run(["spectrum", *flags], capsys) == (2, "", keys)
 
 
+@pytest.mark.parametrize("sub", ["spectrum", "verdict"])
+@pytest.mark.parametrize("source", ["flags", "config"])
+def test_lambda_quotient_names_alpha_and_m0(sub, source, tmp_path, capsys):
+    # lambda = alpha / M0 leaves the double range: the error names the two
+    # values given, not the inf or 0 they make
+    def args(m0, alpha):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"M0": m0, "eta": 0.5, "alpha": alpha}))
+        if source == "config":
+            return [sub, "--config", str(cfg_path), "--out", str(tmp_path / "out")]
+        return [sub, "--eta", "0.5", "--alpha", repr(alpha), "--M0", repr(m0),
+                "--out", str(tmp_path / "out")]
+
+    overflow = "error: lambda = alpha / M0 overflows: alpha = 1e+300, M0 = 1e-300\n"
+    assert run(args(1e-300, 1e300), capsys) == (2, "", overflow)
+    assert not (tmp_path / "out").exists()
+    # a quotient that underflows is lambda = 0: spectrum names it, with exit 2 as
+    # before; a verdict goes on to the solver and stays inconclusive (exit 4)
+    status, _, err = run(args(2.0, 5e-324), capsys)
+    if sub == "spectrum":
+        assert (status, err) == (2, "error: LambdaZero: lambda = alpha / M0 underflows: "
+                                    "alpha = 5e-324, M0 = 2.0\n")
+    else:
+        assert (status, err) == (4, "")
+
+
 @pytest.mark.parametrize("flags,echo", [
     (["--lambda", "0.25"], {"eta": 0.5, "lambda": 0.25}),
     (["--M0", "1", "--lambda", "0.25"], {"eta": 0.5, "lambda": 0.25}),
@@ -683,6 +712,58 @@ def test_a_run_builds_only_the_invoked_subcommands_parser(monkeypatch):
             assert parser.prog == f"pdm-dirac {name}"
             assert _options(parser) == _options(full[name])
             assert parser.format_help() == full[name].format_help()
+
+
+def _stock_parser(name=None):
+    """``_build_parser(name)`` with argparse's stock formatter, which reads the
+    terminal width each time argparse builds one."""
+    if name is not None:
+        parser = _Parser(prog=f"pdm-dirac {name}")
+        _add_arguments(parser, _SUBCOMMANDS[name])
+        return parser
+    parser = _Parser(prog="pdm-dirac", description=_build_parser().description)
+    sub = parser.add_subparsers(dest="subcommand", required=True)
+    for sub_name, spec in _SUBCOMMANDS.items():
+        _add_arguments(sub.add_parser(sub_name, help=spec.help), spec)
+    return parser
+
+
+def _texts(parser, capsys):
+    """Help, usage and the outcome of a few argv that print help or fail, for
+    ``parser`` and, for the full parser, each of its subparsers."""
+    if parser.prog == "pdm-dirac":
+        subparsers = parser._subparsers._group_actions[0].choices
+        nested = [_texts(subparsers[name], capsys) for name in SUBCOMMANDS]
+        argvs = [["-h"], [], ["surfac"], ["verdict", "-h"], ["verdict", "--eta", "x"],
+                 ["verdict", "--et", "1", "--lambda", "1"]]
+    else:
+        nested = []
+        argvs = [["-h"], ["--no-such-flag"], ["--eta", "x"], ["--grid", "2.5,3"], ["--N"]]
+    return (parser.format_help(), parser.format_usage(),
+            [_parse_outcome(parser.parse_args, argv, capsys) for argv in argvs], nested)
+
+
+@pytest.mark.parametrize("columns", [None, "20", "60", "200"])
+def test_parsers_read_the_terminal_once_and_keep_their_text(columns, monkeypatch, capsys):
+    if columns is None:
+        monkeypatch.delenv("COLUMNS", raising=False)
+    else:
+        monkeypatch.setenv("COLUMNS", columns)
+    reads = []
+    terminal_size = shutil.get_terminal_size
+
+    def counted(*args):
+        reads.append(args)
+        return terminal_size(*args)
+
+    monkeypatch.setattr(shutil, "get_terminal_size", counted)
+    for name in [None, *SUBCOMMANDS]:
+        reads.clear()
+        parser = _build_parser(name)
+        assert len(reads) == 1, name
+        texts = _texts(parser, capsys)
+        assert len(reads) == 1, name  # help and errors read the width the build read
+        assert texts == _texts(_stock_parser(name), capsys)
 
 
 def test_main_reads_sys_argv(monkeypatch, capsys):

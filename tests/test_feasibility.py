@@ -158,6 +158,28 @@ def test_evaluate_point_bundle():
     assert doc["u"] == r.u
 
 
+# (eta, lambda) -> reprs of the point certificate's f_direct, f_factored and u.
+# The scalar routes call math.hypot, which CPython computes itself, not libm:
+# these bytes were the same on Python 3.10.13, 3.11.7, 3.12.1 and 3.13.0.
+POINT_CERTIFICATE_BYTES = {
+    (0.5, 1.0): ("-4.621320343559641", "-4.621320343559642", "0.20710678118654754"),
+    (0.5, 1e-300): ("0.0", "-1.5e-300", "0.5"),
+    (1.0, 5e-324): ("0.0", "-0.0", "1.0"),
+    (0.9999999999999999, 1e-3):
+        ("-1.0000000000287557e-06", "-1.000000000000222e-06", "0.9995001249999921"),
+    (-0.9999999999999999, 1e-12): ("0.0", "-1.000222044604925e-24", "0.9999999999995"),
+    (1.0, 1e6): ("-999999999999.9999", "-999999999999.9999", "9.99999999999e-07"),
+    (0.01, 0.01): ("-1.6179721853510194", "-1.6179721853510196", "0.006180339887498949"),
+}
+
+
+def test_point_certificate_bytes_are_pinned():
+    for (eta, lam), expected in POINT_CERTIFICATE_BYTES.items():
+        doc = evaluate_point(eta, lam).to_dict()
+        assert tuple(repr(doc[key]) for key in ("f_direct", "f_factored", "u")) == expected, \
+            (eta, lam)
+
+
 def test_exact_factorization_against_mpmath():
     """Re-derive the factorization at high precision on a deterministic grid.
 
