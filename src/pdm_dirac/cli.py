@@ -24,9 +24,11 @@ check in ``_KEYS`` (type, count, range) that its value passes whether it came
 from a flag or from a config document; a flag overrides the config key.  A
 value that fails its check, a config key the subcommand does not take, and
 flag text the parser cannot read exit 2 with
-:class:`~pdm_dirac.errors.ConfigKeyError`.  Parameter flags are read as the
-parameter document they stand for, so they pass the config document's checks,
-with its error text, and before any run key.  A run builds only the parser of
+:class:`~pdm_dirac.errors.ConfigKeyError`.  Parameter flags stand for the
+parameter document with their keys (``--alpha`` brings M0 = 1 if no ``--M0``
+is given, and ``--lambda`` drops an ``--M0 1``), so they pass the config
+document's checks, with its error text, and before any run key; no flag
+derives a parameter from another.  A run builds only the parser of
 the subcommand that ``argv[0]`` names, and reports leftover arguments as the
 full parser does; when ``argv[0]`` names none (``--help``, a typo, no argv)
 the full parser reads it.  Help text, error text and exit status are those
@@ -68,9 +70,6 @@ import numpy as np
 from .errors import (
     ConfigKeyError,
     EvaluationError,
-    LambdaZero,
-    NonFinite,
-    NonPositiveAlpha,
     ParameterError,
     PdmDiracError,
 )
@@ -93,6 +92,7 @@ from .params import (
     reduce_params,
 )
 from .solver import (
+    DEFAULT_HALF_WIDTH_STEPS,
     Discretization,
     analytic_vs_numeric,
     poschl_teller_well,
@@ -336,13 +336,6 @@ _SUBCOMMANDS = {
 }
 
 
-def _physical(params: Params) -> PhysicalParams:
-    """``params`` as physical parameters; reduced ones are read at M0 = 1."""
-    if isinstance(params, PhysicalParams):
-        return params
-    return PhysicalParams(1.0, params.eta, params.lam)
-
-
 @dataclass(frozen=True)
 class RunConfig:
     """Fully resolved run description; serializes to a round-trippable JSON doc."""
@@ -359,10 +352,24 @@ class RunConfig:
     control_well: bool = False
 
     def physical(self) -> PhysicalParams:
-        return _physical(self.params)
+        """The parameters as physical ones; reduced ones are read at M0 = 1."""
+        if isinstance(self.params, PhysicalParams):
+            return self.params
+        return PhysicalParams(1.0, self.params.eta, self.params.lam)
 
     def dimensionless(self) -> DimensionlessParams:
         return reduce_params(self.physical())
+
+    def half_width(self, steps: float) -> float:
+        """``L``, or by default ``steps / alpha``; a default that overflows names alpha."""
+        if self.L is not None:
+            return self.L
+        alpha = self.physical().alpha
+        half_width = steps / alpha
+        if half_width == math.inf:
+            raise ParameterError(f"default half-width {steps:g}/alpha overflows: "
+                                 f"alpha = {alpha!r}; give --L")
+        return half_width
 
     def to_json_doc(self) -> dict:
         doc: dict = {"subcommand": self.subcommand}
@@ -464,37 +471,19 @@ def _load_config_doc(path: str) -> dict:
 
 
 def _flag_doc(ns: argparse.Namespace) -> dict:
-    """The parameter document that the parameter flags stand for.
+    """The parameter document with the keys of the given parameter flags.
 
-    ``--lambda`` without ``--M0``, or with ``--M0 1``, stands for ``{"eta",
-    "lambda"}``; otherwise ``--alpha`` or ``--lambda`` stands for ``{"M0",
-    "eta", "alpha"}``, with M0 = 1 by default and alpha = lambda * M0.  Any
-    other set of flags keeps the keys it names, which :func:`params_from_json`
-    refuses as it refuses such a config document.
-
-    So that an error names a value the user gave, lambda becomes alpha only
-    beside an eta (without one, the keys are refused as given), a valid M0
-    leaves lambda to be checked as the ``{"eta", "lambda"}`` document checks
-    it, before the product, and a product that leaves the double range names
-    both factors.  An invalid M0 is named by :class:`PhysicalParams`, which
-    checks it first.
+    Two rules fill in a scale: ``--lambda`` drops an ``--M0 1``, the reduced
+    document's own scale, and ``--alpha`` without ``--M0`` stands for M0 = 1.
+    Any other set of flags keeps the keys it names, which
+    :func:`params_from_json` refuses as it refuses such a config document.
     """
     given = (("M0", ns.M0), ("eta", ns.eta), ("alpha", ns.alpha), ("lambda", ns.lam))
     doc = {key: value for key, value in given if value is not None}
     if "lambda" in doc and doc.get("M0", 1.0) == 1.0:
         doc.pop("M0", None)
-    elif "lambda" in doc or "alpha" in doc:
-        m0 = doc.setdefault("M0", 1.0)
-        if "alpha" not in doc and "eta" in doc:
-            lam = doc.pop("lambda")
-            doc["alpha"] = alpha = lam * m0
-            if math.isfinite(m0) and m0 > 0.0:
-                DimensionlessParams(doc["eta"], lam)
-                factors = f"lambda = {lam!r}, M0 = {m0!r}"
-                if alpha == math.inf:
-                    raise NonFinite(f"alpha = lambda * M0 overflows: {factors}")
-                if alpha == 0.0 < lam:
-                    raise NonPositiveAlpha(f"alpha = lambda * M0 underflows: {factors}")
+    elif "alpha" in doc:
+        doc.setdefault("M0", 1.0)
     return doc
 
 
@@ -526,7 +515,9 @@ def resolve_config(ns: argparse.Namespace) -> RunConfig:
     params = None
     if spec.params:
         params = params_from_json(param_doc)
-        _physical(params)  # validate eagerly: lambda = 0 has no alpha > 0
+        # a run reads a reduced lambda as alpha at M0 = 1, and alpha must be > 0
+        if isinstance(params, DimensionlessParams) and params.lam == 0.0:
+            raise ParameterError(f"lambda must be > 0, got {params.lam}")
 
     given = [(key, value) for key, value in doc.items() if key in spec.keys]
     given += [(key, getattr(ns, key)) for key in spec.keys if getattr(ns, key) is not None]
@@ -583,12 +574,7 @@ def cmd_surface(cfg: RunConfig) -> int:
 
 
 def _spectrum_lines(cfg: RunConfig) -> str:
-    params = cfg.physical()
-    dless = cfg.dimensionless()
-    if dless.lam == 0.0:  # alpha > 0, so alpha / M0 underflowed: name the values given
-        raise LambdaZero(f"lambda = alpha / M0 underflows: alpha = {params.alpha!r}, "
-                         f"M0 = {params.M0!r}")
-    entries = classify_levels(dless, cfg.n_max, M0=params.M0)
+    entries = classify_levels(cfg.dimensionless(), cfg.n_max, M0=cfg.physical().M0)
     if cfg.format == "json":
         doc = {
             "params": cfg.to_json_doc(),
@@ -609,7 +595,7 @@ def cmd_spectrum(cfg: RunConfig) -> int:
 
 def cmd_potential(cfg: RunConfig) -> int:
     params = cfg.physical()
-    half_width = cfg.L if cfg.L is not None else 10.0 / params.alpha
+    half_width = cfg.half_width(10.0)
     count = cfg.N if cfg.N is not None else 401
     with np.errstate(all="ignore"):  # an overflowing grid fails the block check below
         x = np.linspace(-half_width, half_width, count)
@@ -657,7 +643,7 @@ def cmd_verdict(cfg: RunConfig) -> int:
     # 2. closed-form levels vs numeric scan (optionally on the control well)
     try:
         disc = Discretization.for_params(
-            params, half_width=cfg.L, num_points=cfg.N
+            params, half_width=cfg.half_width(DEFAULT_HALF_WIDTH_STEPS), num_points=cfg.N
         )
         if cfg.control_well:
             comparison = analytic_vs_numeric(

@@ -29,6 +29,7 @@ from typing import Mapping, Union
 from .errors import (
     ConfigKeyError,
     EtaOutOfRange,
+    LambdaZero,
     NegativeLambda,
     NonFinite,
     NonPositiveAlpha,
@@ -64,8 +65,8 @@ class PhysicalParams:
     alpha: float
 
     def __post_init__(self) -> None:
-        # M0 first: the flags give alpha as lambda * M0, so a bad M0 can make
-        # an alpha the user never wrote (lambda = inf, M0 = 0 gives nan)
+        # M0 first: a document may hold a bad M0 and a bad alpha at once
+        # ({"M0": 0, "alpha": NaN}), and its error names the scale either way
         object.__setattr__(self, "M0", _require_finite("M0", self.M0))
         if self.M0 <= 0.0:
             raise NonPositiveMass(f"M0 must be > 0, got {self.M0}")
@@ -109,13 +110,15 @@ ETA_ZERO_SNAP = 1e-12
 def reduce_params(params: PhysicalParams) -> DimensionlessParams:
     """Reduce dimensional parameters to (eta, lambda) with lambda = alpha / M0.
 
-    A quotient that overflows raises :class:`NonFinite` naming both factors,
-    the values the user gave, rather than the ``inf`` they make.
+    A quotient that leaves the double range names both factors, the values
+    the user gave, rather than the ``inf`` or ``0`` they make: overflow
+    raises :class:`NonFinite`, underflow :class:`LambdaZero` (alpha > 0, so
+    lambda = 0 is only ever a rounded one).
     """
     lam = params.alpha / params.M0
-    if lam == math.inf:
-        raise NonFinite(f"lambda = alpha / M0 overflows: alpha = {params.alpha!r}, "
-                        f"M0 = {params.M0!r}")
+    if lam == math.inf or lam == 0.0:
+        way, error = ("overflows", NonFinite) if lam else ("underflows", LambdaZero)
+        raise error(f"lambda = alpha / M0 {way}: alpha = {params.alpha!r}, M0 = {params.M0!r}")
     return DimensionlessParams(eta=params.eta, lam=lam)
 
 

@@ -2,12 +2,15 @@
 
 The model couples a Dirac particle to a smooth mass step
 ``M(x) = M0 * (1 + eta * tanh(alpha x))`` together with the purely imaginary
-Lorentz-vector potential ``V(x) = (i/2) * M'(x) / M(x)``.  Squaring the Dirac
-operator then leaves a Schrodinger-like problem
+Lorentz-vector potential ``V(x) = (i/2) * M'(x) / M(x)``.  Jia and Dutra
+(J. Phys. A 39 (2006) 11877) map it onto the Schrodinger-like problem
 
     -phi'' + M(x)^2 phi = E^2 phi,
 
-whose effective potential ``M(x)^2`` is of Rosen-Morse form
+which this module takes as given: squaring the textbook operator
+``sigma_x p + sigma_y M`` gives ``p^2 + M^2 + sigma_z M'`` instead, whose
+components carry ``M^2 +- M'``.  The effective potential ``M(x)^2`` is of
+Rosen-Morse form
 
     M0^2 (1 + eta^2) + 2 eta M0^2 tanh(alpha x) - eta^2 M0^2 sech^2(alpha x).
 

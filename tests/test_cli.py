@@ -1,6 +1,7 @@
 """Exit-status contract, determinism, and file formats of the CLI."""
 
 import argparse
+import itertools
 import json
 import math
 import os
@@ -320,16 +321,49 @@ def test_flags_override_config_keys(tmp_path, capsys):
     assert json.loads(out)["format"] == "json"
 
 
+def _flag_rules(flags: dict) -> dict:
+    """The config document that a set of parameter flags stands for: the one
+    with their keys, after the two rules that fill in a scale."""
+    doc = dict(flags)
+    if "lambda" in doc and doc.get("M0", 1.0) == 1.0:
+        doc.pop("M0", None)  # 1 is the reduced document's scale
+    elif "alpha" in doc:
+        doc.setdefault("M0", 1.0)
+    return doc
+
+
 @pytest.mark.parametrize("lam", [0.5, 0.0, -1.0, math.inf, math.nan])
 @pytest.mark.parametrize("eta", [0.5, 2.0])
 def test_flags_and_config_share_one_parameter_path(eta, lam, tmp_path, capsys):
-    # the flags are read as the document they stand for: same status and bytes
+    # every subset of --M0, --eta, --alpha, --lambda (alpha and lambda take
+    # lam, M0 is 1 or 2) gives the status, stdout, stderr and written bytes of
+    # the config document with its keys
     cfg_path = tmp_path / "cfg.json"
-    cfg_path.write_text(json.dumps({"eta": eta, "lambda": lam}))
-    by_flags = run(["spectrum", "--eta", repr(eta), "--lambda", repr(lam)], capsys)
-    by_config = run(["spectrum", "--config", str(cfg_path)], capsys)
-    assert by_flags == by_config
-    assert by_flags[0] == (0 if eta == 0.5 and lam == 0.5 else 2)
+    out = tmp_path / "out.json"
+    names = ("M0", "eta", "alpha", "lambda")
+    statuses = {}
+    for keys in itertools.chain.from_iterable(
+            itertools.combinations(names, size) for size in range(len(names) + 1)):
+        for m0 in (1.0, 2.0) if "M0" in keys else (None,):
+            values = {"M0": m0, "eta": eta, "alpha": lam, "lambda": lam}
+            flags = {key: values[key] for key in keys}
+            cfg_path.write_text(json.dumps(_flag_rules(flags)))
+            results = []
+            for source in ([f"--{key}={value!r}" for key, value in flags.items()],
+                           ["--config", str(cfg_path)]):
+                results.append((*run(["spectrum", *source, "--format", "json",
+                                      "--out", str(out)], capsys),
+                                out.read_bytes() if out.exists() else None))
+                out.unlink(missing_ok=True)
+            assert results[0] == results[1], flags
+            statuses[keys, m0] = results[0][0]
+    # at a valid point exactly the two documents run, whatever the flags spell
+    runs = {(("eta", "alpha"), None), (("M0", "eta", "alpha"), 1.0),
+            (("M0", "eta", "alpha"), 2.0), (("eta", "lambda"), None),
+            (("M0", "eta", "lambda"), 1.0)}
+    valid = eta == 0.5 and lam == 0.5
+    assert {case for case, status in statuses.items() if status == 0} == (runs if valid else set())
+    assert set(statuses.values()) <= {0, 2}
 
 
 @pytest.mark.parametrize("source", ["flags", "config"])
@@ -343,29 +377,28 @@ def test_parameters_are_checked_before_run_keys(source, tmp_path, capsys):
 
 @pytest.mark.parametrize("source", ["flags", "config"])
 def test_m0_is_checked_before_the_alpha_it_scales(source, tmp_path, capsys):
-    # --lambda inf --M0 0 stands for alpha = inf * 0 = nan, which no one wrote
+    # both M0 and alpha are bad: the error names the scale
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps({"M0": 0, "eta": 0.5, "alpha": math.nan}))
-    args = (["spectrum", "--eta", "0.5", "--lambda", "inf", "--M0", "0"]
+    args = (["spectrum", "--eta", "0.5", "--alpha", "nan", "--M0", "0"]
             if source == "flags" else ["spectrum", "--config", str(cfg_path)])
     assert run(args, capsys) == (2, "", "error: M0 must be > 0, got 0.0\n")
 
 
-@pytest.mark.parametrize("flags,stderr", [
-    (["--lambda", "inf", "--M0", "2"], "error: lambda must be finite, got inf\n"),
-    (["--lambda", "-1", "--M0", "2"], "error: lambda must be >= 0, got -1.0\n"),
-    (["--lambda", "1e300", "--M0", "1e10"],
-     "error: alpha = lambda * M0 overflows: lambda = 1e+300, M0 = 10000000000.0\n"),
-    (["--lambda", "1e-300", "--M0", "1e-100"],
-     "error: alpha = lambda * M0 underflows: lambda = 1e-300, M0 = 1e-100\n"),
+@pytest.mark.parametrize("flags", [
+    ["--lambda", "inf", "--M0", "2"],
+    ["--lambda", "-1", "--M0", "2"],
+    ["--lambda", "1e300", "--M0", "1e10"],
+    ["--lambda", "1e-300", "--M0", "1e-100"],
+    ["--lambda", "0.25", "--M0", "2"],
 ])
-def test_lambda_flag_is_named_before_it_scales_m0(flags, stderr, capsys):
-    # --lambda with an M0 other than 1 stands for alpha = lambda * M0; an
-    # error names the values the user gave, not the product
-    assert run(["spectrum", "--eta", "0.5", *flags], capsys) == (2, "", stderr)
-    keys = ("error: parameter document keys ['M0', 'lambda'] match neither "
-            "['M0', 'alpha', 'eta'] nor ['eta', 'lambda']\n")
-    assert run(["spectrum", *flags], capsys) == (2, "", keys)
+def test_lambda_beside_an_m0_other_than_1_is_refused_by_its_keys(flags, capsys):
+    # no flag derives alpha = lambda * M0: the keys are refused as a config's are
+    keys = ("error: parameter document keys {} match neither ['M0', 'alpha', 'eta'] "
+            "nor ['eta', 'lambda']\n")
+    assert run(["spectrum", "--eta", "0.5", *flags], capsys) == (
+        2, "", keys.format("['M0', 'eta', 'lambda']"))
+    assert run(["spectrum", *flags], capsys) == (2, "", keys.format("['M0', 'lambda']"))
 
 
 @pytest.mark.parametrize("sub", ["spectrum", "verdict"])
@@ -384,20 +417,38 @@ def test_lambda_quotient_names_alpha_and_m0(sub, source, tmp_path, capsys):
     overflow = "error: lambda = alpha / M0 overflows: alpha = 1e+300, M0 = 1e-300\n"
     assert run(args(1e-300, 1e300), capsys) == (2, "", overflow)
     assert not (tmp_path / "out").exists()
-    # a quotient that underflows is lambda = 0: spectrum names it, with exit 2 as
-    # before; a verdict goes on to the solver and stays inconclusive (exit 4)
-    status, _, err = run(args(2.0, 5e-324), capsys)
-    if sub == "spectrum":
-        assert (status, err) == (2, "error: LambdaZero: lambda = alpha / M0 underflows: "
-                                    "alpha = 5e-324, M0 = 2.0\n")
-    else:
-        assert (status, err) == (4, "")
+    underflow = "error: LambdaZero: lambda = alpha / M0 underflows: alpha = 5e-324, M0 = 2.0\n"
+    assert run(args(2.0, 5e-324), capsys) == (2, "", underflow)
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("sub", ["spectrum", "verdict", "potential"])
+@pytest.mark.parametrize("source", ["flags", "config"])
+def test_a_reduced_lambda_of_0_is_named_as_lambda(sub, source, tmp_path, capsys):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"eta": 0.5, "lambda": 0}))
+    params = (["--eta", "0.5", "--lambda", "0"] if source == "flags"
+              else ["--config", str(cfg_path)])
+    out = tmp_path / "out"
+    assert run([sub, *params, "--out", str(out)], capsys) == (
+        2, "", "error: lambda must be > 0, got 0.0\n")
+    assert not out.exists()
+
+
+def test_an_overflowing_default_half_width_names_alpha(tmp_path, capsys):
+    out = tmp_path / "v.json"
+    assert run(["verdict", "--eta", "0.5", "--lambda", "5e-324", "--out", str(out)], capsys) == (
+        4, "verdict: Inconclusive\n", "")
+    assert json.loads(out.read_text())["error_trail"] == [
+        "solver: ParameterError: default half-width 25/alpha overflows: alpha = 5e-324; give --L"]
+    assert run(["potential", "--eta", "0.5", "--lambda", "1e-320", "--N", "3"], capsys) == (
+        2, "", "error: default half-width 10/alpha overflows: alpha = 1e-320; give --L\n")
 
 
 @pytest.mark.parametrize("flags,echo", [
     (["--lambda", "0.25"], {"eta": 0.5, "lambda": 0.25}),
     (["--M0", "1", "--lambda", "0.25"], {"eta": 0.5, "lambda": 0.25}),
-    (["--M0", "2", "--lambda", "0.25"], {"M0": 2.0, "alpha": 0.5, "eta": 0.5}),
+    (["--M0", "2", "--alpha", "0.5"], {"M0": 2.0, "alpha": 0.5, "eta": 0.5}),
     (["--alpha", "0.25"], {"M0": 1.0, "alpha": 0.25, "eta": 0.5}),
 ])
 def test_dump_config_echoes_the_document_the_flags_stand_for(flags, echo, capsys):
@@ -577,7 +628,7 @@ EXIT_CASES = [
      0, []),
     (["spectrum", "--eta", "0.5", "--M0", "1e200", "--alpha", "1e200", "--n-max", "1"], 2,
      ["M0^2 is not a normal double"]),
-    (["spectrum", "--eta", "0.5", "--M0", "1e-200", "--lambda", "1", "--n-max", "1"], 2,
+    (["spectrum", "--eta", "0.5", "--M0", "1e-200", "--alpha", "1e-200", "--n-max", "1"], 2,
      ["M0^2 is not a normal double"]),
     (["verdict", "--eta", "0.5", "--lambda", "1", "--seed", "-1"], 2, ["seed"]),
     (["verdict", "--eta", "0.5", "--lambda", "1", "--seed", "0"], 2,

@@ -40,7 +40,10 @@ def _flag(name, value):
 
 
 def _params(eta, steep, use_alpha, m0):
-    return _flag("eta", eta) + _flag("alpha" if use_alpha else "lambda", steep) + _flag("M0", m0)
+    # only {M0, eta, alpha} has a scale: --lambda beside an M0 other than 1 is refused
+    if not use_alpha:
+        return _flag("eta", eta) + _flag("lambda", steep)
+    return _flag("eta", eta) + _flag("alpha", steep) + _flag("M0", m0)
 
 
 def _run(args):

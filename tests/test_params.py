@@ -7,6 +7,7 @@ from pdm_dirac import (
     ConfigKeyError,
     DimensionlessParams,
     EtaOutOfRange,
+    LambdaZero,
     NegativeLambda,
     NonFinite,
     NonPositiveAlpha,
@@ -53,6 +54,15 @@ def test_reduce_examples():
     assert reduce_params(PhysicalParams(1.0, 0.5, 1.0)) == DimensionlessParams(0.5, 1.0)
     assert reduce_params(PhysicalParams(2.0, -0.3, 1.0)) == DimensionlessParams(-0.3, 0.5)
     assert reduce_params(PhysicalParams(0.5, 1.0, 5.0)) == DimensionlessParams(1.0, 10.0)
+
+
+def test_reduce_names_both_factors_when_the_quotient_leaves_the_double_range():
+    with pytest.raises(NonFinite, match=r"^lambda = alpha / M0 overflows: alpha = 1e\+300, "
+                                        r"M0 = 1e-300$"):
+        reduce_params(PhysicalParams(1e-300, 0.5, 1e300))
+    with pytest.raises(LambdaZero, match=r"^lambda = alpha / M0 underflows: alpha = 5e-324, "
+                                         r"M0 = 2.0$"):
+        reduce_params(PhysicalParams(2.0, 0.5, 5e-324))
 
 
 def test_reduce_scale_invariance():
