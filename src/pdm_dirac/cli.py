@@ -39,9 +39,11 @@ All file output is deterministic byte-for-byte for a fixed config: table
 as Python's shortest round-trip ``repr`` (``0.25``, ``1e-06``), lines end
 with LF, and files appear atomically (temp file + rename) so an error never
 leaves a partial file.  JSON output (the verdict report, ``spectrum --format
-json`` and ``--dump-config``) is written by :func:`_json_text`.  A
-written file gets the mode a plain ``open`` would give it, ``0o666`` less the
-umask.  ``surface`` evaluates f in blocks of eta rows through the grid block
+json`` and ``--dump-config``) is written by :func:`_json_text`.  A written
+file gets the mode a plain ``open`` gives a new file, ``0o666`` less the
+umask or what the directory's default ACL sets; a write error names the
+``--out`` path, and a symlink at ``--out`` is replaced, not written through.
+``surface`` evaluates f in blocks of eta rows through the grid block
 generator that the verdict's supremum scan also uses, and writes each eta row
 with one ``%`` operation on a template built once per table; ``potential``
 samples the profile, checks it is finite and writes it a block of a few
@@ -60,9 +62,7 @@ import math
 import os
 import shutil
 import sys
-import tempfile
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
@@ -117,32 +117,31 @@ _GRID_NODES_CEILING = 4_100_000
 _FORMAT_ROWS = 4096
 
 
-def _umask() -> int:
-    """The process umask; os can only read it by setting it."""
-    mask = os.umask(0)
-    os.umask(mask)
-    return mask
-
-
 def _atomic_write(path: str, pieces: Iterable[str]) -> None:
     """Write the text pieces in order with LF endings; no partial file is ever visible.
 
-    The file gets the mode a plain ``open(path, "w")`` gives a new file,
-    ``0o666`` less the umask, rather than the temp file's ``0o600``.
+    The temp file is created as ``open(path, "w")`` creates a file, so it has
+    the mode a plain ``open`` gives: ``0o666`` less the umask, or what the
+    directory's default ACL sets.  A symlink at ``path`` is replaced, not
+    written through.  An ``OSError`` names ``path``, as ``open``'s would.
     """
-    target = Path(path)
-    fd, tmp_name = tempfile.mkstemp(dir=str(target.parent) or ".", suffix=".tmp")
+    tmp = os.path.join(os.path.dirname(path), "tmp" + os.urandom(8).hex() + ".tmp")
     try:
-        with os.fdopen(fd, "w", newline="\n") as handle:
-            handle.writelines(pieces)
-        os.chmod(tmp_name, 0o666 & ~_umask())
-        os.replace(tmp_name, str(target))
-    except BaseException:
+        # no retry: O_EXCL refuses a clash, and 64 random bits make one negligible
+        fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL | getattr(os, "O_BINARY", 0),
+                     0o666)
         try:
-            os.unlink(tmp_name)
-        except OSError:
-            pass
-        raise
+            with os.fdopen(fd, "w", newline="\n") as handle:
+                handle.writelines(pieces)
+            os.replace(tmp, path)
+        except BaseException:
+            try:
+                os.unlink(tmp)
+            except OSError:
+                pass
+            raise
+    except OSError as exc:
+        raise OSError(exc.errno, exc.strerror, path) from None
 
 
 def _emit(out: str, pieces: Iterable[str]) -> None:

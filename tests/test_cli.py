@@ -7,6 +7,7 @@ import math
 import os
 import shutil
 import stat
+import struct
 import subprocess
 import sys
 from pathlib import Path
@@ -826,30 +827,97 @@ def test_main_reads_sys_argv(monkeypatch, capsys):
     assert capsys.readouterr() == expected
 
 
-_MODE_PROBE = """
-import os, sys
-os.umask(int(sys.argv[1], 8))
-from pdm_dirac.cli import main
-runs = {
+# small runs of each subcommand that write an --out file and exit 0
+_OUT_RUNS = {
     "surface": ["--grid", "3,3"],
     "spectrum": ["--eta", "0.5", "--lambda", "1"],
     "verdict": ["--eta", "0.5", "--lambda", "1", "--N", "2000", "--grid", "11,11"],
     "potential": ["--eta", "0.5", "--lambda", "1", "--N", "5"],
 }
+_MODE_PROBE = f"""
+import os, sys
+os.umask(int(sys.argv[1], 8))
+from pdm_dirac.cli import main
+runs = {_OUT_RUNS!r}
 for sub, args in runs.items():
     status = main([sub, *args, "--out", sub + ".out"])
     if status != 0:
-        sys.exit(f"{sub} exited {status}")
+        sys.exit(f"{{sub}} exited {{status}}")
 """
 
 
 @pytest.mark.parametrize("umask", [0o022, 0o077, 0o002], ids=oct)
 def test_out_files_get_the_mode_of_a_plain_open(umask, tmp_path):
-    # mkstemp makes its temp file 0600; the renamed file gets 0666 less the umask
+    # the temp file is created as open creates a file, 0666 less the umask, and renamed
     subprocess.run([sys.executable, "-c", _MODE_PROBE, format(umask, "o")], env=_fresh_env(),
                    cwd=tmp_path, capture_output=True, timeout=120, check=True)
     modes = {path.name: stat.S_IMODE(path.stat().st_mode) for path in tmp_path.iterdir()}
     assert modes == {f"{sub}.out": 0o666 & ~umask for sub in SUBCOMMANDS}
+
+
+def _acl_directory(path):
+    """``path`` with the default ACL user::rw-, group::rw-, mask::rw-, other::r--
+    (the xattr's version 2, then one tag, permission, id entry each), or a skip
+    where the filesystem refuses it."""
+    entries = ((0x01, 6), (0x04, 6), (0x10, 6), (0x20, 4))
+    value = struct.pack("<I", 2) + b"".join(struct.pack("<HHI", tag, perm, 0xFFFFFFFF)
+                                            for tag, perm in entries)
+    try:
+        os.setxattr(path, "system.posix_acl_default", value)
+    except (AttributeError, OSError) as exc:
+        pytest.skip(f"no default ACL here: {exc}")
+
+
+def test_out_files_get_the_mode_of_a_plain_open_under_a_default_acl(tmp_path):
+    # under a default ACL the kernel masks the mode asked for at creation with
+    # the ACL, not the umask; a chmod to 0666 less the umask afterwards gives 0644
+    _acl_directory(tmp_path)
+    env = _fresh_env()
+    subprocess.run([sys.executable, "-c", _MODE_PROBE, "022"], env=env, cwd=tmp_path,
+                   capture_output=True, timeout=120, check=True)
+    subprocess.run([sys.executable, "-c", "import os; os.umask(0o022); open('plain', 'w')"],
+                   env=env, cwd=tmp_path, timeout=120, check=True)
+    modes = {path.name: stat.S_IMODE(path.stat().st_mode) for path in tmp_path.iterdir()}
+    assert modes.pop("plain") == 0o664
+    assert modes == {f"{sub}.out": 0o664 for sub in SUBCOMMANDS}
+
+
+def test_out_writes_leave_the_process_umask_alone(monkeypatch, tmp_path, capsys):
+    def umask(mask):
+        raise AssertionError("an --out write set the process umask")
+
+    monkeypatch.setattr(os, "umask", umask)
+    for sub, args in _OUT_RUNS.items():
+        rc, _, err = run([sub, *args, "--out", str(tmp_path / f"{sub}.out")], capsys)
+        assert (rc, err) == (0, ""), sub
+    assert sorted(path.name for path in tmp_path.iterdir()) == sorted(
+        f"{sub}.out" for sub in SUBCOMMANDS)
+
+
+@pytest.mark.parametrize("target", ["missing/x.csv", "directory", ""])
+@pytest.mark.parametrize("sub", SUBCOMMANDS)
+def test_a_failed_write_reads_as_plain_open_error(sub, target, monkeypatch, tmp_path, capsys):
+    monkeypatch.chdir(tmp_path)  # "" names no file in the working directory
+    (tmp_path / "directory").mkdir()
+    (tmp_path / "directory" / "inside").write_text("kept\n")
+    out = str(tmp_path / target) if target else ""
+    with pytest.raises(OSError) as opened:
+        open(out, "w")
+    before = sorted(tmp_path.rglob("*"))
+    outcomes = [run([sub, *_OUT_RUNS[sub], "--out", out], capsys) for _ in range(2)]
+    assert outcomes == [(2, "", f"error: cannot write output: {opened.value}\n")] * 2
+    assert sorted(tmp_path.rglob("*")) == before
+
+
+def test_a_symlink_at_out_is_replaced_not_written_through(tmp_path, capsys):
+    (tmp_path / "target.csv").write_text("kept\n")
+    (tmp_path / "link.csv").symlink_to("target.csv")
+    rc, _, _ = run(["spectrum", *_OUT_RUNS["spectrum"], "--out", str(tmp_path / "link.csv")],
+                   capsys)
+    assert rc == 0
+    assert not (tmp_path / "link.csv").is_symlink()
+    assert (tmp_path / "link.csv").read_text().startswith("n,delta1,")
+    assert (tmp_path / "target.csv").read_text() == "kept\n"
 
 
 def test_error_while_streaming_a_table_writes_nothing(monkeypatch, tmp_path, capsys):
