@@ -43,11 +43,11 @@ json`` and ``--dump-config``) is written by :func:`_json_text`.  A written
 file gets the mode a plain ``open`` gives a new file, ``0o666`` less the
 umask or what the directory's default ACL sets; a write error names the
 ``--out`` path, and a symlink at ``--out`` is replaced, not written through.
-``surface`` evaluates f in blocks of eta rows through the grid block
-generator that the verdict's supremum scan also uses, and writes each eta row
-with one ``%`` operation on a template built once per table; ``potential``
-samples the profile, checks it is finite and writes it a block of a few
-thousand rows at a time, one ``%`` per block.  Both tables are
+``surface`` evaluates f in blocks of eta rows with the vectorized evaluator
+that the verdict's supremum scan runs on its extreme nodes, and writes each
+eta row with one ``%`` operation on a template built once per table;
+``potential`` samples the profile, checks it is finite and writes it a block
+of a few thousand rows at a time, one ``%`` per block.  Both tables are
 streamed: each row or block goes to the temp file as soon as it is
 formatted, so a table never stands whole in memory.  With ``--out -`` the
 pieces are joined and written in one call, so an error prints nothing.
@@ -56,6 +56,7 @@ pieces are joined and written in one call, so an error prints nothing.
 from __future__ import annotations
 
 import argparse
+import errno
 import functools
 import json
 import math
@@ -127,6 +128,12 @@ def _atomic_write(path: str, pieces: Iterable[str]) -> None:
     """
     tmp = os.path.join(os.path.dirname(path), "tmp" + os.urandom(8).hex() + ".tmp")
     try:
+        if path[-1:] in (os.sep, os.altsep):
+            # open refuses a name that ends in a separator once the directories
+            # before it resolve; stat with a trailing separator resolves them
+            parent = os.path.dirname(path.rstrip(os.sep + (os.altsep or "")))
+            os.stat(os.path.join(parent or os.curdir, ""))
+            raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
         # no retry: O_EXCL refuses a clash, and 64 random bits make one negligible
         fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL | getattr(os, "O_BINARY", 0),
                      0o666)

@@ -25,18 +25,16 @@ level index n: the same factorization gives every level's ``E_n^2 / M0^2``.
 No route returns a non-finite f: where f leaves the double range, the scalar
 routes raise :class:`EvaluationError` and the grid evaluator :class:`InvalidBox`.
 
-The supremum scan splits its grid rows across ``W = min(usable CPUs, row
-blocks, 4)`` threads.  Nothing sets W but the host and the grid, the report
-does not record it, and its bytes do not depend on it: every node is the same
-elementwise IEEE arithmetic in any block, and a maximum is exact.
+The supremum scan evaluates f only at the extreme nodes of its grid, the
+2x2 grid of the smallest and largest |eta| and lambda: f is monotone in both
+(see :func:`supremum_scan`), so those nodes hold the grid's largest and
+smallest values.
 """
 
 from __future__ import annotations
 
 import enum
 import math
-import os
-import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -67,15 +65,9 @@ __all__ = [
     "supremum_scan",
 ]
 
-# grid nodes evaluated at once (scan and surface): a block and its temporaries
-# (about 1.5 MiB) stay in cache, where the whole grid streamed through memory.
-# Each scan worker holds one block at a time (see _grid_max).
+# grid nodes ``surface`` evaluates at once: a block and its temporaries (about
+# 1.5 MiB) stay in cache, where the whole grid streamed through memory
 _BLOCK_NODES = 1 << 16
-
-# most scan workers: four blocks keep a 2001^2 scan near 6.2 MiB traced, and
-# on a 2-core host more workers than cores were slower (a 2001^2 scan took
-# 26.2 ms at 4 workers, 20.1 at 2; BENCH_16.json)
-_MAX_WORKERS = 4
 
 
 class SignVerdict(str, enum.Enum):
@@ -258,13 +250,13 @@ class SupremumReport:
 
     box: Box
     grid_shape: tuple[int, int]          # (eta nodes, lambda nodes) requested
-    sup_estimate: float                  # max of every grid value
+    sup_estimate: float                  # max of f on the grid's extreme nodes
     argmax: tuple[float, float]          # the certified corner (max|eta|, lam_min)
     skipped_eta_nodes: list[float]       # gridlines excluded as eta = 0
 
     @property
     def all_nodes_negative(self) -> bool:
-        """Every evaluated value is < 0 (the supremum is the largest of them).
+        """Every grid value is < 0 (the supremum is the largest of them).
 
         Read from the sign bit: where f underflows at |eta| = 1 the grid
         maximum is -0.0, a negative f rounded to zero (every factor of the
@@ -286,17 +278,18 @@ class SupremumReport:
 def _f_grid(eta_nodes: np.ndarray, lam_nodes: np.ndarray) -> np.ndarray:
     """Vectorized factored route on the (eta, lambda) product grid.
 
-    Rows follow ``eta_nodes`` and columns ``lam_nodes``; callers go through
-    :func:`_f_blocks`, one row block at a time, and drop eta = 0 nodes
-    themselves.  The arithmetic is that of :func:`f_factored` at n = 0
-    (its last factor, ``u/u = 1``, skipped), done in place on two arrays of
-    the block's size.  Where u^2 underflows (the scalar route's
-    EtaZeroSingular) or f is not finite, InvalidBox is raised.
+    Rows follow ``eta_nodes`` and columns ``lam_nodes``; ``surface`` goes
+    through :func:`_f_blocks`, one row block at a time, the supremum scan
+    passes its extreme nodes, and both drop eta = 0 nodes themselves.  The
+    arithmetic is that of :func:`f_factored` at n = 0 (its last factor, ``u/u
+    = 1``, skipped), done in place on two arrays of the block's size.  Where
+    u^2 underflows (the scalar route's EtaZeroSingular) or f is not finite,
+    InvalidBox is raised.
 
     ``s = sqrt(lam^2 + (2 eta)^2)`` is a sum of squares and one square root,
     where the scalar route calls ``math.hypot``: numpy runs ``np.hypot`` as a
     libm call per element, with no SIMD path, which cost over a third of a
-    2001x2001 scan, and libm's last bit can differ between glibc versions.
+    2001x2001 grid, and libm's last bit can differ between glibc versions.
     Squaring, adding and ``sqrt`` are correctly rounded IEEE operations, so
     the grid's bytes depend on neither libm nor numpy's CPU dispatch.  The
     domain is that of hypot.  ``lam * lam`` overflows only where f does
@@ -358,67 +351,8 @@ def _f_blocks(eta_rows: np.ndarray, lam_nodes: np.ndarray):
         yield rows, _f_grid(rows, lam_nodes)
 
 
-def _usable_cpus() -> int:
-    """CPUs this process may run on: its affinity set, else the CPU count."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
-def _grid_max(rows: np.ndarray, lam_nodes: np.ndarray) -> float:
-    """Largest f on the ``rows x lam_nodes`` grid, its rows split across cores.
-
-    The sorted rows are cut into ``W = min(usable CPUs, blocks, _MAX_WORKERS)``
-    contiguous parts of equal size (``np.array_split``).  Part 0 runs on the
-    calling thread and parts 1..W-1 on one ``threading.Thread`` each; numpy
-    releases the interpreter lock inside the block arithmetic.  Each part runs
-    :func:`_f_blocks` over its rows, so each worker holds one block at a time.
-    At W = 1 this is the serial loop over every block.
-
-    The result does not depend on W: each node's value is elementwise IEEE
-    arithmetic on its own row and column, whatever block holds the row, and
-    the maximum of the part maxima is exact.  No node is +0.0 or NaN (f keeps
-    the sign of ``-lam``, and :func:`_f_grid` refuses non-finite values), so
-    no tie between signed zeros makes the maximum depend on order.  Every
-    thread is joined before the call returns or raises; when parts fail, the
-    exception of the lowest-index one is raised.
-
-    Workers call private functions only: a public one could be wrapped by a
-    caller's tracer, which would then see calls from several threads.
-    """
-    rows_per_block = max(1, _BLOCK_NODES // lam_nodes.size)
-    blocks = -(-rows.size // rows_per_block)
-    parts = np.array_split(rows, min(_usable_cpus(), blocks, _MAX_WORKERS))
-
-    def part_max(part: np.ndarray) -> float:
-        return float(max(values.max() for _, values in _f_blocks(part, lam_nodes)))
-
-    outcomes: list = [None] * len(parts)
-
-    def worker(index: int) -> None:
-        try:
-            outcomes[index] = part_max(parts[index])
-        except BaseException as exc:  # re-raised on the calling thread below
-            outcomes[index] = exc
-
-    started = []
-    try:
-        for index in range(1, len(parts)):
-            thread = threading.Thread(target=worker, args=(index,))
-            thread.start()
-            started.append(thread)
-        outcomes[0] = part_max(parts[0])
-    finally:
-        for thread in started:
-            thread.join()
-    for outcome in outcomes:
-        if isinstance(outcome, BaseException):
-            raise outcome
-    return max(outcomes)
-
-
 def supremum_scan(box: Box, grid: tuple[int, int] = (101, 101)) -> SupremumReport:
-    """Supremum of f over the box: the certified corner, cross-checked on a grid.
+    """Supremum of f over the box: the certified corner, evaluated at the grid's extremes.
 
     The supremum is attained at the corner ``(max|eta|, lam_min)``.  With ``a =
     |eta|`` and lam > 0, the root u of ``u^2 + lam u = a^2`` has ``du/da =
@@ -432,23 +366,28 @@ def supremum_scan(box: Box, grid: tuple[int, int] = (101, 101)) -> SupremumRepor
     axes pin their endpoints, so the corner is a node.  Eta gridlines within
     ``ETA_ZERO_SNAP`` of zero are excluded (f is singular along eta = 0) and
     recorded; a box whose every eta node collapses there raises
-    :class:`BoxIncludesEtaZero`.  f depends on eta only through |eta|, so it
-    is evaluated once per distinct |eta| row, in the row blocks of
-    :func:`_f_blocks`, and the grid is never held whole.  :func:`_grid_max`
-    splits those rows into ``W = min(usable CPUs, blocks, 4)`` contiguous
-    parts, one thread each, so a worker holds one block at a time; a grid of
-    one block stays on the calling thread.  The report does not record W and
-    its bytes do not depend on it: a node's value does not depend on the
-    block that holds its row, and the maximum is exact.  A symmetric box
-    (``eta_min == -eta_max``) has its lower-half eta nodes set to the exact
-    negatives of the upper half (the middle node of an odd count stays), so
-    every mirror pair is one row: ``np.linspace(-1, 1, 2001)`` rounds mirror
-    nodes apart, and only 572 of its 1000 pairs collapsed.  ``surface`` keeps
-    plain ``np.linspace`` nodes, since its rows are an output.  The reported
-    supremum is the grid maximum; the reported argmax is the certified corner,
-    its negative member when ``eta_min == -max|eta|``.  A grid maximum above
-    the scalar corner value by more than ``REL_TOL * max(1, |f|)`` contradicts
-    the monotonicity and raises :class:`CertificateViolation`.
+    :class:`BoxIncludesEtaZero`.  By the same monotonicity every node's f lies
+    between its values at the extreme nodes: the largest at the largest kept
+    |eta| and the first lambda node, the smallest, where u is smallest too, at
+    the smallest kept |eta| and the last lambda node.  So :func:`_f_grid` runs
+    once, on the 2x2 grid of those rows and columns (an axis with one distinct
+    value gives one); its maximum is the reported supremum, and its refusal of
+    a non-finite f or an underflowing u^2 is the box's :class:`InvalidBox`.
+    That these equal, bit for bit, the maximum over every node and the
+    refusal of any node needs ``_f_grid`` to round as monotonically as f
+    rises and falls; that is tested (``tests/test_feasibility.py``), not
+    proven here.
+
+    A symmetric box (``eta_min == -eta_max``) has its lower-half eta nodes set
+    to the exact negatives of the upper half (the middle node of an odd count
+    stays), where ``np.linspace(-1, 1, 2001)`` rounds mirror nodes apart.
+    That fixes the bytes ``skipped_eta_nodes`` reports and the smallest kept
+    |eta|, which decides a refusal.  ``surface`` keeps plain ``np.linspace``
+    nodes, since its rows are an output.  The reported argmax is the
+    certified corner, its negative member when ``eta_min == -max|eta|``.  A
+    supremum above the scalar corner value by more than ``REL_TOL * max(1,
+    |f|)`` contradicts the monotonicity and raises
+    :class:`CertificateViolation`.
     """
     if grid[0] < 2 or grid[1] < 2:
         raise InvalidBox(f"grid must be at least 2x2, got {grid}")
@@ -472,8 +411,9 @@ def supremum_scan(box: Box, grid: tuple[int, int] = (101, 101)) -> SupremumRepor
     with np.errstate(over="ignore"):  # only the last node can overflow; linspace pins it
         lam_nodes = np.linspace(box.lam_min, box.lam_max, grid[1])
 
-    rows = _distinct_sorted(np.abs(eta_nodes))
-    sup = _grid_max(rows, lam_nodes)
+    a = np.abs(eta_nodes)
+    sup = float(_f_grid(_distinct_sorted(np.array([a.min(), a.max()])),
+                        _distinct_sorted(lam_nodes[[0, -1]])).max())
     corner_eta = max(abs(box.eta_min), abs(box.eta_max))
     sign_certificate(corner_eta, box.lam_min)
     corner = f_factored(corner_eta, box.lam_min)

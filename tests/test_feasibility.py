@@ -1,10 +1,7 @@
 """Two-route evaluation of the feasibility surface, sign certificate, scans."""
 
 import math
-import os
 import sys
-import threading
-import time
 import tracemalloc
 
 import numpy as np
@@ -428,6 +425,39 @@ def test_scan_supremum_is_the_corner(eta_lo, eta_width, symmetric, lam_lo, lam_w
     assert report.argmax == (-corner if box.eta_min == -corner else corner, lam_lo)
 
 
+# |eta| from 1e-300 to 1, half of the draws above ETA_ZERO_SNAP / 10
+magnitudes = (st.floats(-300.0, 0.0) | st.floats(-13.0, 0.0)).map(lambda e: 10.0**e)
+signed = st.tuples(magnitudes, st.booleans()).map(lambda m: -m[0] if m[1] else m[0])
+
+
+@PROPERTY
+@given(
+    signed, signed, st.booleans(), st.floats(-300.0, 308.0), st.floats(-300.0, 308.0),
+    st.integers(2, 401), st.integers(2, 401),
+)
+def test_scan_extreme_nodes_give_what_every_node_gives(eta_a, eta_b, symmetric, log_lam_a,
+                                                       log_lam_b, eta_count, lam_count):
+    # the scan evaluates f only on its extreme nodes; f's monotonicity says
+    # that is enough, and this checks the rounding of _f_grid agrees: the same
+    # refusal and the same maximum, bit for bit, as every kept node gives
+    eta_lo, eta_hi = (-abs(eta_b), abs(eta_b)) if symmetric else sorted((eta_a, eta_b))
+    lam_lo, lam_hi = sorted((10.0**log_lam_a, 10.0**log_lam_b))
+    box, grid = Box(eta_lo, eta_hi, lam_lo, lam_hi), (eta_count, lam_count)
+    eta = np.linspace(eta_lo, eta_hi, eta_count)
+    if np.all(np.abs(eta) <= ETA_ZERO_SNAP):
+        with pytest.raises(BoxIncludesEtaZero):
+            supremum_scan(box, grid=grid)
+        return
+    try:
+        reference = _every_node_max(box, grid)
+    except InvalidBox as refused:
+        with pytest.raises(InvalidBox) as raised:
+            supremum_scan(box, grid=grid)
+        assert str(raised.value) == str(refused)
+        return
+    assert supremum_scan(box, grid=grid).sup_estimate == reference
+
+
 def test_scan_grid_below_corner_is_reported(monkeypatch):
     # the check is one-sided: a grid below the certified corner is only a
     # weaker lower estimate, and the scan reports it as it is
@@ -509,122 +539,24 @@ def test_scan_matches_brute_force_reference(box, grid, block_nodes, monkeypatch)
     assert report.argmax == (-corner if box.eta_min == -corner else corner, box.lam_min)
 
 
-def _use_cpus(monkeypatch, cpus):
-    # the usable-CPU count the scan reads from the affinity set
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+# a symmetric box whose eta = 0 node is skipped, and an asymmetric one
+EXTREME_NODE_BOXES = [Box(-1.0, 1.0, 1e-3, 10.0), Box(-0.4, 0.9, 1e-3, 3.0)]
 
 
-@pytest.mark.parametrize("cpus", [2, 3, 4, 8])
-@pytest.mark.parametrize("box,grid", SCAN_REFERENCE_CASES)
-def test_scan_report_does_not_depend_on_the_worker_count(box, grid, cpus, monkeypatch):
-    monkeypatch.setattr(feasibility, "_BLOCK_NODES", 64)
-    _use_cpus(monkeypatch, 1)
-    serial = supremum_scan(box, grid=grid).to_dict()
-    _use_cpus(monkeypatch, cpus)
-    assert supremum_scan(box, grid=grid).to_dict() == serial
-
-
-def test_scan_workers_under_fast_thread_switching(monkeypatch):
-    # four workers on any host, switching threads every microsecond: each
-    # writes only its own outcome slot, so no part maximum may be lost
-    monkeypatch.setattr(feasibility, "_BLOCK_NODES", 64)
-    box, grid = Box(-1.0, 1.0, 1e-3, 10.0), (201, 64)
-    _use_cpus(monkeypatch, 1)
-    serial = supremum_scan(box, grid=grid).to_dict()
-    _use_cpus(monkeypatch, 8)
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        reports = [supremum_scan(box, grid=grid).to_dict() for _ in range(20)]
-    finally:
-        sys.setswitchinterval(interval)
-    assert all(report == serial for report in reports)
-
-
-# (usable CPUs, or None where os.cpu_count() cannot tell; whether the
-#  affinity set exists; grid, with 64 lambda nodes one row per 64-node block;
-#  threads that evaluate f)
-@pytest.mark.parametrize("cpus,affinity,grid,workers", [
-    (1, True, (8, 64), 1),
-    (2, True, (8, 64), 2),
-    (3, True, (8, 64), 3),
-    (8, True, (8, 64), 4),    # the cap
-    (8, True, (3, 64), 3),    # no more workers than blocks
-    (8, True, (2, 32), 1),    # one block stays on the calling thread
-    (3, False, (8, 64), 3),   # no sched_getaffinity: os.cpu_count()
-    (None, False, (8, 64), 1),
-])
-def test_scan_worker_count(cpus, affinity, grid, workers, monkeypatch):
-    monkeypatch.setattr(feasibility, "_BLOCK_NODES", 64)
-    box = Box(0.1, 0.9, 1e-3, 10.0)
-    _use_cpus(monkeypatch, 1)
-    serial = supremum_scan(box, grid=grid).to_dict()
-    if affinity:
-        _use_cpus(monkeypatch, cpus)
-    else:
-        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
-        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
-    seen = set()
+@pytest.mark.parametrize("grid", [(2, 2), (201, 3), (2001, 2001), (3, 100_001)])
+@pytest.mark.parametrize("box", EXTREME_NODE_BOXES, ids=["symmetric", "asymmetric"])
+def test_scan_evaluates_f_once_on_the_extreme_nodes(box, grid, monkeypatch):
+    shapes = []
     f_grid = feasibility._f_grid
 
     def recording(eta, lam):
-        seen.add(threading.current_thread())
+        shapes.append((eta.size, lam.size))
         return f_grid(eta, lam)
 
     monkeypatch.setattr(feasibility, "_f_grid", recording)
-    assert supremum_scan(box, grid=grid).to_dict() == serial
-    assert len(seen) == workers
-    assert threading.current_thread() in seen
-
-
-# 40 rows of one block each, four parts of 10 rows; the parts listed raise
-@pytest.mark.parametrize("failing,raised", [((3,), 3), ((1, 3), 1), ((0, 2), 0)])
-def test_scan_failure_in_a_part_is_raised_after_every_join(failing, raised, monkeypatch):
-    monkeypatch.setattr(feasibility, "_BLOCK_NODES", 64)
-    _use_cpus(monkeypatch, 4)
-    box, grid = Box(0.1, 0.9, 1e-3, 10.0), (40, 64)
-    parts = np.array_split(np.linspace(box.eta_min, box.eta_max, grid[0]), 4)
-    f_grid = feasibility._f_grid
-
-    def failing_grid(eta, lam):
-        for index in failing:
-            if eta[0] in parts[index]:
-                raise InvalidBox(f"part {index}")
-        time.sleep(0.002)  # the other parts still run when a part fails
-        return f_grid(eta, lam)
-
-    monkeypatch.setattr(feasibility, "_f_grid", failing_grid)
-    before = threading.active_count()
-    with pytest.raises(InvalidBox, match=f"^part {raised}$"):
-        supremum_scan(box, grid=grid)
-    assert threading.active_count() == before
-
-
-def _scan_rows(box, eta_count, monkeypatch):
-    rows = []
-    f_grid = feasibility._f_grid
-
-    def counting(eta, lam):
-        rows.append(eta.size)
-        return f_grid(eta, lam)
-
-    monkeypatch.setattr(feasibility, "_f_grid", counting)
-    supremum_scan(box, grid=(eta_count, 3))
-    return sum(rows)
-
-
-@pytest.mark.parametrize("eta_count,rows", [(201, 100), (2001, 1000), (200, 100), (2000, 1000)])
-def test_symmetric_scan_evaluates_one_row_per_mirror_pair(eta_count, rows, monkeypatch):
-    # np.linspace(-1, 1, 2001) rounds mirror nodes apart: 1428 distinct |eta|
-    assert _scan_rows(Box(-1.0, 1.0, 1e-3, 10.0), eta_count, monkeypatch) == rows
-
-
-@pytest.mark.parametrize("eta_count", [27, 201, 2000])
-def test_asymmetric_scan_keeps_the_linspace_nodes(eta_count, monkeypatch):
-    box = Box(-0.4, 0.9, 1e-3, 3.0)
-    eta = np.linspace(box.eta_min, box.eta_max, eta_count)
-    distinct = np.unique(np.abs(eta[np.abs(eta) > ETA_ZERO_SNAP])).size
-    assert _scan_rows(box, eta_count, monkeypatch) == distinct
+    supremum_scan(box, grid=grid)
+    [(rows, columns)] = shapes
+    assert rows <= 2 and columns <= 2
 
 
 @PROPERTY
@@ -656,27 +588,14 @@ def test_scan_tie_order_on_the_grid_maximum():
     assert report.argmax == (0.5, 1.0)
 
 
-MEMORY_BOXES = [Box(-1.0, 1.0, 1e-3, 10.0), Box(0.5, 0.5, 1.0, 1.0)]
-
-
-@pytest.mark.parametrize("box", MEMORY_BOXES)
+@pytest.mark.parametrize("box", [Box(-1.0, 1.0, 1e-3, 10.0), Box(0.5, 0.5, 1.0, 1.0)])
 def test_scan_memory_stays_block_sized(box):
-    _assert_scan_memory_stays_block_sized(box)
-
-
-# 8 usable cpus force the cap of four workers, each holding a block, on any host
-@pytest.mark.parametrize("box", MEMORY_BOXES)
-def test_scan_memory_stays_block_sized_at_the_worker_cap(box, monkeypatch):
-    _use_cpus(monkeypatch, 8)
-    _assert_scan_memory_stays_block_sized(box)
-
-
-def _assert_scan_memory_stays_block_sized(box):
-    # a whole 2001^2 grid of doubles is 30.5 MiB; one block is 0.5 MiB
+    # a whole 2001^2 grid of doubles is 30.5 MiB and one block of surface's
+    # 2^16 nodes 0.5 MiB; the scan holds its two axes and the 2x2 extreme grid
     tracemalloc.start()
     try:
         supremum_scan(box, grid=(2001, 2001))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 8 * 2**20
+    assert peak < 2**19
