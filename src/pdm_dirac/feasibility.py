@@ -351,6 +351,15 @@ def _f_blocks(eta_rows: np.ndarray, lam_nodes: np.ndarray):
         yield rows, _f_grid(rows, lam_nodes)
 
 
+def _scan_eta_nodes(box: Box, count: int) -> np.ndarray:
+    """The scan's ``count`` eta nodes: ``np.linspace``, mirrored exactly on a symmetric box."""
+    eta = np.linspace(box.eta_min, box.eta_max, count)
+    if box.eta_min == -box.eta_max:
+        half = count // 2
+        eta[:half] = -eta[::-1][:half]
+    return eta
+
+
 def supremum_scan(box: Box, grid: tuple[int, int] = (101, 101)) -> SupremumReport:
     """Supremum of f over the box: the certified corner, evaluated at the grid's extremes.
 
@@ -397,10 +406,7 @@ def supremum_scan(box: Box, grid: tuple[int, int] = (101, 101)) -> SupremumRepor
             "the exact identity f(eta, 0) = 0"
         )
 
-    eta_all = np.linspace(box.eta_min, box.eta_max, grid[0])
-    if box.eta_min == -box.eta_max:
-        half = grid[0] // 2
-        eta_all[:half] = -eta_all[::-1][:half]
+    eta_all = _scan_eta_nodes(box, grid[0])
     keep = np.abs(eta_all) > ETA_ZERO_SNAP
     skipped = [float(v) for v in eta_all[~keep]]
     eta_nodes = eta_all[keep]

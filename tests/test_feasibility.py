@@ -1,7 +1,9 @@
 """Two-route evaluation of the feasibility surface, sign certificate, scans."""
 
 import math
+import os
 import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -559,6 +561,79 @@ def test_scan_evaluates_f_once_on_the_extreme_nodes(box, grid, monkeypatch):
     assert rows <= 2 and columns <= 2
 
 
+def _scan_rows(box, eta_count, monkeypatch):
+    # the |eta| rows the scan hands to _f_grid
+    rows = []
+    f_grid = feasibility._f_grid
+
+    def recording(eta, lam):
+        rows.append(eta)
+        return f_grid(eta, lam)
+
+    monkeypatch.setattr(feasibility, "_f_grid", recording)
+    supremum_scan(box, grid=(eta_count, 3))
+    [evaluated] = rows
+    return evaluated
+
+
+@pytest.mark.parametrize("eta_count,rows", [(201, 100), (2001, 1000), (200, 100), (2000, 1000)])
+def test_symmetric_scan_evaluates_one_row_per_mirror_pair(eta_count, rows, monkeypatch):
+    # np.linspace(-1, 1, 2001) rounds mirror nodes apart: 1428 distinct |eta|;
+    # the scan's nodes are exact mirrors, and it evaluates the extremes of theirs
+    box = Box(-1.0, 1.0, 1e-3, 10.0)
+    eta = feasibility._scan_eta_nodes(box, eta_count)
+    distinct = np.unique(np.abs(eta[np.abs(eta) > ETA_ZERO_SNAP]))
+    assert distinct.size == rows
+    assert list(_scan_rows(box, eta_count, monkeypatch)) == [distinct[0], distinct[-1]]
+
+
+@pytest.mark.parametrize("eta_count", [27, 201, 2000])
+def test_asymmetric_scan_keeps_the_linspace_nodes(eta_count, monkeypatch):
+    box = Box(-0.4, 0.9, 1e-3, 3.0)
+    eta = np.linspace(box.eta_min, box.eta_max, eta_count)
+    distinct = np.unique(np.abs(eta[np.abs(eta) > ETA_ZERO_SNAP]))
+    assert list(_scan_rows(box, eta_count, monkeypatch)) == [distinct[0], distinct[-1]]
+
+
+def _use_cpus(monkeypatch, cpus):
+    # the usable-CPU count a threaded evaluation would read from the affinity set
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+
+
+@pytest.mark.parametrize("cpus", [2, 3, 4, 8])
+@pytest.mark.parametrize("box,grid", SCAN_REFERENCE_CASES)
+def test_scan_report_does_not_depend_on_the_worker_count(box, grid, cpus, monkeypatch):
+    # whatever CPUs the process may use, f is evaluated on the calling thread
+    _use_cpus(monkeypatch, 1)
+    serial = supremum_scan(box, grid=grid).to_dict()
+    _use_cpus(monkeypatch, cpus)
+    threads = set()
+    f_grid = feasibility._f_grid
+
+    def recording(eta, lam):
+        threads.add(threading.current_thread())
+        return f_grid(eta, lam)
+
+    monkeypatch.setattr(feasibility, "_f_grid", recording)
+    assert supremum_scan(box, grid=grid).to_dict() == serial
+    assert threads == {threading.current_thread()}
+
+
+def test_scan_workers_under_fast_thread_switching(monkeypatch):
+    # eight usable CPUs, threads switching every microsecond: no report moves
+    box, grid = Box(-1.0, 1.0, 1e-3, 10.0), (201, 64)
+    _use_cpus(monkeypatch, 1)
+    serial = supremum_scan(box, grid=grid).to_dict()
+    _use_cpus(monkeypatch, 8)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        reports = [supremum_scan(box, grid=grid).to_dict() for _ in range(20)]
+    finally:
+        sys.setswitchinterval(interval)
+    assert all(report == serial for report in reports)
+
+
 @PROPERTY
 @given(
     st.floats(1e-3, 1.0), st.floats(1e-6, 10.0), st.floats(1e-6, 10.0),
@@ -588,8 +663,22 @@ def test_scan_tie_order_on_the_grid_maximum():
     assert report.argmax == (0.5, 1.0)
 
 
-@pytest.mark.parametrize("box", [Box(-1.0, 1.0, 1e-3, 10.0), Box(0.5, 0.5, 1.0, 1.0)])
+MEMORY_BOXES = [Box(-1.0, 1.0, 1e-3, 10.0), Box(0.5, 0.5, 1.0, 1.0)]
+
+
+@pytest.mark.parametrize("box", MEMORY_BOXES)
 def test_scan_memory_stays_block_sized(box):
+    _assert_scan_memory_stays_block_sized(box)
+
+
+# eight usable CPUs, as many as once capped the scan at four workers
+@pytest.mark.parametrize("box", MEMORY_BOXES)
+def test_scan_memory_stays_block_sized_at_the_worker_cap(box, monkeypatch):
+    _use_cpus(monkeypatch, 8)
+    _assert_scan_memory_stays_block_sized(box)
+
+
+def _assert_scan_memory_stays_block_sized(box):
     # a whole 2001^2 grid of doubles is 30.5 MiB and one block of surface's
     # 2^16 nodes 0.5 MiB; the scan holds its two axes and the 2x2 extreme grid
     tracemalloc.start()
