@@ -76,8 +76,7 @@ from .errors import (
 )
 from .feasibility import (
     Box,
-    _distinct_sorted,
-    _f_blocks,
+    _f_grid,
     evaluate_point,
     supremum_scan,
 )
@@ -116,6 +115,9 @@ _N_CEILING = 1_000_000
 _GRID_NODES_CEILING = 4_100_000
 # potential rows formatted by one % (a block of four-column rows, not the table)
 _FORMAT_ROWS = 4096
+# surface nodes evaluated at once: a block and its temporaries (about 1.5 MiB)
+# stay in cache, where the whole grid streamed through memory
+_BLOCK_NODES = 1 << 16
 
 
 def _atomic_write(path: str, pieces: Iterable[str]) -> None:
@@ -540,14 +542,27 @@ def resolve_config(ns: argparse.Namespace) -> RunConfig:
 # --- subcommands ------------------------------------------------------------
 
 
+def _distinct_sorted(values: np.ndarray) -> np.ndarray:
+    """Sorted distinct values, kept as plain ``np.unique`` keeps them.
+
+    The same sort and neighbour compare as ``np.unique``'s float path, whose
+    first call in a process imports ``numpy.ma`` (about 18 ms).
+    """
+    ordered = np.sort(values)
+    return ordered[np.append(True, ordered[1:] != ordered[:-1])]
+
+
 def _surface_rows(eta_rows: np.ndarray, lam_nodes: np.ndarray):
     """f at each of ``eta_rows`` as a list of floats, one row after another.
 
-    The rows are evaluated in blocks (:func:`~pdm_dirac.feasibility._f_blocks`),
-    each with the exact boundary identity ``f(eta, 0) = 0`` applied.
+    :func:`~pdm_dirac.feasibility._f_grid` evaluates the rows in blocks of
+    about ``_BLOCK_NODES`` cells (at least one row), so the grid is never held
+    whole; each block gets the exact boundary identity ``f(eta, 0) = 0``.
     """
     boundary = lam_nodes == 0.0
-    for _, block in _f_blocks(eta_rows, lam_nodes):
+    rows_per_block = max(1, _BLOCK_NODES // lam_nodes.size)
+    for start in range(0, eta_rows.size, rows_per_block):
+        block = _f_grid(eta_rows[start:start + rows_per_block], lam_nodes)
         block[:, boundary] = 0.0
         yield from block.tolist()
 

@@ -26,9 +26,10 @@ No route returns a non-finite f: where f leaves the double range, the scalar
 routes raise :class:`EvaluationError` and the grid evaluator :class:`InvalidBox`.
 
 The supremum scan evaluates f only at the extreme nodes of its grid, the
-2x2 grid of the smallest and largest |eta| and lambda: f is monotone in both
-(see :func:`supremum_scan`), so those nodes hold the grid's largest and
-smallest values.
+2x2 grid of the smallest and largest kept |eta| and the box's lambda bounds:
+f is monotone in both (see :func:`supremum_scan`), so those nodes hold the
+grid's largest and smallest values.  ``surface`` runs the same grid
+evaluator, :func:`_f_grid`, on its own blocks of rows.
 """
 
 from __future__ import annotations
@@ -64,10 +65,6 @@ __all__ = [
     "evaluate_point",
     "supremum_scan",
 ]
-
-# grid nodes ``surface`` evaluates at once: a block and its temporaries (about
-# 1.5 MiB) stay in cache, where the whole grid streamed through memory
-_BLOCK_NODES = 1 << 16
 
 
 class SignVerdict(str, enum.Enum):
@@ -278,13 +275,12 @@ class SupremumReport:
 def _f_grid(eta_nodes: np.ndarray, lam_nodes: np.ndarray) -> np.ndarray:
     """Vectorized factored route on the (eta, lambda) product grid.
 
-    Rows follow ``eta_nodes`` and columns ``lam_nodes``; ``surface`` goes
-    through :func:`_f_blocks`, one row block at a time, the supremum scan
-    passes its extreme nodes, and both drop eta = 0 nodes themselves.  The
-    arithmetic is that of :func:`f_factored` at n = 0 (its last factor, ``u/u
-    = 1``, skipped), done in place on two arrays of the block's size.  Where
-    u^2 underflows (the scalar route's EtaZeroSingular) or f is not finite,
-    InvalidBox is raised.
+    Rows follow ``eta_nodes`` and columns ``lam_nodes``; ``surface`` passes
+    one block of its rows at a time, the supremum scan its extreme nodes, and
+    both drop eta = 0 nodes themselves.  The arithmetic is that of
+    :func:`f_factored` at n = 0 (its last factor, ``u/u = 1``, skipped), done
+    in place on two arrays of the block's size.  Where u^2 underflows (the
+    scalar route's EtaZeroSingular) or f is not finite, InvalidBox is raised.
 
     ``s = sqrt(lam^2 + (2 eta)^2)`` is a sum of squares and one square root,
     where the scalar route calls ``math.hypot``: numpy runs ``np.hypot`` as a
@@ -329,28 +325,6 @@ def _f_grid(eta_nodes: np.ndarray, lam_nodes: np.ndarray) -> np.ndarray:
     return values
 
 
-def _distinct_sorted(values: np.ndarray) -> np.ndarray:
-    """Sorted distinct values, kept as plain ``np.unique`` keeps them.
-
-    The same sort and neighbour compare as ``np.unique``'s float path, whose
-    first call in a process imports ``numpy.ma`` (about 18 ms).
-    """
-    ordered = np.sort(values)
-    return ordered[np.append(True, ordered[1:] != ordered[:-1])]
-
-
-def _f_blocks(eta_rows: np.ndarray, lam_nodes: np.ndarray):
-    """Yield ``(rows, f)`` for consecutive blocks of ``eta_rows``.
-
-    Each block holds about ``_BLOCK_NODES`` cells (at least one row), so the
-    grid is never held whole; ``f`` is :func:`_f_grid` on the block.
-    """
-    rows_per_block = max(1, _BLOCK_NODES // lam_nodes.size)
-    for start in range(0, eta_rows.size, rows_per_block):
-        rows = eta_rows[start:start + rows_per_block]
-        yield rows, _f_grid(rows, lam_nodes)
-
-
 def _scan_eta_nodes(box: Box, count: int) -> np.ndarray:
     """The scan's ``count`` eta nodes: ``np.linspace``, mirrored exactly on a symmetric box."""
     eta = np.linspace(box.eta_min, box.eta_max, count)
@@ -377,11 +351,14 @@ def supremum_scan(box: Box, grid: tuple[int, int] = (101, 101)) -> SupremumRepor
     recorded; a box whose every eta node collapses there raises
     :class:`BoxIncludesEtaZero`.  By the same monotonicity every node's f lies
     between its values at the extreme nodes: the largest at the largest kept
-    |eta| and the first lambda node, the smallest, where u is smallest too, at
-    the smallest kept |eta| and the last lambda node.  So :func:`_f_grid` runs
-    once, on the 2x2 grid of those rows and columns (an axis with one distinct
-    value gives one); its maximum is the reported supremum, and its refusal of
-    a non-finite f or an underflowing u^2 is the box's :class:`InvalidBox`.
+    |eta| and ``lam_min``, the smallest, where u is smallest too, at the
+    smallest kept |eta| and ``lam_max`` (``np.linspace`` pins both ends, so
+    these are the first and last lambda nodes bit for bit, and the lambda
+    axis itself is never built).  So :func:`_f_grid` runs once, on the 2x2
+    grid of those rows and columns (a one-value axis repeats its value, which
+    changes neither the maximum nor a refusal); its maximum is the reported
+    supremum, and its refusal of a non-finite f or an underflowing u^2 is the
+    box's :class:`InvalidBox`.
     That these equal, bit for bit, the maximum over every node and the
     refusal of any node needs ``_f_grid`` to round as monotonically as f
     rises and falls; that is tested (``tests/test_feasibility.py``), not
@@ -414,12 +391,10 @@ def supremum_scan(box: Box, grid: tuple[int, int] = (101, 101)) -> SupremumRepor
         raise BoxIncludesEtaZero(
             "every eta gridline of the box lies on the excluded eta = 0 line"
         )
-    with np.errstate(over="ignore"):  # only the last node can overflow; linspace pins it
-        lam_nodes = np.linspace(box.lam_min, box.lam_max, grid[1])
 
     a = np.abs(eta_nodes)
-    sup = float(_f_grid(_distinct_sorted(np.array([a.min(), a.max()])),
-                        _distinct_sorted(lam_nodes[[0, -1]])).max())
+    sup = float(_f_grid(np.array([a.min(), a.max()]),
+                        np.array([box.lam_min, box.lam_max])).max())
     corner_eta = max(abs(box.eta_min), abs(box.eta_max))
     sign_certificate(corner_eta, box.lam_min)
     corner = f_factored(corner_eta, box.lam_min)

@@ -480,13 +480,13 @@ def _assert_grid_above_corner_raises(lift, grid, monkeypatch):
 
 @pytest.mark.parametrize("lift", [0.5, -1.0])
 def test_scan_grid_above_corner_raises(lift, monkeypatch):
-    # (21, 21) is one block
+    # a small grid; below, a large one on the same 2x2 extreme nodes
     _assert_grid_above_corner_raises(lift, (21, 21), monkeypatch)
 
 
 @pytest.mark.parametrize("lift", [0.5, -1.0])
 def test_scan_grid_above_corner_raises_multi_block(lift, monkeypatch):
-    # (401, 2001) is 200 rows of 32 per block, so 7 blocks
+    # 401 x 2001 nodes, evaluated as the small grid's 2x2 extreme nodes
     _assert_grid_above_corner_raises(lift, (401, 2001), monkeypatch)
 
 
@@ -514,9 +514,9 @@ def _every_node_max(box, grid):
 
 
 SCAN_REFERENCE_CASES = [
-    # 75 rows, 32 per block of 2^16 nodes: the last block is partial
+    # an odd eta count on a box of positive eta, 2001 lambda nodes
     (Box(0.05, 0.95, 1e-3, 10.0), (75, 2001)),
-    # a lambda axis longer than a block: one row per block
+    # a lambda axis of 100,001 nodes, more than one surface block
     (Box(-0.3, 0.7, 1e-4, 5.0), (3, 100_001)),
     (Box(-0.4, 0.9, 1e-3, 3.0), (27, 41)),        # eta-asymmetric
     (Box(-1.0, 1.0, 1e-3, 10.0), (201, 201)),     # symmetric, eta = 0 skipped
@@ -531,34 +531,49 @@ SCAN_REFERENCE_CASES = [
 ]
 
 
-@pytest.mark.parametrize("block_nodes", [feasibility._BLOCK_NODES, 64])
 @pytest.mark.parametrize("box,grid", SCAN_REFERENCE_CASES)
-def test_scan_matches_brute_force_reference(box, grid, block_nodes, monkeypatch):
-    monkeypatch.setattr(feasibility, "_BLOCK_NODES", block_nodes)
+def test_scan_matches_brute_force_reference(box, grid):
     report = supremum_scan(box, grid=grid)
     assert report.sup_estimate == _every_node_max(box, grid)
     corner = max(abs(box.eta_min), abs(box.eta_max))
     assert report.argmax == (-corner if box.eta_min == -corner else corner, box.lam_min)
 
 
-# a symmetric box whose eta = 0 node is skipped, and an asymmetric one
-EXTREME_NODE_BOXES = [Box(-1.0, 1.0, 1e-3, 10.0), Box(-0.4, 0.9, 1e-3, 3.0)]
+BIG = 1.7976931348623157e308
+# a symmetric box whose eta = 0 node is skipped, an asymmetric one, a box of
+# one point, and one whose np.linspace lambda axis of 4 nodes overflows before
+# it pins its last node (f overflows at lam_max too, so the box is refused)
+EXTREME_NODE_BOXES = {
+    "symmetric": Box(-1.0, 1.0, 1e-3, 10.0),
+    "asymmetric": Box(-0.4, 0.9, 1e-3, 3.0),
+    "one point": Box(0.5, 0.5, 1.0, 1.0),
+    "largest lambda": Box(-0.4, 0.9, 1e-3, BIG),
+}
 
 
-@pytest.mark.parametrize("grid", [(2, 2), (201, 3), (2001, 2001), (3, 100_001)])
-@pytest.mark.parametrize("box", EXTREME_NODE_BOXES, ids=["symmetric", "asymmetric"])
+@pytest.mark.parametrize("grid", [(2, 2), (201, 3), (2001, 2001), (3, 100_001), (5, 4)])
+@pytest.mark.parametrize("box", EXTREME_NODE_BOXES.values(), ids=EXTREME_NODE_BOXES.keys())
 def test_scan_evaluates_f_once_on_the_extreme_nodes(box, grid, monkeypatch):
-    shapes = []
+    calls = []
     f_grid = feasibility._f_grid
 
     def recording(eta, lam):
-        shapes.append((eta.size, lam.size))
+        calls.append((eta.tolist(), lam.tolist()))
         return f_grid(eta, lam)
 
     monkeypatch.setattr(feasibility, "_f_grid", recording)
-    supremum_scan(box, grid=grid)
-    [(rows, columns)] = shapes
-    assert rows <= 2 and columns <= 2
+    if box.lam_max == BIG:
+        with pytest.raises(InvalidBox):
+            supremum_scan(box, grid=grid)
+    else:
+        supremum_scan(box, grid=grid)
+    [(rows, columns)] = calls
+    # the box's lambda bounds, which np.linspace pins as its end nodes, and
+    # the extreme kept |eta|; a one-value axis gives its value twice
+    eta = np.abs(feasibility._scan_eta_nodes(box, grid[0]))
+    kept = eta[eta > ETA_ZERO_SNAP]
+    assert columns == [box.lam_min, box.lam_max]
+    assert rows == [kept.min(), kept.max()]
 
 
 def _scan_rows(box, eta_count, monkeypatch):
@@ -680,7 +695,7 @@ def test_scan_memory_stays_block_sized_at_the_worker_cap(box, monkeypatch):
 
 def _assert_scan_memory_stays_block_sized(box):
     # a whole 2001^2 grid of doubles is 30.5 MiB and one block of surface's
-    # 2^16 nodes 0.5 MiB; the scan holds its two axes and the 2x2 extreme grid
+    # 2^16 nodes 0.5 MiB; the scan holds its eta axis and the 2x2 extreme grid
     tracemalloc.start()
     try:
         supremum_scan(box, grid=(2001, 2001))

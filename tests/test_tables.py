@@ -6,6 +6,7 @@ The CLI writes a table row with one ``%`` operation on a template of
 are kept here only as the reference that the CLI output must equal.
 """
 
+import math
 import tracemalloc
 
 import numpy as np
@@ -14,8 +15,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pdm_dirac import Box, PhysicalParams, potential_sample
-from pdm_dirac.cli import _FORMAT_ROWS, _SLOT, main
-from pdm_dirac.feasibility import _BLOCK_NODES, _f_grid
+from pdm_dirac import cli
+from pdm_dirac.cli import _BLOCK_NODES, _FORMAT_ROWS, _SLOT, _distinct_sorted, main
+from pdm_dirac.feasibility import _f_grid
 from pdm_dirac.params import ETA_ZERO_SNAP
 
 
@@ -92,8 +94,19 @@ SURFACE_CASES = {
 }
 
 
-@pytest.mark.parametrize("box,grid", SURFACE_CASES.values(), ids=SURFACE_CASES.keys())
-def test_surface_equals_the_line_by_line_builder(box, grid, capsys, tmp_path):
+# each case in blocks of _BLOCK_NODES and of 64 nodes (mostly one row a block)
+SURFACE_RUNS = [
+    pytest.param(box, grid, _BLOCK_NODES, id=name) for name, (box, grid) in SURFACE_CASES.items()
+] + [
+    pytest.param(box, grid, 64, id=f"{name}, 64-node blocks")
+    for name, (box, grid) in SURFACE_CASES.items()
+]
+
+
+@pytest.mark.parametrize("box,grid,block_nodes", SURFACE_RUNS)
+def test_surface_equals_the_line_by_line_builder(box, grid, block_nodes, capsys, tmp_path,
+                                                 monkeypatch):
+    monkeypatch.setattr(cli, "_BLOCK_NODES", block_nodes)
     args = ["surface"]
     if box is not None:
         args.append("--box=" + ",".join(map(repr, box)))
@@ -109,6 +122,34 @@ def test_block_cases_span_several_blocks():
     # row lies between two rows of the first block
     assert _BLOCK_NODES // 30000 == 2
     assert _BLOCK_NODES // 20000 == 3
+
+
+@st.composite
+def surface_axes(draw):
+    # an axis as surface builds it: np.linspace over the finite bounds a box
+    # admits (eta in [-1, 1], lambda in [0, BIG] and -0.0), up to a few ulps
+    # wide or degenerate, so that nodes repeat
+    low_edge, high_edge = draw(st.sampled_from([(-1.0, 1.0), (0.0, BIG)]))
+    bound = st.one_of(st.floats(low_edge, high_edge), st.sampled_from([-0.0, 0.0, high_edge]))
+    low, high = sorted([draw(bound), draw(bound)])
+    if draw(st.booleans()):
+        high = low
+        for _ in range(draw(st.integers(0, 3))):
+            high = math.nextafter(high, high_edge)
+    return low, high, draw(st.integers(2, 40))
+
+
+@settings(max_examples=500, deadline=None, derandomize=True, database=None)
+@given(surface_axes())
+@example((-0.0, -0.0, 3))   # [0.0, 0.0, -0.0]
+@example((0.0, -0.0, 4))
+@example((-0.5, -0.0, 5))
+@example((0.5, math.nextafter(0.5, 1.0), 7))
+@example((0.0, BIG, 4))     # the last node overflows before linspace pins it
+def test_distinct_sorted_is_np_unique(axis):
+    with np.errstate(over="ignore"):
+        nodes = np.linspace(*axis)
+    assert _distinct_sorted(nodes).tobytes() == np.unique(nodes).tobytes()
 
 
 # 4096 rows are exactly one block of _FORMAT_ROWS and 4097 one row more; 8192
