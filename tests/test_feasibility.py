@@ -35,7 +35,7 @@ from pdm_dirac import (
     sign_certificate,
     supremum_scan,
 )
-from pdm_dirac import feasibility
+from pdm_dirac import cli, feasibility
 
 # mpmath, 50 digits, rounded to nearest double
 F_HALF_1 = -4.6213203435596426
@@ -531,10 +531,18 @@ SCAN_REFERENCE_CASES = [
 ]
 
 
+@pytest.mark.parametrize("block_nodes", [cli._BLOCK_NODES, 64])
 @pytest.mark.parametrize("box,grid", SCAN_REFERENCE_CASES)
-def test_scan_matches_brute_force_reference(box, grid):
+def test_scan_matches_brute_force_reference(box, grid, block_nodes, monkeypatch):
+    # the reference is also the maximum of surface's rows, streamed in blocks
+    # of block_nodes cells; the scan itself reads no block size
+    monkeypatch.setattr(cli, "_BLOCK_NODES", block_nodes)
     report = supremum_scan(box, grid=grid)
     assert report.sup_estimate == _every_node_max(box, grid)
+    eta = np.linspace(box.eta_min, box.eta_max, grid[0])
+    lam = np.linspace(box.lam_min, box.lam_max, grid[1])
+    rows = cli._surface_rows(eta[np.abs(eta) > ETA_ZERO_SNAP], lam)
+    assert report.sup_estimate == max(max(row) for row in rows)
     corner = max(abs(box.eta_min), abs(box.eta_max))
     assert report.argmax == (-corner if box.eta_min == -corner else corner, box.lam_min)
 
