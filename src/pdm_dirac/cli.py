@@ -28,11 +28,18 @@ flag text the parser cannot read exit 2 with
 parameter document with their keys (``--alpha`` brings M0 = 1 if no ``--M0``
 is given, and ``--lambda`` drops an ``--M0 1``), so they pass the config
 document's checks, with its error text, and before any run key; no flag
-derives a parameter from another.  A run builds only the parser of
-the subcommand that ``argv[0]`` names, and reports leftover arguments as the
-full parser does; when ``argv[0]`` names none (``--help``, a typo, no argv)
-the full parser reads it.  Help text, error text and exit status are those
-of the full parser either way.
+derives a parameter from another.
+
+Each subcommand's flags are declared once, in ``_FLAGS``, which is built from
+``_SUBCOMMANDS`` and ``_KEYS``: the argument parser declares them and
+:func:`_read_plain` reads them.  A plain command line (the subcommand, then
+exact option strings, each valued flag followed by one value that argparse
+reads as a value and the flag's type converts) is read from that table and
+builds no parser.  Any other command line builds one: the parser of the
+subcommand that ``argv[0]`` names, which reports leftover arguments as the
+full parser does, or the full parser when ``argv[0]`` names none
+(``--help``, a typo, no argv).  Help text, error text and exit status are
+those of the full parser either way.
 
 All file output is deterministic byte-for-byte for a fixed config: table
 (CSV) floats are written with 17 significant digits (``%.17g``), JSON floats
@@ -61,10 +68,11 @@ import functools
 import json
 import math
 import os
+import re
 import shutil
 import sys
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -393,6 +401,44 @@ class RunConfig:
         return _json_text(self.to_json_doc()) + "\n"
 
 
+@dataclass(frozen=True)
+class _Flag:
+    """One flag as its parser declares it; a switch (``type`` None) stores True."""
+
+    dest: str
+    type: Optional[Callable[[str], object]]
+    default: object
+    help: str
+
+
+def _flag_table(spec: _Subcommand) -> dict[str, _Flag]:
+    """The flags of the subcommand that ``spec`` declares, by option string,
+    in the order its parser declares them."""
+    flags = {}
+    if spec.params:
+        flags["--M0"] = _Flag("M0", float, None, "mass scale (default 1)")
+        flags["--eta"] = _Flag("eta", float, None, "step depth, |eta| <= 1")
+        flags["--alpha"] = _Flag("alpha", float, None, "step steepness")
+        flags["--lambda"] = _Flag("lam", float, None,
+                                  "dimensionless steepness alpha/M0 (alternative to --alpha)")
+    flags["--config"] = _Flag("config", str, None,
+                              "JSON config document (exclusive with parameter flags)")
+    flags["--dump-config"] = _Flag("dump_config", None, False,
+                                   "print the resolved config as JSON and exit")
+    helps = {
+        "out": f"output path ('-' for stdout; default {spec.out})",
+        "format": f"output format: {', '.join(spec.formats)} (default {spec.formats[0]})",
+        **spec.flags,
+    }
+    for key, text in helps.items():
+        flags["--" + key.replace("_", "-")] = _Flag(key, _KEYS[key][0], None, text)
+    return flags
+
+
+# Subcommand -> its flags: the parser declares them and _read_plain reads them.
+_FLAGS = {name: _flag_table(spec) for name, spec in _SUBCOMMANDS.items()}
+
+
 class _Parser(argparse.ArgumentParser):
     """Raises on unreadable flag text, so :func:`main` returns 2 instead of exiting."""
 
@@ -400,27 +446,11 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigKeyError(f"{self.prog}: {message}")
 
 
-def _add_arguments(parser: argparse.ArgumentParser, spec: _Subcommand) -> None:
-    """Give ``parser`` the flags of the subcommand that ``spec`` declares."""
-    if spec.params:
-        parser.add_argument("--M0", type=float, default=None, help="mass scale (default 1)")
-        parser.add_argument("--eta", type=float, default=None, help="step depth, |eta| <= 1")
-        parser.add_argument("--alpha", type=float, default=None, help="step steepness")
-        parser.add_argument("--lambda", dest="lam", type=float, default=None,
-                            help="dimensionless steepness alpha/M0 (alternative to --alpha)")
-    parser.add_argument("--config", type=str, default=None,
-                        help="JSON config document (exclusive with parameter flags)")
-    parser.add_argument("--dump-config", action="store_true",
-                        help="print the resolved config as JSON and exit")
-    helps = {
-        "out": f"output path ('-' for stdout; default {spec.out})",
-        "format": f"output format: {', '.join(spec.formats)} (default {spec.formats[0]})",
-        **spec.flags,
-    }
-    for key, text in helps.items():
-        read = _KEYS[key][0]
-        kind = {"action": "store_true"} if read is None else {"type": read}
-        parser.add_argument("--" + key.replace("_", "-"), dest=key, default=None, help=text,
+def _add_arguments(parser: argparse.ArgumentParser, name: str) -> None:
+    """Give ``parser`` the flags of subcommand ``name``."""
+    for option, flag in _FLAGS[name].items():
+        kind = {"action": "store_true"} if flag.type is None else {"type": flag.type}
+        parser.add_argument(option, dest=flag.dest, default=flag.default, help=flag.help,
                             **kind)
 
 
@@ -434,7 +464,7 @@ def _build_parser(name: Optional[str] = None) -> argparse.ArgumentParser:
     formatter = functools.partial(argparse.HelpFormatter, width=width)
     if name is not None:
         parser = _Parser(prog=f"pdm-dirac {name}", formatter_class=formatter)
-        _add_arguments(parser, _SUBCOMMANDS[name])
+        _add_arguments(parser, name)
         return parser
     parser = _Parser(
         prog="pdm-dirac",
@@ -444,18 +474,61 @@ def _build_parser(name: Optional[str] = None) -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="subcommand", required=True)
     for name, spec in _SUBCOMMANDS.items():
-        _add_arguments(sub.add_parser(name, help=spec.help, formatter_class=formatter), spec)
+        _add_arguments(sub.add_parser(name, help=spec.help, formatter_class=formatter), name)
     return parser
 
 
-def _parse_args(argv: Sequence[str]) -> argparse.Namespace:
-    """Read ``argv`` as the full parser reads it, building only the parser it uses.
+# the negative numbers that argparse reads as values, not options, on Python
+# 3.10 to 3.13.0; later releases also read exponent forms such as -1e-3
+_NEGATIVE_NUMBER = re.compile(r"^-\d+$|^-\d*\.\d+$")
 
-    When ``argv[0]`` names a subcommand, the full parser would hand the rest
-    to that subcommand's parser and report what is left over itself; this
-    does the same with the subcommand's parser alone.  Otherwise (``--help``,
-    a typo, no argv) the full parser reads it.
+
+def _read_plain(argv: Sequence[str]) -> Optional[argparse.Namespace]:
+    """The full parser's namespace for a plain ``argv``, read with no parser; else None.
+
+    A plain argv is a subcommand followed by exact option strings of its
+    flags, a switch alone and any other flag with one value.  A value is a
+    token that does not start with ``-``, is ``-`` or is a negative number
+    that every supported argparse reads as one, and that the flag's type
+    converts.  A repeated flag keeps its last value.  Anything else (help,
+    an abbreviation, ``--flag=value``, ``--``, an unknown flag or an
+    unreadable value) returns None, for a parser to read or report.
     """
+    if not argv or argv[0] not in _FLAGS:
+        return None
+    flags = _FLAGS[argv[0]]
+    values = {flag.dest: flag.default for flag in flags.values()}
+    tokens = iter(argv[1:])
+    for token in tokens:
+        flag = flags.get(token)
+        if flag is None:
+            return None
+        if flag.type is None:
+            values[flag.dest] = True
+            continue
+        value = next(tokens, None)
+        if value is None or (value[:1] == "-" and value != "-"
+                             and not _NEGATIVE_NUMBER.match(value)):
+            return None
+        try:
+            values[flag.dest] = flag.type(value)
+        except Exception:  # argparse would report it, or raise it
+            return None
+    return argparse.Namespace(subcommand=argv[0], **values)
+
+
+def _parse_args(argv: Sequence[str]) -> argparse.Namespace:
+    """Read ``argv`` as the full parser reads it, building a parser only if needed.
+
+    :func:`_read_plain` reads a plain command line with no parser.  Any other
+    argv naming a subcommand in ``argv[0]`` goes to that subcommand's parser
+    alone, as the full parser would hand it on, and what is left over is
+    reported as the full parser reports it.  Otherwise (``--help``, a typo,
+    no argv) the full parser reads it.
+    """
+    ns = _read_plain(argv)
+    if ns is not None:
+        return ns
     if not argv or argv[0] not in _SUBCOMMANDS:
         return _build_parser().parse_args(argv)
     ns, extra = _build_parser(argv[0]).parse_known_args(argv[1:])

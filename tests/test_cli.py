@@ -1,6 +1,9 @@
 """Exit-status contract, determinism, and file formats of the CLI."""
 
 import argparse
+import contextlib
+import functools
+import io
 import itertools
 import json
 import math
@@ -14,6 +17,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.linalg import lapack
 
 import pdm_dirac
@@ -28,11 +33,13 @@ from pdm_dirac import (
 )
 from pdm_dirac import feasibility, solver
 from pdm_dirac.cli import (
+    _FLAGS,
     _SUBCOMMANDS,
     _add_arguments,
     _build_parser,
     _Parser,
     _parse_args,
+    _read_plain,
     main,
     resolve_config,
 )
@@ -759,11 +766,93 @@ def test_a_run_builds_only_the_invoked_subcommands_parser(monkeypatch):
         assert [p.prog for p in built] == [top.prog, *(p.prog for p in subs)]
         assert [_options(p) for p in built[1:]] == [_options(p) for p in subs]
     for name in SUBCOMMANDS:
-        for argv in ([name, "--out", "-"], [name, "-h"]):
-            [parser] = _parsers_built(argv, monkeypatch)
+        # a plain command line is read from the flag table alone
+        assert _parsers_built([name, "--out", "-"], monkeypatch) == []
+        assert _parsers_built([name, "--dump-config", "--out", "-"], monkeypatch) == []
+        for rest in (["-h"], ["--no-such-flag"], ["--eta", "x"], ["--et", "0.5"],
+                     ["--eta=0.5"]):
+            [parser] = _parsers_built([name, *rest], monkeypatch)
             assert parser.prog == f"pdm-dirac {name}"
             assert _options(parser) == _options(full[name])
             assert parser.format_help() == full[name].format_help()
+
+
+@pytest.mark.parametrize("name", SUBCOMMANDS)
+def test_the_parser_declares_the_flag_table(name):
+    declared = [(action.option_strings, action.dest, action.type, action.default,
+                 isinstance(action, argparse._StoreTrueAction), action.help)
+                for action in _build_parser(name)._actions
+                if not isinstance(action, argparse._HelpAction)]
+    assert declared == [([option], flag.dest, flag.type, flag.default, flag.type is None,
+                         flag.help) for option, flag in _FLAGS[name].items()]
+
+
+@pytest.mark.parametrize("eta", [["--eta", "-1e-05"], ["--eta=-1e-05"]], ids=" ".join)
+def test_a_negative_exponent_value_reads_as_the_full_parser_reads_it(eta, capsys):
+    # argparse on Python 3.10 to 3.13.0 reads a spaced -1e-05 as an option, so
+    # --eta lacks its value; the "=" form reads it on every version
+    argv = ["spectrum", *eta, "--lambda", "1"]
+    outcome = _parse_outcome(_parse_args, argv, capsys)
+    assert outcome == _parse_outcome(_build_parser().parse_args, argv, capsys)
+    if len(eta) == 1:
+        assert outcome[0]["eta"] == -1e-05
+
+
+# Tokens only a parser reads: help, abbreviations, "=" forms, "--", unknown flags.
+_PARSER_ONLY = ["-h", "--help", "--et", "--co", "--ou", "--n", "--dump", "--eta=0.5",
+                "--out=-", "--grid=2,3", "--dump-config=1", "--", "--no-such-flag", "-e"]
+_VALUES = ["0.5", "1", "0", "5", "-0.3", "-.5", "-5", "-1e-3", "-", "", "1.2.3", "x", "4_000",
+           "nan", "-nan", "inf", "1e999", "2,3", "-1,1,0,10", "2.5,3", "1,2,3", "out.json",
+           " 5", "-5 "]
+# values each flag type converts, so that many drawn command lines are plain
+_READABLE = {float: ["0.5", "1", "-0.3", "-.5", "-5", "4_000", "nan", "1e999", " 5"],
+             int: ["1", "5", "-5", "4_000"],
+             str: ["-", "out.json", "", "nan", "-5", "x"],
+             _FLAGS["verdict"]["--box"].type: ["-1,1,0,10", "2,3", "nan,1", "-5"],
+             _FLAGS["verdict"]["--grid"].type: ["2,3", "1,2,3", "-5,4"]}
+_OPTIONS = sorted({option for flags in _FLAGS.values() for option in flags})
+
+
+def _flag_and_value(option, flag):
+    """A flag and a value, three times in four one that its type reads; a
+    switch alone, or one time in three followed by a value."""
+    if flag.type is None:
+        return st.one_of(st.just((option,)), st.just((option,)),
+                         st.sampled_from(_VALUES).map(lambda value: (option, value)))
+    readable = st.sampled_from(_READABLE[flag.type])
+    return st.one_of(readable, readable, readable,
+                     st.sampled_from(_VALUES)).map(lambda value: (option, value))
+
+
+def _argv(sub):
+    """``sub`` and up to six of its flags with values, between single tokens of any kind."""
+    flags = sorted(_FLAGS.get(sub, _FLAGS["verdict"]).items())
+    pair = st.one_of([_flag_and_value(option, flag) for option, flag in flags])
+    single = st.sampled_from(_OPTIONS + _PARSER_ONLY + _VALUES).map(lambda token: (token,))
+    items = st.lists(st.one_of(pair, pair, pair, pair, pair, single), max_size=6)
+    return items.map(lambda items: [sub, *(token for item in items for token in item)])
+
+
+@functools.lru_cache(maxsize=None)
+def _full_parser():
+    return _build_parser()
+
+
+@settings(max_examples=2000, deadline=None, derandomize=True, database=None)
+@given(st.one_of([_argv(sub) for sub in [*SUBCOMMANDS, *SUBCOMMANDS, "surfac", "-h"]]))
+def test_the_plain_reader_agrees_with_the_full_parser(argv):
+    plain = _read_plain(argv)
+    try:
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            full = vars(_full_parser().parse_args(argv))
+    except (SystemExit, Exception):
+        assert plain is None, argv
+        return
+    if plain is not None:
+        # repr compares nan equal to nan, and list() keeps the key order
+        assert repr(list(vars(plain).items())) == repr(list(full.items())), argv
+    if any(token in _PARSER_ONLY for token in argv):
+        assert plain is None, argv
 
 
 def _stock_parser(name=None):
@@ -771,12 +860,12 @@ def _stock_parser(name=None):
     terminal width each time argparse builds one."""
     if name is not None:
         parser = _Parser(prog=f"pdm-dirac {name}")
-        _add_arguments(parser, _SUBCOMMANDS[name])
+        _add_arguments(parser, name)
         return parser
     parser = _Parser(prog="pdm-dirac", description=_build_parser().description)
     sub = parser.add_subparsers(dest="subcommand", required=True)
     for sub_name, spec in _SUBCOMMANDS.items():
-        _add_arguments(sub.add_parser(sub_name, help=spec.help), spec)
+        _add_arguments(sub.add_parser(sub_name, help=spec.help), sub_name)
     return parser
 
 
