@@ -50,14 +50,17 @@ json`` and ``--dump-config``) is written by :func:`_json_text`.  A written
 file gets the mode a plain ``open`` gives a new file, ``0o666`` less the
 umask or what the directory's default ACL sets; a write error names the
 ``--out`` path, and a symlink at ``--out`` is replaced, not written through.
+Every CSV float (``surface``, ``potential`` and ``spectrum --format csv``)
+is written by :func:`~pdm_dirac.csvtext.g17`, which computes the ``%.17g``
+text of a float64 array with numpy, exactly and with no per-value ``%``;
+:func:`~pdm_dirac.csvtext.csv_text` joins a block of rows as bytes.
 ``surface`` evaluates f in blocks of eta rows with the vectorized evaluator
-that the verdict's supremum scan runs on its extreme nodes, and writes each
-eta row with one ``%`` operation on a template built once per table;
-``potential`` samples the profile, checks it is finite and writes it a block
-of a few thousand rows at a time, one ``%`` per block.  Both tables are
-streamed: each row or block goes to the temp file as soon as it is
-formatted, so a table never stands whole in memory.  With ``--out -`` the
-pieces are joined and written in one call, so an error prints nothing.
+that the verdict's supremum scan runs on its extreme nodes; ``potential``
+samples the profile and checks it is finite a block at a time.  The tables
+are streamed: each block of a few thousand rows goes to the temp file as
+soon as it is formatted, so a table never stands whole in memory.  With
+``--out -`` the pieces are joined and written in one call, so an error
+prints nothing.
 """
 
 from __future__ import annotations
@@ -65,6 +68,7 @@ from __future__ import annotations
 import argparse
 import errno
 import functools
+import itertools
 import json
 import math
 import os
@@ -76,6 +80,7 @@ from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
 
+from .csvtext import csv_text, g17, g17_strings, text_words
 from .errors import (
     ConfigKeyError,
     EvaluationError,
@@ -109,9 +114,7 @@ from .spectrum import classify_levels, potential_sample
 
 __all__ = ["main", "RunConfig", "resolve_config"]
 
-_SLOT = "%.17g"  # every float is written as format(value, ".17g"); a row is one %
-
-# Level table rows (n = 0..n_max), each classified and formatted on its own:
+# Level table rows (n = 0..n_max), each classified on its own:
 # the ceiling bounds the table at 100,001 rows, which a fresh `spectrum` run
 # writes in about 1.3 s and a fresh `verdict` in about 2.4 s (medians of 8
 # runs, 2 cores).
@@ -121,7 +124,7 @@ _N_MAX_CEILING = 100_000
 _N_CEILING = 1_000_000
 # Surface and scan nodes (eta nodes x lambda nodes); admits a 2001 x 2001 grid.
 _GRID_NODES_CEILING = 4_100_000
-# potential rows formatted by one % (a block of four-column rows, not the table)
+# table rows formatted into one piece of text (a block of rows, not the table)
 _FORMAT_ROWS = 4096
 # surface nodes evaluated at once: a block and its temporaries (about 1.5 MiB)
 # stay in cache, where the whole grid streamed through memory
@@ -626,7 +629,7 @@ def _distinct_sorted(values: np.ndarray) -> np.ndarray:
 
 
 def _surface_rows(eta_rows: np.ndarray, lam_nodes: np.ndarray):
-    """f at each of ``eta_rows`` as a list of floats, one row after another.
+    """f at each of ``eta_rows``, one row after another.
 
     :func:`~pdm_dirac.feasibility._f_grid` evaluates the rows in blocks of
     about ``_BLOCK_NODES`` cells (at least one row), so the grid is never held
@@ -637,7 +640,7 @@ def _surface_rows(eta_rows: np.ndarray, lam_nodes: np.ndarray):
     for start in range(0, eta_rows.size, rows_per_block):
         block = _f_grid(eta_rows[start:start + rows_per_block], lam_nodes)
         block[:, boundary] = 0.0
-        yield from block.tolist()
+        yield from block
 
 
 def cmd_surface(cfg: RunConfig) -> int:
@@ -648,18 +651,28 @@ def cmd_surface(cfg: RunConfig) -> int:
     eta_nodes = _distinct_sorted(np.linspace(scan_box.eta_min, scan_box.eta_max, grid[0]))
     with np.errstate(over="ignore"):  # only the last node can overflow; linspace pins it
         lam_nodes = _distinct_sorted(np.linspace(scan_box.lam_min, scan_box.lam_max, grid[1]))
-    # eta_text.join(pieces) is the template of one eta row, a line per lambda node
-    pieces = ["", *(f",{_SLOT % lam},{_SLOT}\n" for lam in lam_nodes.tolist())]
     keep = np.abs(eta_nodes) > ETA_ZERO_SNAP
+    eta_text, lam_text = g17(eta_nodes), g17(lam_nodes)
+    # a piece of text is a few eta rows, or a part of one long row
+    rows_per_piece = max(1, _FORMAT_ROWS // lam_nodes.size)
 
-    def lines():  # one piece per eta row, as its f values arrive
+    def lines():
         rows = _surface_rows(eta_nodes[keep], lam_nodes)
         yield "eta,lambda,f\n"
-        for eta, kept in zip(eta_nodes.tolist(), keep.tolist()):
-            if kept:
-                yield (_SLOT % eta).join(pieces) % tuple(next(rows))
-            else:
-                yield f"# eta node {_SLOT % eta} skipped: f undefined on the eta=0 line\n"
+        for kept, run in itertools.groupby(range(eta_nodes.size), keep.__getitem__):
+            run = list(run)
+            if not kept:
+                for text in g17_strings(eta_nodes[run]):
+                    yield f"# eta node {text} skipped: f undefined on the eta=0 line\n"
+                continue
+            stop = run[-1] + 1
+            for start in range(run[0], stop, rows_per_piece):
+                etas = eta_text[start:min(start + rows_per_piece, stop), None]
+                f = np.array(list(itertools.islice(rows, len(etas))), dtype=np.float64)
+                for j in range(0, lam_nodes.size, _FORMAT_ROWS):
+                    part = f[:, j:j + _FORMAT_ROWS]
+                    yield csv_text(etas, lam_text[None, j:j + _FORMAT_ROWS],
+                                   g17(part.ravel()).reshape(*part.shape, 3))
 
     _emit(cfg.out, lines())
     if cfg.out != "-":
@@ -667,23 +680,32 @@ def cmd_surface(cfg: RunConfig) -> int:
     return 0
 
 
-def _spectrum_lines(cfg: RunConfig) -> str:
+def _spectrum_lines(cfg: RunConfig) -> Iterable[str]:
     entries = classify_levels(cfg.dimensionless(), cfg.n_max, M0=cfg.physical().M0)
     if cfg.format == "json":
         doc = {
             "params": cfg.to_json_doc(),
             "entries": [e.to_dict() for e in entries],
         }
-        return _json_text(doc) + "\n"
-    row = f"%d,{_SLOT},{_SLOT},%s,{_SLOT}"  # an Undefined row's NaN values are written as nan
-    lines = ["n,delta1,e_squared,classification,energy_magnitude"]
-    lines.extend(row % (e.n, e.delta1, e.e_squared, e.classification.value, e.energy_magnitude)
-                 for e in entries)
-    return "\n".join(lines) + "\n"
+        return [_json_text(doc) + "\n"]
+    return _level_table(entries)
+
+
+def _level_table(entries) -> Iterable[str]:
+    """The CSV level table, a block of rows at a time.  An Undefined row's NaN
+    values are written as nan; n goes through :func:`~pdm_dirac.csvtext.g17`
+    as a float64, whose ``%.17g`` text is its digits (n <= ``_N_MAX_CEILING``)."""
+    yield "n,delta1,e_squared,classification,energy_magnitude\n"
+    for start in range(0, len(entries), _FORMAT_ROWS):
+        block = entries[start:start + _FORMAT_ROWS]
+        values = np.array([(e.n, e.delta1, e.e_squared, e.energy_magnitude) for e in block])
+        n, delta1, e_squared, energy = map(g17, values.T)
+        names = text_words([e.classification.value for e in block])
+        yield csv_text(n, delta1, e_squared, names, energy)
 
 
 def cmd_spectrum(cfg: RunConfig) -> int:
-    _emit(cfg.out, [_spectrum_lines(cfg)])
+    _emit(cfg.out, _spectrum_lines(cfg))
     return 0
 
 
@@ -693,19 +715,18 @@ def cmd_potential(cfg: RunConfig) -> int:
     count = cfg.N if cfg.N is not None else 401
     with np.errstate(all="ignore"):  # an overflowing grid fails the block check below
         x = np.linspace(-half_width, half_width, count)
-    row = ",".join([_SLOT] * 4) + "\n"
 
     def lines():
         yield "x,mass,im_v,v_eff\n"
         for start in range(0, count, _FORMAT_ROWS):
             with np.errstate(all="ignore"):
                 s = potential_sample(params, x[start:start + _FORMAT_ROWS])
-            block = np.column_stack((s.x, s.mass, s.im_v, s.v_eff))
-            if not np.isfinite(block).all():
+            columns = (s.x, s.mass, s.im_v, s.v_eff)
+            if not all(np.isfinite(column).all() for column in columns):
                 raise ConfigKeyError(
                     f"potential table leaves the double range (L={half_width!r}, M0={params.M0!r})"
                 )
-            yield (row * len(block)) % tuple(block.ravel().tolist())
+            yield csv_text(*map(g17, columns))
 
     _emit(cfg.out, lines())
     if cfg.out != "-":

@@ -1,9 +1,10 @@
-"""``surface`` and ``potential`` tables: byte for byte the line-by-line builders.
+"""``surface``, ``potential`` and ``spectrum`` CSV tables, byte for byte.
 
-The CLI writes a table row with one ``%`` operation on a template of
-``%.17g`` slots.  The builders below format one value at a time with
-``format(v, ".17g")`` and evaluate ``surface`` one eta row at a time; they
-are kept here only as the reference that the CLI output must equal.
+The CLI writes table floats through ``csvtext.g17``, a vectorized ``%.17g``
+kernel, and joins a block of rows as bytes.  The reference functions below
+format one value at a time with ``format(v, ".17g")`` and evaluate
+``surface`` one eta row at a time; they are kept here only as what the CLI
+output must equal.
 """
 
 import math
@@ -14,11 +15,13 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from pdm_dirac import Box, PhysicalParams, potential_sample
+from pdm_dirac import Box, DimensionlessParams, PhysicalParams, potential_sample
 from pdm_dirac import cli
-from pdm_dirac.cli import _BLOCK_NODES, _FORMAT_ROWS, _SLOT, _distinct_sorted, main
+from pdm_dirac.cli import _BLOCK_NODES, _FORMAT_ROWS, _distinct_sorted, main
+from pdm_dirac.csvtext import _SLOT, csv_text, g17
 from pdm_dirac.feasibility import _f_grid
 from pdm_dirac.params import ETA_ZERO_SNAP
+from pdm_dirac.spectrum import classify_levels
 
 
 def _fmt(value):
@@ -52,6 +55,14 @@ def reference_potential(params, half_width, count):
     return "\n".join(lines) + "\n"
 
 
+def reference_levels(eta, lam, n_max):
+    lines = ["n,delta1,e_squared,classification,energy_magnitude"]
+    lines.extend(f"{e.n},{_fmt(e.delta1)},{_fmt(e.e_squared)},{e.classification.value},"
+                 f"{_fmt(e.energy_magnitude)}"
+                 for e in classify_levels(DimensionlessParams(eta, lam), n_max, M0=1.0))
+    return "\n".join(lines) + "\n"
+
+
 def assert_same_table(args, expected, capsys, tmp_path):
     """The table on stdout and in an --out file, streamed there, is ``expected``."""
     assert main(args + ["--out", "-"]) == 0
@@ -79,8 +90,10 @@ EDGE_VALUES = [-0.0, 0.0, 5e-324, -5e-324, 2.225e-308, 2.2250738585072014e-308, 
 @example([float("inf"), float("-inf"), float("nan")])
 @example([np.float64(-4.6213203435596426)])  # a numpy scalar writes as the float it holds
 def test_slot_template_row_is_the_per_value_format(values):
-    row = ",".join([_SLOT] * len(values)) % tuple(values)
-    assert row == ",".join(format(float(v), ".17g") for v in values)
+    # every table float goes through the kernel, whose fallback is _SLOT
+    assert _SLOT == "%.17g"
+    row = csv_text(*g17(np.array(values, dtype=np.float64))[:, None])  # one column each
+    assert row == ",".join(format(float(v), ".17g") for v in values) + "\n"
 
 
 DEFAULT_BOX = (-1.0, 1.0, 0.0, 10.0)
@@ -160,6 +173,15 @@ def test_potential_equals_the_line_by_line_builder(count, capsys, tmp_path):
     args = ["potential", "--eta=-0.7", "--alpha", "1.3", "--N", str(count)]
     expected = reference_potential(PhysicalParams(1.0, -0.7, 1.3), 10.0 / 1.3, count)
     assert_same_table(args, expected, capsys, tmp_path)
+
+
+# n_max + 1 rows: one, exactly one block of _FORMAT_ROWS, one row more, and
+# two blocks and a part; a pole row (Undefined, nan) and Real rows
+@pytest.mark.parametrize("eta,lam", [(0.5, 1.0), (1.0, 0.5 ** 0.5), (0.5, 0.01)])
+@pytest.mark.parametrize("n_max", [0, 4095, 4096, 9000])
+def test_spectrum_csv_equals_the_per_value_reference(eta, lam, n_max, capsys, tmp_path):
+    args = ["spectrum", "--eta", repr(eta), "--lambda", repr(lam), "--n-max", str(n_max)]
+    assert_same_table(args, reference_levels(eta, lam, n_max), capsys, tmp_path)
 
 
 def test_surface_file_is_written_as_it_is_formatted(tmp_path):
