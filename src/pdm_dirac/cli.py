@@ -33,13 +33,12 @@ derives a parameter from another.
 Each subcommand's flags are declared once, in ``_FLAGS``, which is built from
 ``_SUBCOMMANDS`` and ``_KEYS``: the argument parser declares them and
 :func:`_read_plain` reads them.  A plain command line (the subcommand, then
-exact option strings, each valued flag followed by one value that argparse
-reads as a value and the flag's type converts) is read from that table and
-builds no parser.  Any other command line builds one: the parser of the
-subcommand that ``argv[0]`` names, which reports leftover arguments as the
-full parser does, or the full parser when ``argv[0]`` names none
-(``--help``, a typo, no argv).  Help text, error text and exit status are
-those of the full parser either way.
+exact option strings, each valued flag given its value as ``--flag=value``
+or followed by one that argparse reads as a value, and the flag's type
+converting it) is read from that table and builds no parser.  Any other
+command line (help, an abbreviation, a typo, no argv, an unreadable value)
+is read by the full parser, whose help text, error text and exit status
+are the reference.
 
 All file output is deterministic byte-for-byte for a fixed config: table
 (CSV) floats are written with 17 significant digits (``%.17g``), JSON floats
@@ -67,13 +66,11 @@ from __future__ import annotations
 
 import argparse
 import errno
-import functools
 import itertools
 import json
 import math
 import os
 import re
-import shutil
 import sys
 from dataclasses import dataclass
 from typing import Callable, Iterable, Optional, Sequence
@@ -116,8 +113,8 @@ __all__ = ["main", "RunConfig", "resolve_config"]
 
 # Level table rows (n = 0..n_max), each classified on its own:
 # the ceiling bounds the table at 100,001 rows, which a fresh `spectrum` run
-# writes in about 1.3 s and a fresh `verdict` in about 2.4 s (medians of 8
-# runs, 2 cores).
+# writes in 0.7 to 1.0 s and a fresh `verdict` in 1.5 to 2.1 s (five runs
+# each at eta 0.5, lambda 1, 2 cores).
 _N_MAX_CEILING = 100_000
 # Solver and sampling points: each costs several doubles of memory, so an
 # unbounded N ends in a MemoryError.  Tests and benchmark use at most 16000.
@@ -449,35 +446,21 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigKeyError(f"{self.prog}: {message}")
 
 
-def _add_arguments(parser: argparse.ArgumentParser, name: str) -> None:
-    """Give ``parser`` the flags of subcommand ``name``."""
-    for option, flag in _FLAGS[name].items():
-        kind = {"action": "store_true"} if flag.type is None else {"type": flag.type}
-        parser.add_argument(option, dest=flag.dest, default=flag.default, help=flag.help,
-                            **kind)
-
-
-def _build_parser(name: Optional[str] = None) -> argparse.ArgumentParser:
-    """The parser of subcommand ``name`` alone, as the full parser's subparser
-    for it would be, or with no ``name`` the full parser: ``pdm-dirac`` with
-    one subparser per subcommand."""
-    # argparse builds a formatter for each add_argument check, and each one
-    # without a width reads the terminal; this is the width it would read
-    width = shutil.get_terminal_size().columns - 2
-    formatter = functools.partial(argparse.HelpFormatter, width=width)
-    if name is not None:
-        parser = _Parser(prog=f"pdm-dirac {name}", formatter_class=formatter)
-        _add_arguments(parser, name)
-        return parser
+def _build_parser() -> argparse.ArgumentParser:
+    """The full parser: ``pdm-dirac`` with one subparser per subcommand, each
+    declaring that subcommand's flags from ``_FLAGS``."""
     parser = _Parser(
         prog="pdm-dirac",
         description="Spectral feasibility checks for a smooth-step "
         "position-dependent-mass Dirac model.",
-        formatter_class=formatter,
     )
     sub = parser.add_subparsers(dest="subcommand", required=True)
     for name, spec in _SUBCOMMANDS.items():
-        _add_arguments(sub.add_parser(name, help=spec.help, formatter_class=formatter), name)
+        subparser = sub.add_parser(name, help=spec.help)
+        for option, flag in _FLAGS[name].items():
+            kind = {"action": "store_true"} if flag.type is None else {"type": flag.type}
+            subparser.add_argument(option, dest=flag.dest, default=flag.default,
+                                   help=flag.help, **kind)
     return parser
 
 
@@ -490,12 +473,15 @@ def _read_plain(argv: Sequence[str]) -> Optional[argparse.Namespace]:
     """The full parser's namespace for a plain ``argv``, read with no parser; else None.
 
     A plain argv is a subcommand followed by exact option strings of its
-    flags, a switch alone and any other flag with one value.  A value is a
-    token that does not start with ``-``, is ``-`` or is a negative number
-    that every supported argparse reads as one, and that the flag's type
-    converts.  A repeated flag keeps its last value.  Anything else (help,
-    an abbreviation, ``--flag=value``, ``--``, an unknown flag or an
-    unreadable value) returns None, for a parser to read or report.
+    flags, a switch alone and any other flag with one value.  The value is
+    either the text after the flag's first ``=`` (``--box=-1,1,0,10``; it may
+    start with ``-`` or be empty, but not be ``--``, which argparse drops), or
+    the next token when that does not start with ``-``, is ``-`` or is a
+    negative number that every supported argparse reads as one; the flag's
+    type must convert it.  A repeated flag keeps its last value.  Anything
+    else (help, an abbreviation, a switch with ``=``, ``--``, an unknown flag
+    or an unreadable value) returns None, for the full parser to read or
+    report.
     """
     if not argv or argv[0] not in _FLAGS:
         return None
@@ -503,15 +489,21 @@ def _read_plain(argv: Sequence[str]) -> Optional[argparse.Namespace]:
     values = {flag.dest: flag.default for flag in flags.values()}
     tokens = iter(argv[1:])
     for token in tokens:
-        flag = flags.get(token)
+        option, explicit, value = token.partition("=")
+        flag = flags.get(option)
         if flag is None:
             return None
         if flag.type is None:
+            if explicit:
+                return None
             values[flag.dest] = True
             continue
-        value = next(tokens, None)
-        if value is None or (value[:1] == "-" and value != "-"
-                             and not _NEGATIVE_NUMBER.match(value)):
+        if not explicit:
+            value = next(tokens, None)
+            if value is None or (value[:1] == "-" and value != "-"
+                                 and not _NEGATIVE_NUMBER.match(value)):
+                return None
+        elif value == "--":
             return None
         try:
             values[flag.dest] = flag.type(value)
@@ -521,24 +513,10 @@ def _read_plain(argv: Sequence[str]) -> Optional[argparse.Namespace]:
 
 
 def _parse_args(argv: Sequence[str]) -> argparse.Namespace:
-    """Read ``argv`` as the full parser reads it, building a parser only if needed.
-
-    :func:`_read_plain` reads a plain command line with no parser.  Any other
-    argv naming a subcommand in ``argv[0]`` goes to that subcommand's parser
-    alone, as the full parser would hand it on, and what is left over is
-    reported as the full parser reports it.  Otherwise (``--help``, a typo,
-    no argv) the full parser reads it.
-    """
+    """Read ``argv`` as the full parser reads it: :func:`_read_plain` reads a
+    plain command line with no parser, and the full parser reads any other."""
     ns = _read_plain(argv)
-    if ns is not None:
-        return ns
-    if not argv or argv[0] not in _SUBCOMMANDS:
-        return _build_parser().parse_args(argv)
-    ns, extra = _build_parser(argv[0]).parse_known_args(argv[1:])
-    if extra:
-        raise ConfigKeyError(f"pdm-dirac: unrecognized arguments: {' '.join(extra)}")
-    ns.subcommand = argv[0]
-    return ns
+    return ns if ns is not None else _build_parser().parse_args(argv)
 
 
 def _load_config_doc(path: str) -> dict:

@@ -8,7 +8,6 @@ import itertools
 import json
 import math
 import os
-import shutil
 import stat
 import struct
 import subprocess
@@ -17,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.linalg import lapack
 
@@ -35,9 +34,7 @@ from pdm_dirac import feasibility, solver
 from pdm_dirac.cli import (
     _FLAGS,
     _SUBCOMMANDS,
-    _add_arguments,
     _build_parser,
-    _Parser,
     _parse_args,
     _read_plain,
     main,
@@ -711,6 +708,16 @@ def _parse_outcome(parse, argv, capsys):
 
 SUBCOMMANDS = ["surface", "spectrum", "verdict", "potential"]
 _POINT = ["--eta", "0.5", "--lambda", "1"]
+# command lines the plain reader reads in their "=" form, or declines
+_EQUALS_CASES = [["surface", "--box=-1,1,0,10"],
+                 ["verdict", "--eta=-1e-05", "--lambda", "1"],
+                 ["spectrum", *_POINT, "--out="],
+                 ["spectrum", *_POINT, "--out=="],
+                 ["spectrum", "--eta=", "--lambda", "1"],
+                 ["spectrum", "--eta=0.5=1", "--lambda", "1"],
+                 ["verdict", *_POINT, "--control-well="],
+                 ["spectrum", *_POINT, "--out=--"],
+                 ["spectrum", *_POINT, "--dump-config="]]
 PARSE_CASES = [["-h"], *([sub, "-h"] for sub in SUBCOMMANDS), ["surfac", "--eta", "1"],
                ["surface", "--eta", "1"], [],
                *([sub, "--no-such-flag"] for sub in SUBCOMMANDS),
@@ -719,7 +726,8 @@ PARSE_CASES = [["-h"], *([sub, "-h"] for sub in SUBCOMMANDS), ["surfac", "--eta"
                ["verdict", "--et", "0.5", "--lambda", "1"],
                ["verdict", *_POINT, "--", "--out", "x"],
                ["spectrum", *_POINT, "--dump-config"],
-               ["--", "verdict", *_POINT]]
+               ["--", "verdict", *_POINT],
+               *_EQUALS_CASES]
 
 
 @pytest.mark.parametrize("argv", PARSE_CASES, ids=" ".join)
@@ -750,38 +758,40 @@ def _parsers_built(argv, monkeypatch):
     return built
 
 
-def test_a_run_builds_only_the_invoked_subcommands_parser(monkeypatch):
+def _subparsers(parser):
+    return parser._subparsers._group_actions[0].choices
+
+
+def test_a_run_builds_no_parser_or_the_full_parser(monkeypatch):
     top, *subs = _parsers_built([], monkeypatch)
     assert top.prog == "pdm-dirac"
     assert [p.prog for p in subs] == [f"pdm-dirac {name}" for name in SUBCOMMANDS]
-    full = {name: p for name, p in zip(SUBCOMMANDS, subs)}
-    for name, parser in full.items():
+    for name, parser in zip(SUBCOMMANDS, subs):
         spec = _SUBCOMMANDS[name]
         params = {"--M0", "--eta", "--alpha", "--lambda"} if spec.params else set()
         flags = {"--" + key.replace("_", "-") for key in spec.keys}
         assert _options(parser) == {"-h", "--help", "--config", "--dump-config",
                                     *params, *flags}
-    for argv in (["--help"], ["surfac", "--eta", "1"]):
-        built = _parsers_built(argv, monkeypatch)
-        assert [p.prog for p in built] == [top.prog, *(p.prog for p in subs)]
-        assert [_options(p) for p in built[1:]] == [_options(p) for p in subs]
+    declined = [["--help"], ["surfac", "--eta", "1"], ["surfac"]]
     for name in SUBCOMMANDS:
-        # a plain command line is read from the flag table alone
-        assert _parsers_built([name, "--out", "-"], monkeypatch) == []
-        assert _parsers_built([name, "--dump-config", "--out", "-"], monkeypatch) == []
-        for rest in (["-h"], ["--no-such-flag"], ["--eta", "x"], ["--et", "0.5"],
-                     ["--eta=0.5"]):
-            [parser] = _parsers_built([name, *rest], monkeypatch)
-            assert parser.prog == f"pdm-dirac {name}"
-            assert _options(parser) == _options(full[name])
-            assert parser.format_help() == full[name].format_help()
+        # a plain command line, its "=" forms included, is read from the flag table alone
+        for rest in (["--out", "-"], ["--out=-"], ["--dump-config", "--out", "-"],
+                     ["--dump-config", "--out=-"]):
+            assert _parsers_built([name, *rest], monkeypatch) == []
+        declined += ([name, *rest] for rest in (["-h"], ["--no-such-flag"], ["--eta", "x"],
+                                                ["--et", "0.5"], ["--dump-config="]))
+    for argv in declined:
+        # any other is read by the full parser, built once
+        built = _parsers_built(argv, monkeypatch)
+        assert [p.prog for p in built] == [top.prog, *(p.prog for p in subs)], argv
+        assert [_options(p) for p in built[1:]] == [_options(p) for p in subs], argv
 
 
 @pytest.mark.parametrize("name", SUBCOMMANDS)
 def test_the_parser_declares_the_flag_table(name):
     declared = [(action.option_strings, action.dest, action.type, action.default,
                  isinstance(action, argparse._StoreTrueAction), action.help)
-                for action in _build_parser(name)._actions
+                for action in _subparsers(_build_parser())[name]._actions
                 if not isinstance(action, argparse._HelpAction)]
     assert declared == [([option], flag.dest, flag.type, flag.default, flag.type is None,
                          flag.help) for option, flag in _FLAGS[name].items()]
@@ -798,30 +808,34 @@ def test_a_negative_exponent_value_reads_as_the_full_parser_reads_it(eta, capsys
         assert outcome[0]["eta"] == -1e-05
 
 
-# Tokens only a parser reads: help, abbreviations, "=" forms, "--", unknown flags.
-_PARSER_ONLY = ["-h", "--help", "--et", "--co", "--ou", "--n", "--dump", "--eta=0.5",
-                "--out=-", "--grid=2,3", "--dump-config=1", "--", "--no-such-flag", "-e"]
-_VALUES = ["0.5", "1", "0", "5", "-0.3", "-.5", "-5", "-1e-3", "-", "", "1.2.3", "x", "4_000",
-           "nan", "-nan", "inf", "1e999", "2,3", "-1,1,0,10", "2.5,3", "1,2,3", "out.json",
-           " 5", "-5 "]
+# Tokens only a parser reads: help, abbreviations, a switch with "=", "--", unknown flags.
+_PARSER_ONLY = ["-h", "--help", "--et", "--co", "--ou", "--n", "--dump", "--et=0.5", "--ou=-",
+                "--dump-config=1", "--", "--no-such-flag", "-e"]
+_VALUES = ["0.5", "1", "0", "5", "-0.3", "-.5", "-5", "-1e-3", "-", "--", "", "=", "1.2.3", "x",
+           "4_000", "nan", "-nan", "inf", "1e999", "2,3", "-1,1,0,10", "2.5,3", "1,2,3",
+           "out.json", " 5", "-5 "]
 # values each flag type converts, so that many drawn command lines are plain
-_READABLE = {float: ["0.5", "1", "-0.3", "-.5", "-5", "4_000", "nan", "1e999", " 5"],
+_READABLE = {float: ["0.5", "1", "-0.3", "-.5", "-5", "-1e-3", "4_000", "nan", "1e999", " 5"],
              int: ["1", "5", "-5", "4_000"],
-             str: ["-", "out.json", "", "nan", "-5", "x"],
+             str: ["-", "out.json", "", "=", "nan", "-5", "-x", "x"],
              _FLAGS["verdict"]["--box"].type: ["-1,1,0,10", "2,3", "nan,1", "-5"],
              _FLAGS["verdict"]["--grid"].type: ["2,3", "1,2,3", "-5,4"]}
 _OPTIONS = sorted({option for flags in _FLAGS.values() for option in flags})
 
 
 def _flag_and_value(option, flag):
-    """A flag and a value, three times in four one that its type reads; a
-    switch alone, or one time in three followed by a value."""
+    """A flag and a value, three times in four one that its type reads, as two
+    tokens or as ``option=value``; a switch alone, or one time in two followed
+    by a value or joined to one by ``=``."""
     if flag.type is None:
-        return st.one_of(st.just((option,)), st.just((option,)),
-                         st.sampled_from(_VALUES).map(lambda value: (option, value)))
-    readable = st.sampled_from(_READABLE[flag.type])
-    return st.one_of(readable, readable, readable,
-                     st.sampled_from(_VALUES)).map(lambda value: (option, value))
+        values = st.sampled_from(_VALUES)
+        alone = [st.just((option,))] * 2
+    else:
+        readable = st.sampled_from(_READABLE[flag.type])
+        values = st.one_of(readable, readable, readable, st.sampled_from(_VALUES))
+        alone = []
+    return st.one_of(*alone, values.map(lambda value: (option, value)),
+                     values.map(lambda value: (f"{option}={value}",)))
 
 
 def _argv(sub):
@@ -833,6 +847,25 @@ def _argv(sub):
     return items.map(lambda items: [sub, *(token for item in items for token in item)])
 
 
+def _plain_form(argv):
+    """Whether ``argv`` is a subcommand and exact option strings of its flags,
+    each switch alone and each other flag with a value: the text after its
+    first "=" (not "--", which argparse drops), or a next token that does not
+    start with "-"."""
+    if not argv or argv[0] not in _FLAGS:
+        return False
+    flags = _FLAGS[argv[0]]
+    tokens = iter(argv[1:])
+    for token in tokens:
+        option, *explicit = token.split("=", 1)
+        flag = flags.get(option)
+        if flag is None or (flag.type is None and explicit) or explicit == ["--"]:
+            return False
+        if flag.type is not None and not explicit and next(tokens, "-").startswith("-"):
+            return False
+    return True
+
+
 @functools.lru_cache(maxsize=None)
 def _full_parser():
     return _build_parser()
@@ -840,6 +873,17 @@ def _full_parser():
 
 @settings(max_examples=2000, deadline=None, derandomize=True, database=None)
 @given(st.one_of([_argv(sub) for sub in [*SUBCOMMANDS, *SUBCOMMANDS, "surfac", "-h"]]))
+@example(["surface", "--box=-1,1,0,10"])
+@example(["verdict", "--eta=-1e-05", "--lambda", "1"])
+@example(["spectrum", *_POINT, "--out="])
+@example(["spectrum", *_POINT, "--out=="])
+@example(["spectrum", "--eta=", "--lambda", "1"])
+@example(["spectrum", "--eta=0.5=1", "--lambda", "1"])
+@example(["verdict", *_POINT, "--control-well="])
+@example(["spectrum", *_POINT, "--out=--"])
+@example(["spectrum", *_POINT, "--dump-config="])
+@example(["verdict", *_POINT, "--dump-config=1"])
+@example(["verdict", "--et=0.5", "--lambda", "1"])
 def test_the_plain_reader_agrees_with_the_full_parser(argv):
     plain = _read_plain(argv)
     try:
@@ -848,63 +892,13 @@ def test_the_plain_reader_agrees_with_the_full_parser(argv):
     except (SystemExit, Exception):
         assert plain is None, argv
         return
+    if _plain_form(argv):
+        assert plain is not None, argv
     if plain is not None:
         # repr compares nan equal to nan, and list() keeps the key order
         assert repr(list(vars(plain).items())) == repr(list(full.items())), argv
     if any(token in _PARSER_ONLY for token in argv):
         assert plain is None, argv
-
-
-def _stock_parser(name=None):
-    """``_build_parser(name)`` with argparse's stock formatter, which reads the
-    terminal width each time argparse builds one."""
-    if name is not None:
-        parser = _Parser(prog=f"pdm-dirac {name}")
-        _add_arguments(parser, name)
-        return parser
-    parser = _Parser(prog="pdm-dirac", description=_build_parser().description)
-    sub = parser.add_subparsers(dest="subcommand", required=True)
-    for sub_name, spec in _SUBCOMMANDS.items():
-        _add_arguments(sub.add_parser(sub_name, help=spec.help), sub_name)
-    return parser
-
-
-def _texts(parser, capsys):
-    """Help, usage and the outcome of a few argv that print help or fail, for
-    ``parser`` and, for the full parser, each of its subparsers."""
-    if parser.prog == "pdm-dirac":
-        subparsers = parser._subparsers._group_actions[0].choices
-        nested = [_texts(subparsers[name], capsys) for name in SUBCOMMANDS]
-        argvs = [["-h"], [], ["surfac"], ["verdict", "-h"], ["verdict", "--eta", "x"],
-                 ["verdict", "--et", "1", "--lambda", "1"]]
-    else:
-        nested = []
-        argvs = [["-h"], ["--no-such-flag"], ["--eta", "x"], ["--grid", "2.5,3"], ["--N"]]
-    return (parser.format_help(), parser.format_usage(),
-            [_parse_outcome(parser.parse_args, argv, capsys) for argv in argvs], nested)
-
-
-@pytest.mark.parametrize("columns", [None, "20", "60", "200"])
-def test_parsers_read_the_terminal_once_and_keep_their_text(columns, monkeypatch, capsys):
-    if columns is None:
-        monkeypatch.delenv("COLUMNS", raising=False)
-    else:
-        monkeypatch.setenv("COLUMNS", columns)
-    reads = []
-    terminal_size = shutil.get_terminal_size
-
-    def counted(*args):
-        reads.append(args)
-        return terminal_size(*args)
-
-    monkeypatch.setattr(shutil, "get_terminal_size", counted)
-    for name in [None, *SUBCOMMANDS]:
-        reads.clear()
-        parser = _build_parser(name)
-        assert len(reads) == 1, name
-        texts = _texts(parser, capsys)
-        assert len(reads) == 1, name  # help and errors read the width the build read
-        assert texts == _texts(_stock_parser(name), capsys)
 
 
 def test_main_reads_sys_argv(monkeypatch, capsys):
