@@ -51,8 +51,12 @@ umask or what the directory's default ACL sets; a write error names the
 ``--out`` path, and a symlink at ``--out`` is replaced, not written through.
 Every CSV float (``surface``, ``potential`` and ``spectrum --format csv``)
 is written by :func:`~pdm_dirac.csvtext.g17`, which computes the ``%.17g``
-text of a float64 array with numpy, exactly and with no per-value ``%``;
-:func:`~pdm_dirac.csvtext.csv_text` joins a block of rows as bytes.
+text of a float64 array with numpy, exactly and with no per-value ``%``
+(``potential`` and ``spectrum`` format all the float columns of a block in
+one call); :func:`~pdm_dirac.csvtext.csv_text` joins a block of rows as
+bytes, each field in the 24-byte slot that ``g17`` gives it, with its
+separator in the slot's last byte (a fourth word only in a block with a
+24-character text).
 ``surface`` evaluates f in blocks of eta rows with the vectorized evaluator
 that the verdict's supremum scan runs on its extreme nodes; ``potential``
 samples the profile and checks it is finite a block at a time.  The tables
@@ -440,10 +444,20 @@ _FLAGS = {name: _flag_table(spec) for name, spec in _SUBCOMMANDS.items()}
 
 
 class _Parser(argparse.ArgumentParser):
-    """Raises on unreadable flag text, so :func:`main` returns 2 instead of exiting."""
+    """Raises on unreadable flag text, so :func:`main` returns 2 instead of
+    exiting, and reads an explicit value ``--`` (``--out=--``) as the value
+    ``--``, as argparse 3.13.0 does.  argparse 3.10 to 3.12 drop it and store
+    ``[]``, which neither a flag's type nor its default gives."""
 
     def error(self, message: str):
         raise ConfigKeyError(f"{self.prog}: {message}")
+
+    def parse_args(self, args=None, namespace=None):
+        ns = super().parse_args(args, namespace)
+        for dest, value in vars(ns).items():
+            if value == []:
+                setattr(ns, dest, "--")
+        return ns
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -475,13 +489,13 @@ def _read_plain(argv: Sequence[str]) -> Optional[argparse.Namespace]:
     A plain argv is a subcommand followed by exact option strings of its
     flags, a switch alone and any other flag with one value.  The value is
     either the text after the flag's first ``=`` (``--box=-1,1,0,10``; it may
-    start with ``-`` or be empty, but not be ``--``, which argparse drops), or
-    the next token when that does not start with ``-``, is ``-`` or is a
-    negative number that every supported argparse reads as one; the flag's
-    type must convert it.  A repeated flag keeps its last value.  Anything
-    else (help, an abbreviation, a switch with ``=``, ``--``, an unknown flag
-    or an unreadable value) returns None, for the full parser to read or
-    report.
+    start with ``-`` or be empty, but not be ``--``, which argparse 3.10 to
+    3.12 drop and the full parser restores), or the next token when that
+    does not start with ``-``, is ``-`` or is a negative number that every
+    supported argparse reads as one; the flag's type must convert it.  A
+    repeated flag keeps its last value.  Anything else (help, an
+    abbreviation, a switch with ``=``, ``--``, an unknown flag or an
+    unreadable value) returns None, for the full parser to read or report.
     """
     if not argv or argv[0] not in _FLAGS:
         return None
@@ -677,7 +691,7 @@ def _level_table(entries) -> Iterable[str]:
     for start in range(0, len(entries), _FORMAT_ROWS):
         block = entries[start:start + _FORMAT_ROWS]
         values = np.array([(e.n, e.delta1, e.e_squared, e.energy_magnitude) for e in block])
-        n, delta1, e_squared, energy = map(g17, values.T)
+        n, delta1, e_squared, energy = g17(values.ravel()).reshape(-1, 4, 3).swapaxes(0, 1)
         names = text_words([e.classification.value for e in block])
         yield csv_text(n, delta1, e_squared, names, energy)
 
@@ -704,7 +718,8 @@ def cmd_potential(cfg: RunConfig) -> int:
                 raise ConfigKeyError(
                     f"potential table leaves the double range (L={half_width!r}, M0={params.M0!r})"
                 )
-            yield csv_text(*map(g17, columns))
+            texts = g17(np.stack(columns, axis=1).ravel()).reshape(-1, 4, 3)
+            yield csv_text(*texts.swapaxes(0, 1))
 
     _emit(cfg.out, lines())
     if cfg.out != "-":

@@ -3,9 +3,12 @@
 Every float of the CLI's CSV tables (``surface``, ``potential`` and
 ``spectrum --format csv``) goes through :func:`g17`, which gives the bytes
 of ``format(x, ".17g")`` for each value without a per-value ``%``, and
-:func:`csv_text` joins columns of such texts into lines as bytes.  The
-lookup tables are built on the first call, not on import.  Only
-:mod:`pdm_dirac.cli` uses this module; the package does not re-export it.
+:func:`csv_text` joins columns of such texts into lines as bytes.  A text
+stays in the 24-byte slot that :func:`g17` gives it, with its separator in
+the slot's last byte, which only a 24-character ``_SLOT`` text fills; a
+block that holds one gives each field a fourth word.  The lookup tables are
+built on the first call, not on import.  Only :mod:`pdm_dirac.cli` uses
+this module; the package does not re-export it.
 """
 
 from __future__ import annotations
@@ -26,6 +29,7 @@ _K_LOW, _K_HIGH = -99, 99
 # tail is within 2^-47 of the exact one)
 _TIE_MARGIN = 2.0 ** -40
 _WORDS = "<u8"  # text words: byte i of a word is its character i
+_LAST_BYTE = 56  # the bit offset of a word's byte 7
 
 
 @functools.cache
@@ -105,7 +109,9 @@ def g17(values: np.ndarray) -> np.ndarray:
 
     Returns an ``(n, 3)`` array of little-endian words: value i's text is in
     the 24 bytes of row i, NUL padded.  A scientific text has NULs between
-    its digits and its exponent too; :func:`csv_text` drops every NUL.
+    its digits and its exponent too; :func:`csv_text` drops every NUL.  Inside
+    the window a text has at most 23 bytes (the exponent ends in byte 22),
+    so byte 23 is NUL unless a ``_SLOT`` text fills it.
 
     The text is exact for |x| in [10^_K_LOW, 10^(_K_HIGH+1)); other values
     (0, nan, infinities, magnitudes outside the window) go through ``_SLOT``:
@@ -201,13 +207,25 @@ def text_words(texts: list[str]) -> np.ndarray:
 def csv_text(*columns: np.ndarray) -> str:
     """CSV lines of NUL-padded texts, from :func:`g17` or :func:`text_words`:
     a line per element of the broadcast columns (each with a trailing axis of
-    3 words), fields in column order, every NUL dropped."""
+    3 words), fields in column order, every NUL dropped.
+
+    Each field keeps its slot, and the slot's last byte holds its separator
+    (``,``, or ``\\n`` after the last field).  Dropping NULs keeps the byte
+    order, so the separator follows its text.  A slot is the field's 3 words
+    when no field of the block fills byte 23, which no :func:`g17` text
+    inside its window does (the longest, ``-1.2345678901234567e-99``, has
+    23 characters); a 24-character text (a ``_SLOT`` one with a three-digit
+    exponent, ``-2.2250738585072014e-308``) gives every slot of the block a
+    fourth word.
+    """
     shape = np.broadcast_shapes(*(column.shape for column in columns))[:-1]
-    words = np.zeros((*shape, len(columns), 4), _WORDS)
+    width = 3 + any(column[..., 2].max(initial=0) >> _LAST_BYTE for column in columns)
+    words = np.empty((*shape, len(columns), width), _WORDS)
     for i, column in enumerate(columns):
         words[..., i, :3] = column
-    words[..., 3] = ord(",")
-    words[..., -1, 3] = ord("\n")
+    words[..., 3:] = 0  # the fourth word, if there is one
+    separators = np.array([ord(",")] * (len(columns) - 1) + [ord("\n")], _WORDS)
+    words[..., -1] |= separators << _LAST_BYTE
     text = words.view(np.uint8).ravel()
     return text[text != 0].tobytes().decode("ascii")
 

@@ -808,6 +808,18 @@ def test_a_negative_exponent_value_reads_as_the_full_parser_reads_it(eta, capsys
         assert outcome[0]["eta"] == -1e-05
 
 
+def test_an_explicit_double_dash_value_is_the_value(tmp_path, monkeypatch, capsys):
+    # argparse 3.10 to 3.12 drop the "--" of --eta=-- and store []; the full
+    # parser reads it as "--", as argparse 3.13.0 does
+    assert main(["spectrum", "--eta=--", "--lambda", "1"]) == 2
+    err = capsys.readouterr().err
+    assert "'--'" in err and "[]" not in err
+    monkeypatch.chdir(tmp_path)
+    assert main(["spectrum", "--eta", "0.5", "--lambda", "1", "--out=--"]) == 0
+    assert [path.name for path in tmp_path.iterdir()] == ["--"]
+    assert (tmp_path / "--").read_text().startswith("n,delta1,")
+
+
 # Tokens only a parser reads: help, abbreviations, a switch with "=", "--", unknown flags.
 _PARSER_ONLY = ["-h", "--help", "--et", "--co", "--ou", "--n", "--dump", "--et=0.5", "--ou=-",
                 "--dump-config=1", "--", "--no-such-flag", "-e"]

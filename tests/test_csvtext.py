@@ -201,3 +201,23 @@ def test_chunks_and_csv_lines():
     assert text == ("0.5,0,-2.5\n0.5,2.5,-1.5\n0.5,1.0000000000000001e+300,-0.5\n"
                     "-1.0000000000000001e-05,0,0.5\n-1.0000000000000001e-05,2.5,1.5\n"
                     "-1.0000000000000001e-05,1.0000000000000001e+300,2.5\n")
+
+
+# a field keeps its 24-byte slot, with the separator in the slot's last byte;
+# the one text that fills byte 23 too is a _SLOT text with a three-digit exponent
+LONGEST_IN_WINDOW = -1.2345678901234567e-99  # 23 characters
+FILLS_THE_SLOT = -2.2250738585072014e-308  # 24 characters
+
+
+@pytest.mark.parametrize("column", [0, 2, 4, None], ids=["first", "middle", "last", "none"])
+def test_fields_share_their_slot_with_the_separator(column):
+    assert len(format(LONGEST_IN_WINDOW, ".17g")) == 23
+    assert len(format(FILLS_THE_SLOT, ".17g")) == 24
+    rng = np.random.default_rng(23)
+    values = rng.standard_normal((7, 5)) * 10.0 ** rng.integers(-99, 100, (7, 5))
+    values[2] = LONGEST_IN_WINDOW  # a text ends in byte 22 of every slot of a row
+    if column is not None:
+        values[4, column] = FILLS_THE_SLOT  # one field of the block fills byte 23
+    texts = g17(values.ravel()).reshape(7, 5, 3)
+    lines = csv_text(*texts.swapaxes(0, 1)).split("\n")
+    assert lines == [",".join(format(v, ".17g") for v in row) for row in values.tolist()] + [""]

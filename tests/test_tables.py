@@ -175,6 +175,17 @@ def test_potential_equals_the_line_by_line_builder(count, capsys, tmp_path):
     assert_same_table(args, expected, capsys, tmp_path)
 
 
+def test_potential_with_24_character_fields(capsys, tmp_path):
+    # x in [-1e-100, 1e-100]: most negative x texts fill all 24 bytes of a
+    # slot (-9.9977777777777784e-101); they lie in the first two blocks of
+    # _FORMAT_ROWS rows, not in the last
+    args = ["potential", "--eta", "0.5", "--alpha", "1e101", "--N", "9001"]
+    expected = reference_potential(PhysicalParams(1.0, 0.5, 1e101), 10.0 / 1e101, 9001)
+    fields = [field for line in expected.split("\n")[1:-1] for field in line.split(",")]
+    assert sum(len(field) == 24 for field in fields) == 4028
+    assert_same_table(args, expected, capsys, tmp_path)
+
+
 # n_max + 1 rows: one, exactly one block of _FORMAT_ROWS, one row more, and
 # two blocks and a part; a pole row (Undefined, nan) and Real rows
 @pytest.mark.parametrize("eta,lam", [(0.5, 1.0), (1.0, 0.5 ** 0.5), (0.5, 0.01)])
