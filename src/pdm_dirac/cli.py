@@ -81,7 +81,7 @@ from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
 
-from .csvtext import csv_text, g17, g17_strings, text_words
+from .csvtext import csv_text, g17, text_words
 from .errors import (
     ConfigKeyError,
     EvaluationError,
@@ -445,18 +445,23 @@ _FLAGS = {name: _flag_table(spec) for name, spec in _SUBCOMMANDS.items()}
 
 class _Parser(argparse.ArgumentParser):
     """Raises on unreadable flag text, so :func:`main` returns 2 instead of
-    exiting, and reads an explicit value ``--`` (``--out=--``) as the value
-    ``--``, as argparse 3.13.0 does.  argparse 3.10 to 3.12 drop it and store
-    ``[]``, which neither a flag's type nor its default gives."""
+    exiting, and reads an explicit value ``--`` (``--out=--``, ``--eta=--``)
+    as argparse 3.13.0 does: converted with its flag's type, and reported as
+    any unreadable value is.  argparse 3.10 to 3.12 drop it and store ``[]``,
+    which neither a flag's type nor its default gives."""
 
     def error(self, message: str):
         raise ConfigKeyError(f"{self.prog}: {message}")
 
     def parse_args(self, args=None, namespace=None):
         ns = super().parse_args(args, namespace)
-        for dest, value in vars(ns).items():
-            if value == []:
-                setattr(ns, dest, "--")
+        for option, flag in _FLAGS[ns.subcommand].items():
+            if getattr(ns, flag.dest) == []:
+                try:
+                    setattr(ns, flag.dest, flag.type("--"))
+                except (TypeError, ValueError):
+                    raise ConfigKeyError(f"{self.prog} {ns.subcommand}: argument {option}: "
+                                         f"invalid {flag.type.__name__} value: '--'") from None
         return ns
 
 
@@ -654,8 +659,8 @@ def cmd_surface(cfg: RunConfig) -> int:
         for kept, run in itertools.groupby(range(eta_nodes.size), keep.__getitem__):
             run = list(run)
             if not kept:
-                for text in g17_strings(eta_nodes[run]):
-                    yield f"# eta node {text} skipped: f undefined on the eta=0 line\n"
+                for eta in eta_nodes[run].tolist():
+                    yield f"# eta node {eta:.17g} skipped: f undefined on the eta=0 line\n"
                 continue
             stop = run[-1] + 1
             for start in range(run[0], stop, rows_per_piece):

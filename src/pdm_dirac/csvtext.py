@@ -18,7 +18,7 @@ import types
 
 import numpy as np
 
-__all__ = ["csv_text", "g17", "g17_strings", "text_words"]
+__all__ = ["csv_text", "g17", "text_words"]
 
 _SLOT = "%.17g"  # every table float is written as format(value, ".17g")
 _VALUES_AT_ONCE = 4096  # values in one pass of g17: its temporaries stay in cache
@@ -228,8 +228,3 @@ def csv_text(*columns: np.ndarray) -> str:
     words[..., -1] |= separators << _LAST_BYTE
     text = words.view(np.uint8).ravel()
     return text[text != 0].tobytes().decode("ascii")
-
-
-def g17_strings(values: np.ndarray) -> list[str]:
-    """The ``%.17g`` text of each float64 in ``values``."""
-    return csv_text(g17(values)).split("\n")[:-1]

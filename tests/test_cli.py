@@ -85,6 +85,12 @@ def test_spectrum_ground_row_at_large_lambda(capsys):
     row = out.strip().splitlines()[1].split(",")
     assert row[3] == "Imaginary"
     assert float(row[2]) == f_factored(1.0, 1e6)
+    # its JSON holds a finite Imaginary row, not a pole: strict JSON, no NaN or Infinity
+    rc, out, _ = run(["spectrum", "--eta", "1", "--lambda", "1e6", "--n-max", "3",
+                      "--format", "json"], capsys)
+    assert rc == 0
+    doc = json.loads(out, parse_constant=_refuse_constant)
+    assert doc["entries"][0]["classification"] == "Imaginary"
 
 
 def test_spectrum_json_format(capsys):
@@ -373,11 +379,13 @@ def test_flags_and_config_share_one_parameter_path(eta, lam, tmp_path, capsys):
 
 @pytest.mark.parametrize("source", ["flags", "config"])
 def test_parameters_are_checked_before_run_keys(source, tmp_path, capsys):
+    # a negative lambda is refused alone, and before a bad run key
     cfg_path = tmp_path / "cfg.json"
-    cfg_path.write_text(json.dumps({"eta": 0.5, "lambda": -1, "n_max": -1}))
-    args = (["spectrum", "--eta", "0.5", "--lambda", "-1", "--n-max", "-1"]
-            if source == "flags" else ["spectrum", "--config", str(cfg_path)])
-    assert run(args, capsys) == (2, "", "error: lambda must be >= 0, got -1.0\n")
+    for run_keys in ({}, {"n_max": -1}):
+        cfg_path.write_text(json.dumps({"eta": 0.5, "lambda": -1, **run_keys}))
+        flags = ["--eta", "0.5", "--lambda", "-1", *(["--n-max", "-1"] if run_keys else [])]
+        args = ["spectrum", *(flags if source == "flags" else ["--config", str(cfg_path)])]
+        assert run(args, capsys) == (2, "", "error: lambda must be >= 0, got -1.0\n")
 
 
 @pytest.mark.parametrize("source", ["flags", "config"])
@@ -397,12 +405,15 @@ def test_m0_is_checked_before_the_alpha_it_scales(source, tmp_path, capsys):
     ["--lambda", "1e-300", "--M0", "1e-100"],
     ["--lambda", "0.25", "--M0", "2"],
 ])
-def test_lambda_beside_an_m0_other_than_1_is_refused_by_its_keys(flags, capsys):
+def test_lambda_beside_an_m0_other_than_1_is_refused_by_its_keys(flags, tmp_path, capsys):
     # no flag derives alpha = lambda * M0: the keys are refused as a config's are
     keys = ("error: parameter document keys {} match neither ['M0', 'alpha', 'eta'] "
             "nor ['eta', 'lambda']\n")
-    assert run(["spectrum", "--eta", "0.5", *flags], capsys) == (
-        2, "", keys.format("['M0', 'eta', 'lambda']"))
+    refused = (2, "", keys.format("['M0', 'eta', 'lambda']"))
+    assert run(["spectrum", "--eta", "0.5", *flags], capsys) == refused
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"M0": float(flags[3]), "eta": 0.5, "lambda": float(flags[1])}))
+    assert run(["spectrum", "--config", str(cfg_path)], capsys) == refused
     assert run(["spectrum", *flags], capsys) == (2, "", keys.format("['M0', 'lambda']"))
 
 
@@ -479,6 +490,9 @@ def test_verdict_confirming_run(tmp_path, capsys):
     assert doc["error_trail"] == []
     assert doc["evidence"] == {"localized_bound_states": []}
     assert set(doc["feasibility"]) == {"supremum", "point_certificate"}
+    # the scan evaluates its extreme nodes alone: no refinement_evaluations
+    assert set(doc["feasibility"]["supremum"]) == {
+        "all_nodes_negative", "argmax", "box", "grid_shape", "skipped_eta_nodes", "sup_estimate"}
     assert doc["feasibility"]["supremum"]["all_nodes_negative"] is True
     assert doc["feasibility"]["point_certificate"]["sign_verdict"] == "Negative"
     assert doc["comparison"]["consistent"] is True
@@ -492,6 +506,8 @@ def test_verdict_consistent_where_the_mass_vanishes(eta, lam, tmp_path, capsys):
     rc, _, _ = run(["verdict", f"--eta={eta}", "--lambda", lam, "--out", str(out)], capsys)
     assert rc == 0
     doc = json.loads(out.read_text())
+    assert doc["error_trail"] == []
+    assert doc["evidence"]["localized_bound_states"] == []
     assert doc["comparison"]["numeric"]["v_eff_min"] == 0.0
     assert doc["comparison"]["imaginary_levels_consistent"] is True
     assert doc["comparison"]["consistent"] is True
@@ -503,9 +519,68 @@ def test_verdict_reads_an_underflowed_grid_maximum_as_negative(tmp_path, capsys)
     rc, _, _ = run(["verdict", "--eta", "0.5", "--lambda", "1", "--box=-1,1,1e-200,1e-3",
                     "--grid", "3,3", "--out", str(out)], capsys)
     assert rc == 0
-    sup = json.loads(out.read_text())["feasibility"]["supremum"]
+    doc = json.loads(out.read_text())
+    assert doc["error_trail"] == []
+    assert doc["evidence"]["localized_bound_states"] == []
+    assert doc["comparison"]["consistent"] is True
+    sup = doc["feasibility"]["supremum"]
     assert repr(sup["sup_estimate"]) == "-0.0"
     assert sup["all_nodes_negative"] is True
+
+
+def test_the_ceiling_scan_grid_reports_the_certified_corner(tmp_path, capsys):
+    # the scan evaluates only its extreme nodes, so a 2x2 grid reports the
+    # supremum of the 2001 x 2001 ceiling grid; the argmax is the certified
+    # corner (max |eta|, lam_min), negative eta first
+    sups = {}
+    for grid in ("2001,2001", "2000,2000", "2,2"):
+        out = tmp_path / f"{grid}.json"
+        rc, _, _ = run(["verdict", "--eta", "0.5", "--lambda", "1", "--grid", grid,
+                        "--out", str(out)], capsys)
+        assert rc == 0
+        doc = json.loads(out.read_text(), parse_constant=_refuse_constant)
+        sups[grid] = doc["feasibility"]["supremum"]
+    keys = ("sup_estimate", "argmax", "all_nodes_negative")
+    assert [sups["2,2"][key] for key in keys] == [sups["2001,2001"][key] for key in keys]
+    # 2001 eta nodes skip the middle one, eta = 0; 2000 have no middle node
+    for grid, skipped in (("2001,2001", [0.0]), ("2000,2000", [])):
+        sup = sups[grid]
+        assert sup["all_nodes_negative"] is True
+        assert sup["argmax"] == [-1.0, 0.001]
+        assert sup["sup_estimate"] < 0.0
+        assert "refinement_evaluations" not in sup
+        assert sup["skipped_eta_nodes"] == skipped
+
+
+def test_a_short_domain_is_reported_in_the_verdict_alone(tmp_path, capsys):
+    out = tmp_path / "verdict.json"
+    rc, _, err = run(["verdict", "--eta", "0.5", "--alpha", "1", "--L", "5", "--out", str(out)],
+                     capsys)
+    assert (rc, err) == (0, "")
+    assert json.loads(out.read_text())["comparison"]["numeric"]["domain_warning"] is True
+
+
+@pytest.mark.parametrize("argv", [["--eta", "0.5", "--lambda", "1"],
+                                  ["--eta", "-0.5", "--lambda", "1", "--N", "16000"]],
+                         ids=" ".join)
+def test_a_model_verdict_is_certified_by_its_weyl_margin(argv, tmp_path, capsys):
+    # the margin replaced slice_count; the edge count is len(bound_candidates)
+    out = tmp_path / "verdict.json"
+    rc, _, _ = run(["verdict", *argv, "--out", str(out)], capsys)
+    assert rc == 0
+    numeric = json.loads(out.read_text())["comparison"]["numeric"]
+    assert "slice_count" not in numeric
+    assert numeric["weyl_margin"] > numeric["count_error_bound"] > 0
+    assert numeric["bound_candidates"] == []
+
+
+def test_the_control_well_margin_certifies_nothing(tmp_path, capsys):
+    # the control well dips below its edge: its margin is negative
+    out = tmp_path / "verdict.json"
+    rc, _, _ = run(["verdict", "--eta", "0.5", "--lambda", "1", "--control-well",
+                    "--out", str(out)], capsys)
+    assert rc == 3
+    assert json.loads(out.read_text())["comparison"]["numeric"]["weyl_margin"] < 0
 
 
 def test_verdict_to_stdout_is_one_json_document(capsys):
@@ -685,12 +760,39 @@ def test_exit_status_contract(args, status, errors, tmp_path, capsys):
         assert len(trail) == len(errors)
 
 
-@pytest.mark.parametrize("args", [["--help"], ["verdict", "--help"]])
+@pytest.mark.parametrize("args", [["--help"], ["verdict", "--help"], ["verdict", "-h"]])
 def test_help_exits_0(args, capsys):
     with pytest.raises(SystemExit) as exc:
         main(args)
     assert exc.value.code == 0
-    assert capsys.readouterr().out.startswith("usage: pdm-dirac")
+    assert capsys.readouterr().out.startswith(" ".join(["usage: pdm-dirac", *args[:-1]]))
+
+
+# argparse words these the same on every supported Python
+@pytest.mark.parametrize("args,err", [
+    (["verdict", "--eta", "0.5", "--lambda", "1", "--no-such-flag"],
+     "error: pdm-dirac: unrecognized arguments: --no-such-flag\n"),
+    (["verdict", "--eta", "x", "--lambda", "1"],
+     "error: pdm-dirac verdict: argument --eta: invalid float value: 'x'\n"),
+])
+def test_the_full_parser_reports_an_unreadable_line(args, err, capsys):
+    assert run(args, capsys) == (2, "", err)
+
+
+def test_plain_equals_and_abbreviated_lines_run_alike(tmp_path, capsys):
+    # the plain reader reads spaced values and "=" forms alike, and argparse
+    # reads the abbreviation --lamb: the same exit status, stdout and report
+    # bytes on all three (one --out path, which the report's config records)
+    out = tmp_path / "plain.json"
+
+    def verdict(*argv):
+        outcome = (*run(["verdict", *argv], capsys), out.read_bytes())
+        out.unlink()
+        return outcome
+
+    plain = verdict("--eta", "0.5", "--lambda", "1", "--out", str(out))
+    assert verdict("--eta=0.5", "--lambda=1", f"--out={out}") == plain
+    assert verdict("--eta", "0.5", "--lamb", "1", "--out", str(out)) == plain
 
 
 def _parse_outcome(parse, argv, capsys):
@@ -818,6 +920,19 @@ def test_an_explicit_double_dash_value_is_the_value(tmp_path, monkeypatch, capsy
     assert main(["spectrum", "--eta", "0.5", "--lambda", "1", "--out=--"]) == 0
     assert [path.name for path in tmp_path.iterdir()] == ["--"]
     assert (tmp_path / "--").read_text().startswith("n,delta1,")
+
+
+@pytest.mark.parametrize("sub", SUBCOMMANDS)
+def test_an_explicit_double_dash_value_reads_as_any_other_value(sub, tmp_path, monkeypatch,
+                                                                capsys):
+    # each flag converts "--" with its type and reports it as it reports x, on
+    # every supported Python
+    monkeypatch.chdir(tmp_path)  # --out=x and --out=-- write there
+    for option, flag in _FLAGS[sub].items():
+        if flag.type is not None:
+            rc, _, err = run([sub, *_OUT_RUNS[sub], f"{option}=x"], capsys)
+            assert run([sub, *_OUT_RUNS[sub], f"{option}=--"], capsys)[::2] == (
+                rc, err.replace("'x'", "'--'")), option
 
 
 # Tokens only a parser reads: help, abbreviations, a switch with "=", "--", unknown flags.
@@ -1138,7 +1253,7 @@ def test_small_alpha_verdict_is_certified_above_the_box_modes(eta, alpha, box_mo
     out = tmp_path / "verdict.json"
     rc, _, _ = run(["verdict", "--eta", eta, "--alpha", alpha, "--out", str(out)], capsys)
     assert rc == 0
-    doc = json.loads(out.read_text())
+    doc = json.loads(out.read_text(), parse_constant=_refuse_constant)
     assert doc["error_trail"] == []
     numeric = doc["comparison"]["numeric"]
     assert "slice_count" not in numeric
@@ -1232,9 +1347,9 @@ def test_grid_above_certified_corner_lands_in_error_trail(monkeypatch, tmp_path,
     assert doc["statement"] == "Inconclusive"
 
 
-def test_scan_failure_trail_does_not_depend_on_the_worker_count(tmp_path, capsys):
+def test_a_box_where_f_overflows_lands_in_error_trail(tmp_path, capsys):
     # every node overflows at lambda = 1e160; the scan refuses the box on its
-    # extreme nodes, as it once did on every one of its 13 row blocks
+    # extreme nodes
     out = tmp_path / "verdict.json"
     rc, _, _ = run(["verdict", "--eta", "0.5", "--lambda", "1", "--box=0.1,0.9,1e150,1e160",
                     "--grid", "400,2001", "--out", str(out)], capsys)

@@ -1,7 +1,6 @@
 """Two-route evaluation of the feasibility surface, sign certificate, scans."""
 
 import math
-import os
 import sys
 import threading
 import tracemalloc
@@ -535,9 +534,19 @@ SCAN_REFERENCE_CASES = [
 @pytest.mark.parametrize("box,grid", SCAN_REFERENCE_CASES)
 def test_scan_matches_brute_force_reference(box, grid, block_nodes, monkeypatch):
     # the reference is also the maximum of surface's rows, streamed in blocks
-    # of block_nodes cells; the scan itself reads no block size
+    # of block_nodes cells; the scan itself reads no block size, and f is
+    # evaluated on the calling thread
     monkeypatch.setattr(cli, "_BLOCK_NODES", block_nodes)
+    threads = set()
+    f_grid = feasibility._f_grid
+
+    def recording(eta, lam):
+        threads.add(threading.current_thread())
+        return f_grid(eta, lam)
+
+    monkeypatch.setattr(feasibility, "_f_grid", recording)
     report = supremum_scan(box, grid=grid)
+    assert threads == {threading.current_thread()}
     assert report.sup_estimate == _every_node_max(box, grid)
     eta = np.linspace(box.eta_min, box.eta_max, grid[0])
     lam = np.linspace(box.lam_min, box.lam_max, grid[1])
@@ -618,45 +627,6 @@ def test_asymmetric_scan_keeps_the_linspace_nodes(eta_count, monkeypatch):
     assert list(_scan_rows(box, eta_count, monkeypatch)) == [distinct[0], distinct[-1]]
 
 
-def _use_cpus(monkeypatch, cpus):
-    # the usable-CPU count a threaded evaluation would read from the affinity set
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
-
-
-@pytest.mark.parametrize("cpus", [2, 3, 4, 8])
-@pytest.mark.parametrize("box,grid", SCAN_REFERENCE_CASES)
-def test_scan_report_does_not_depend_on_the_worker_count(box, grid, cpus, monkeypatch):
-    # whatever CPUs the process may use, f is evaluated on the calling thread
-    _use_cpus(monkeypatch, 1)
-    serial = supremum_scan(box, grid=grid).to_dict()
-    _use_cpus(monkeypatch, cpus)
-    threads = set()
-    f_grid = feasibility._f_grid
-
-    def recording(eta, lam):
-        threads.add(threading.current_thread())
-        return f_grid(eta, lam)
-
-    monkeypatch.setattr(feasibility, "_f_grid", recording)
-    assert supremum_scan(box, grid=grid).to_dict() == serial
-    assert threads == {threading.current_thread()}
-
-
-def test_scan_workers_under_fast_thread_switching(monkeypatch):
-    # eight usable CPUs, threads switching every microsecond: no report moves
-    box, grid = Box(-1.0, 1.0, 1e-3, 10.0), (201, 64)
-    _use_cpus(monkeypatch, 1)
-    serial = supremum_scan(box, grid=grid).to_dict()
-    _use_cpus(monkeypatch, 8)
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        reports = [supremum_scan(box, grid=grid).to_dict() for _ in range(20)]
-    finally:
-        sys.setswitchinterval(interval)
-    assert all(report == serial for report in reports)
-
-
 @PROPERTY
 @given(
     st.floats(1e-3, 1.0), st.floats(1e-6, 10.0), st.floats(1e-6, 10.0),
@@ -691,17 +661,6 @@ MEMORY_BOXES = [Box(-1.0, 1.0, 1e-3, 10.0), Box(0.5, 0.5, 1.0, 1.0)]
 
 @pytest.mark.parametrize("box", MEMORY_BOXES)
 def test_scan_memory_stays_block_sized(box):
-    _assert_scan_memory_stays_block_sized(box)
-
-
-# eight usable CPUs, as many as once capped the scan at four workers
-@pytest.mark.parametrize("box", MEMORY_BOXES)
-def test_scan_memory_stays_block_sized_at_the_worker_cap(box, monkeypatch):
-    _use_cpus(monkeypatch, 8)
-    _assert_scan_memory_stays_block_sized(box)
-
-
-def _assert_scan_memory_stays_block_sized(box):
     # a whole 2001^2 grid of doubles is 30.5 MiB and one block of surface's
     # 2^16 nodes 0.5 MiB; the scan holds its eta axis and the 2x2 extreme grid
     tracemalloc.start()

@@ -8,13 +8,19 @@ output must equal.
 """
 
 import math
+import os
+import stat
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import pdm_dirac
 from pdm_dirac import Box, DimensionlessParams, PhysicalParams, potential_sample
 from pdm_dirac import cli
 from pdm_dirac.cli import _BLOCK_NODES, _FORMAT_ROWS, _distinct_sorted, main
@@ -70,6 +76,10 @@ def assert_same_table(args, expected, capsys, tmp_path):
     out = tmp_path / "table.csv"
     assert main(args + ["--out", str(out)]) == 0
     assert out.read_bytes() == actual.encode()
+    assert_same_text(actual, expected)
+
+
+def assert_same_text(actual, expected):
     if actual != expected:
         # name the first differing line: pytest's diff of two multi-megabyte
         # strings takes minutes
@@ -166,8 +176,8 @@ def test_distinct_sorted_is_np_unique(axis):
 
 
 # 4096 rows are exactly one block of _FORMAT_ROWS and 4097 one row more; 8192
-# are exactly two, and 10001 two full blocks and a partial one
-@pytest.mark.parametrize("count", [3, 4096, 4097, 8192, 10001])
+# are exactly two, 10001 two full blocks and a partial one, and 100001 25 and a part
+@pytest.mark.parametrize("count", [3, 4096, 4097, 8192, 10001, 100001])
 def test_potential_equals_the_line_by_line_builder(count, capsys, tmp_path):
     assert _FORMAT_ROWS == 4096
     args = ["potential", "--eta=-0.7", "--alpha", "1.3", "--N", str(count)]
@@ -186,10 +196,10 @@ def test_potential_with_24_character_fields(capsys, tmp_path):
     assert_same_table(args, expected, capsys, tmp_path)
 
 
-# n_max + 1 rows: one, exactly one block of _FORMAT_ROWS, one row more, and
-# two blocks and a part; a pole row (Undefined, nan) and Real rows
+# n_max + 1 rows: one, a part of a block of _FORMAT_ROWS, exactly one block,
+# one row more, and two blocks and a part; a pole row (Undefined, nan) and Real rows
 @pytest.mark.parametrize("eta,lam", [(0.5, 1.0), (1.0, 0.5 ** 0.5), (0.5, 0.01)])
-@pytest.mark.parametrize("n_max", [0, 4095, 4096, 9000])
+@pytest.mark.parametrize("n_max", [0, 1000, 4095, 4096, 9000])
 def test_spectrum_csv_equals_the_per_value_reference(eta, lam, n_max, capsys, tmp_path):
     args = ["spectrum", "--eta", repr(eta), "--lambda", repr(lam), "--n-max", str(n_max)]
     assert_same_table(args, reference_levels(eta, lam, n_max), capsys, tmp_path)
@@ -206,3 +216,54 @@ def test_surface_file_is_written_as_it_is_formatted(tmp_path):
     # the table is 8.9 MB; one block of f values and its rows of text are
     # about 3 MB, where the whole table held as text would be twice its size
     assert peak < out.stat().st_size / 2
+    # 401 eta nodes on [-1, 1]: the middle one is eta = 0, skipped after 200 rows
+    assert_same_text(out.read_text(), reference_surface(DEFAULT_BOX, (401, 401)))
+
+
+# Runs ``pdm-dirac`` with the arguments given and prints its exit status and
+# its own peak RSS, which os.wait4 reads.  A process starts with the peak of
+# the one that spawned it (exec keeps the high-water mark of the memory it
+# replaces, which a vfork child shares with its parent), so this small
+# interpreter spawns the CLI: the test process's peak would pass the bounds.
+_PEAK_RSS_PROBE = """
+import os, subprocess, sys
+proc = subprocess.Popen([sys.executable, "-m", "pdm_dirac", *sys.argv[1:]])
+_, status, usage = os.wait4(proc.pid, 0)
+proc.returncode = os.waitstatus_to_exitcode(status)
+print(proc.returncode, usage.ru_maxrss)
+"""
+
+
+def run_fresh(argv, cwd):
+    """Exit status and peak RSS in MB of ``pdm-dirac argv`` in a fresh
+    interpreter, run under umask 022."""
+    src = str(Path(pdm_dirac.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", _PEAK_RSS_PROBE, *argv], cwd=cwd,
+                          env=dict(os.environ, PYTHONPATH=path), umask=0o022,
+                          capture_output=True, text=True, timeout=120, check=True)
+    status, peak_kib = proc.stdout.split()[-2:]
+    return int(status), int(peak_kib) / 1024  # ru_maxrss is in KiB on Linux
+
+
+def test_a_2001_by_2001_surface_is_streamed_to_a_file(tmp_path):
+    # the whole table as text would be over 600 MB, and the whole f grid
+    # (30.5 MiB) on top of a streamed run's 35 MB passes 60
+    status, peak_mb = run_fresh(["surface", "--grid", "2001,2001", "--out", "big.csv"], tmp_path)
+    assert status == 0
+    assert peak_mb < 60
+    out = tmp_path / "big.csv"
+    assert stat.S_IMODE(out.stat().st_mode) == 0o644  # what open gives a new file
+    out.unlink()  # 226 MB
+
+
+def test_a_million_row_potential_is_sampled_a_block_at_a_time(tmp_path):
+    # sampling the whole x grid at once peaked at 107 MB
+    status, peak_mb = run_fresh(["potential", "--eta", "0.5", "--alpha", "1", "--N", "1000000",
+                                 "--out", "pot.csv"], tmp_path)
+    assert status == 0
+    assert peak_mb < 70
+    out = tmp_path / "pot.csv"
+    with open(out, "rb") as handle:
+        assert sum(1 for _ in handle) == 1_000_001
+    out.unlink()  # 80 MB
