@@ -57,13 +57,14 @@ one call); :func:`~pdm_dirac.csvtext.csv_text` joins a block of rows as
 bytes, each field in the 24-byte slot that ``g17`` gives it, with its
 separator in the slot's last byte (a fourth word only in a block with a
 24-character text).
-``surface`` evaluates f in blocks of eta rows with the vectorized evaluator
-that the verdict's supremum scan runs on its extreme nodes; ``potential``
-samples the profile and checks it is finite a block at a time.  The tables
-are streamed: each block of a few thousand rows goes to the temp file as
-soon as it is formatted, so a table never stands whole in memory.  With
-``--out -`` the pieces are joined and written in one call, so an error
-prints nothing.
+Each table is one loop over blocks of at most ``_FORMAT_ROWS`` rows that
+computes a block and formats it: ``surface`` evaluates f on a few eta rows,
+or a chunk of one long row, with the vectorized evaluator that the verdict's
+supremum scan runs on its extreme nodes; ``potential`` samples the profile
+and checks it is finite.  The tables are streamed: each block goes to the
+temp file as soon as it is formatted, so a table never stands whole in
+memory.  With ``--out -`` the pieces are joined and written in one call, so
+an error prints nothing.
 """
 
 from __future__ import annotations
@@ -125,11 +126,9 @@ _N_MAX_CEILING = 100_000
 _N_CEILING = 1_000_000
 # Surface and scan nodes (eta nodes x lambda nodes); admits a 2001 x 2001 grid.
 _GRID_NODES_CEILING = 4_100_000
-# table rows formatted into one piece of text (a block of rows, not the table)
+# table rows computed and formatted into one piece of text (a block of rows,
+# not the table); a surface piece holds at most this many nodes
 _FORMAT_ROWS = 4096
-# surface nodes evaluated at once: a block and its temporaries (about 1.5 MiB)
-# stay in cache, where the whole grid streamed through memory
-_BLOCK_NODES = 1 << 16
 
 
 def _atomic_write(path: str, pieces: Iterable[str]) -> None:
@@ -625,21 +624,6 @@ def _distinct_sorted(values: np.ndarray) -> np.ndarray:
     return ordered[np.append(True, ordered[1:] != ordered[:-1])]
 
 
-def _surface_rows(eta_rows: np.ndarray, lam_nodes: np.ndarray):
-    """f at each of ``eta_rows``, one row after another.
-
-    :func:`~pdm_dirac.feasibility._f_grid` evaluates the rows in blocks of
-    about ``_BLOCK_NODES`` cells (at least one row), so the grid is never held
-    whole; each block gets the exact boundary identity ``f(eta, 0) = 0``.
-    """
-    boundary = lam_nodes == 0.0
-    rows_per_block = max(1, _BLOCK_NODES // lam_nodes.size)
-    for start in range(0, eta_rows.size, rows_per_block):
-        block = _f_grid(eta_rows[start:start + rows_per_block], lam_nodes)
-        block[:, boundary] = 0.0
-        yield from block
-
-
 def cmd_surface(cfg: RunConfig) -> int:
     box = cfg.box if cfg.box is not None else (-1.0, 1.0, 0.0, 10.0)
     grid = cfg.grid if cfg.grid is not None else (101, 101)
@@ -649,12 +633,12 @@ def cmd_surface(cfg: RunConfig) -> int:
     with np.errstate(over="ignore"):  # only the last node can overflow; linspace pins it
         lam_nodes = _distinct_sorted(np.linspace(scan_box.lam_min, scan_box.lam_max, grid[1]))
     keep = np.abs(eta_nodes) > ETA_ZERO_SNAP
+    boundary = lam_nodes == 0.0
     eta_text, lam_text = g17(eta_nodes), g17(lam_nodes)
-    # a piece of text is a few eta rows, or a part of one long row
+    # a piece is a few eta rows, or a chunk of one long row
     rows_per_piece = max(1, _FORMAT_ROWS // lam_nodes.size)
 
     def lines():
-        rows = _surface_rows(eta_nodes[keep], lam_nodes)
         yield "eta,lambda,f\n"
         for kept, run in itertools.groupby(range(eta_nodes.size), keep.__getitem__):
             run = list(run)
@@ -664,12 +648,13 @@ def cmd_surface(cfg: RunConfig) -> int:
                 continue
             stop = run[-1] + 1
             for start in range(run[0], stop, rows_per_piece):
-                etas = eta_text[start:min(start + rows_per_piece, stop), None]
-                f = np.array(list(itertools.islice(rows, len(etas))), dtype=np.float64)
+                rows = slice(start, min(start + rows_per_piece, stop))
                 for j in range(0, lam_nodes.size, _FORMAT_ROWS):
-                    part = f[:, j:j + _FORMAT_ROWS]
-                    yield csv_text(etas, lam_text[None, j:j + _FORMAT_ROWS],
-                                   g17(part.ravel()).reshape(*part.shape, 3))
+                    columns = slice(j, j + _FORMAT_ROWS)
+                    f = _f_grid(eta_nodes[rows], lam_nodes[columns])
+                    f[:, boundary[columns]] = 0.0  # the exact identity f(eta, 0) = 0
+                    yield csv_text(eta_text[rows, None], lam_text[None, columns],
+                                   g17(f.ravel()).reshape(*f.shape, 3))
 
     _emit(cfg.out, lines())
     if cfg.out != "-":

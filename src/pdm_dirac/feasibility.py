@@ -29,7 +29,7 @@ The supremum scan evaluates f only at the extreme nodes of its grid, the
 2x2 grid of the smallest and largest kept |eta| and the box's lambda bounds:
 f is monotone in both (see :func:`supremum_scan`), so those nodes hold the
 grid's largest and smallest values.  ``surface`` runs the same grid
-evaluator, :func:`_f_grid`, on its own blocks of rows.
+evaluator, :func:`_f_grid`, on each piece of its table before formatting it.
 """
 
 from __future__ import annotations
@@ -276,10 +276,11 @@ def _f_grid(eta_nodes: np.ndarray, lam_nodes: np.ndarray) -> np.ndarray:
     """Vectorized factored route on the (eta, lambda) product grid.
 
     Rows follow ``eta_nodes`` and columns ``lam_nodes``; ``surface`` passes
-    one block of its rows at a time, the supremum scan its extreme nodes, and
-    both drop eta = 0 nodes themselves.  The arithmetic is that of
-    :func:`f_factored` at n = 0 (its last factor, ``u/u = 1``, skipped), done
-    in place on two arrays of the block's size.  Where u^2 underflows (the
+    the piece of its table it is about to format (a few eta rows, or a chunk
+    of one long row), the supremum scan its extreme nodes, and both drop
+    eta = 0 nodes themselves.  The arithmetic is that of :func:`f_factored`
+    at n = 0 (its last factor, ``u/u = 1``, skipped), done in place on two
+    arrays of the block's size.  Where u^2 underflows (the
     scalar route's EtaZeroSingular) or f is not finite, InvalidBox is raised.
 
     ``s = sqrt(lam^2 + (2 eta)^2)`` is a sum of squares and one square root,
@@ -334,7 +335,7 @@ def _scan_eta_nodes(box: Box, count: int) -> np.ndarray:
     return eta
 
 
-def supremum_scan(box: Box, grid: tuple[int, int] = (101, 101)) -> SupremumReport:
+def supremum_scan(box: Box, grid: tuple[int, int]) -> SupremumReport:
     """Supremum of f over the box: the certified corner, evaluated at the grid's extremes.
 
     The supremum is attained at the corner ``(max|eta|, lam_min)``.  With ``a =

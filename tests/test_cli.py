@@ -1134,15 +1134,22 @@ def test_a_symlink_at_out_is_replaced_not_written_through(tmp_path, capsys):
 
 
 def test_error_while_streaming_a_table_writes_nothing(monkeypatch, tmp_path, capsys):
-    def failing_rows(eta_rows, lam_nodes):
-        yield [0.0] * lam_nodes.size
-        raise EvaluationError("second row failed")
+    # 2 x 5000 nodes are four pieces: two lambda chunks of each eta row
+    calls = []
 
-    monkeypatch.setattr("pdm_dirac.cli._surface_rows", failing_rows)
+    def failing_f_grid(eta_nodes, lam_nodes):
+        calls.append(eta_nodes.size * lam_nodes.size)
+        if len(calls) == 2:
+            raise EvaluationError("second piece failed")
+        return np.zeros((eta_nodes.size, lam_nodes.size))
+
+    monkeypatch.setattr("pdm_dirac.cli._f_grid", failing_f_grid)
     for out in (str(tmp_path / "s.csv"), "-"):
-        rc, stdout, err = run(["surface", "--grid", "5,5", "--out", out], capsys)
-        assert rc == 2 and "second row failed" in err
+        calls.clear()
+        rc, stdout, err = run(["surface", "--grid", "2,5000", "--out", out], capsys)
+        assert rc == 2 and "second piece failed" in err
         assert stdout == ""
+        assert calls == [4096, 904]
     assert list(tmp_path.iterdir()) == []  # the temp file is gone too
 
 

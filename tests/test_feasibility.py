@@ -34,7 +34,7 @@ from pdm_dirac import (
     sign_certificate,
     supremum_scan,
 )
-from pdm_dirac import cli, feasibility
+from pdm_dirac import feasibility
 
 # mpmath, 50 digits, rounded to nearest double
 F_HALF_1 = -4.6213203435596426
@@ -299,6 +299,36 @@ def test_f_monotone_in_eta_and_lambda(a1, a2, lam1, lam2, negative):
         assert f_factored(a, lam2) <= upper + math.ulp(upper)
 
 
+@settings(max_examples=1000, deadline=None, derandomize=True, database=None)
+@given(
+    st.floats(-1.0, 1.0).filter(bool), st.floats(0.0, exclude_min=True, allow_infinity=False),
+    st.floats(1e-3, 1e3), st.data(),
+)
+def test_no_closed_form_level_is_normalizable_or_real(eta, lam, M0, data):
+    # the paper's claim: level n of the Rosen-Morse II member with w = u - lam n
+    # in place of u is normalizable iff w > 0 and w^2 > |eta|; but w <= u <
+    # |eta| <= 1, and every index with w > 0 has E_n^2 <= M0^2 f < 0
+    try:
+        u = aux_root(eta, lam)
+    except EvaluationError:
+        assume(False)
+    n = data.draw(st.integers(0, int(min(u / lam, 2.0**62))))
+    w = u - lam * n
+    assume(w > 0.0)
+    try:
+        entry = level_energy(DimensionlessParams(eta, lam), n, M0=M0)
+        ground = M0 * M0 * f_factored(eta, lam)
+    except EvaluationError:
+        assume(False)
+    assume(entry.classification is not Classification.UNDEFINED)
+    # w^2 > |eta| never holds; equality does in doubles, where lambda is
+    # below an ulp of u and u rounds to |eta| = 1
+    assert w * w <= abs(eta)
+    # the sign, not the class: an E_n^2 that underflows is ZeroThreshold
+    assert math.copysign(1.0, entry.e_squared) == -1.0
+    assert entry.e_squared <= ground
+
+
 @PROPERTY
 @given(st.floats(-12.0, 0.0), st.floats(-300.0, 130.0), st.booleans())
 def test_grid_agrees_with_the_scalar_route(log_a, log_lam, negative):
@@ -515,7 +545,7 @@ def _every_node_max(box, grid):
 SCAN_REFERENCE_CASES = [
     # an odd eta count on a box of positive eta, 2001 lambda nodes
     (Box(0.05, 0.95, 1e-3, 10.0), (75, 2001)),
-    # a lambda axis of 100,001 nodes, more than one surface block
+    # a lambda axis of 100,001 nodes
     (Box(-0.3, 0.7, 1e-4, 5.0), (3, 100_001)),
     (Box(-0.4, 0.9, 1e-3, 3.0), (27, 41)),        # eta-asymmetric
     (Box(-1.0, 1.0, 1e-3, 10.0), (201, 201)),     # symmetric, eta = 0 skipped
@@ -530,13 +560,9 @@ SCAN_REFERENCE_CASES = [
 ]
 
 
-@pytest.mark.parametrize("block_nodes", [cli._BLOCK_NODES, 64])
 @pytest.mark.parametrize("box,grid", SCAN_REFERENCE_CASES)
-def test_scan_matches_brute_force_reference(box, grid, block_nodes, monkeypatch):
-    # the reference is also the maximum of surface's rows, streamed in blocks
-    # of block_nodes cells; the scan itself reads no block size, and f is
-    # evaluated on the calling thread
-    monkeypatch.setattr(cli, "_BLOCK_NODES", block_nodes)
+def test_scan_matches_brute_force_reference(box, grid, monkeypatch):
+    # f is evaluated on the calling thread
     threads = set()
     f_grid = feasibility._f_grid
 
@@ -548,10 +574,6 @@ def test_scan_matches_brute_force_reference(box, grid, block_nodes, monkeypatch)
     report = supremum_scan(box, grid=grid)
     assert threads == {threading.current_thread()}
     assert report.sup_estimate == _every_node_max(box, grid)
-    eta = np.linspace(box.eta_min, box.eta_max, grid[0])
-    lam = np.linspace(box.lam_min, box.lam_max, grid[1])
-    rows = cli._surface_rows(eta[np.abs(eta) > ETA_ZERO_SNAP], lam)
-    assert report.sup_estimate == max(max(row) for row in rows)
     corner = max(abs(box.eta_min), abs(box.eta_max))
     assert report.argmax == (-corner if box.eta_min == -corner else corner, box.lam_min)
 
@@ -661,8 +683,8 @@ MEMORY_BOXES = [Box(-1.0, 1.0, 1e-3, 10.0), Box(0.5, 0.5, 1.0, 1.0)]
 
 @pytest.mark.parametrize("box", MEMORY_BOXES)
 def test_scan_memory_stays_block_sized(box):
-    # a whole 2001^2 grid of doubles is 30.5 MiB and one block of surface's
-    # 2^16 nodes 0.5 MiB; the scan holds its eta axis and the 2x2 extreme grid
+    # a whole 2001^2 grid of doubles is 30.5 MiB and its eta axis 16 KiB; the
+    # scan holds that axis and the 2x2 extreme grid
     tracemalloc.start()
     try:
         supremum_scan(box, grid=(2001, 2001))

@@ -22,8 +22,7 @@ from hypothesis import strategies as st
 
 import pdm_dirac
 from pdm_dirac import Box, DimensionlessParams, PhysicalParams, potential_sample
-from pdm_dirac import cli
-from pdm_dirac.cli import _BLOCK_NODES, _FORMAT_ROWS, _distinct_sorted, main
+from pdm_dirac.cli import _FORMAT_ROWS, _distinct_sorted, main
 from pdm_dirac.csvtext import _SLOT, csv_text, g17
 from pdm_dirac.feasibility import _f_grid
 from pdm_dirac.params import ETA_ZERO_SNAP
@@ -112,24 +111,18 @@ SURFACE_CASES = {
     "default box, odd grid": (None, None),
     "degenerate box": ((0.5, 0.5, 1.0, 1.0), (2, 2)),
     "lambda = 0 column": ((-0.5, 0.75, 0.0, 0.5), (6, 5)),
-    "rows in blocks of 2": (None, (5, 30000)),
-    "skipped row inside a block": (None, (5, 20000)),
+    # rows longer than _FORMAT_ROWS nodes are split into lambda chunks: 8 of
+    # them here, the lambda = 0 column in the first chunk only
+    "long rows in lambda chunks": (None, (5, 30000)),
+    # five eta nodes, the middle one on eta = 0, between two long rows
+    "skipped row between long rows": (None, (5, 20000)),
+    # a last chunk of one node
+    "one-node last chunk": ((0.25, 0.75, 0.0, 1.0), (2, 4097)),
 }
 
 
-# each case in blocks of _BLOCK_NODES and of 64 nodes (mostly one row a block)
-SURFACE_RUNS = [
-    pytest.param(box, grid, _BLOCK_NODES, id=name) for name, (box, grid) in SURFACE_CASES.items()
-] + [
-    pytest.param(box, grid, 64, id=f"{name}, 64-node blocks")
-    for name, (box, grid) in SURFACE_CASES.items()
-]
-
-
-@pytest.mark.parametrize("box,grid,block_nodes", SURFACE_RUNS)
-def test_surface_equals_the_line_by_line_builder(box, grid, block_nodes, capsys, tmp_path,
-                                                 monkeypatch):
-    monkeypatch.setattr(cli, "_BLOCK_NODES", block_nodes)
+@pytest.mark.parametrize("box,grid", SURFACE_CASES.values(), ids=SURFACE_CASES.keys())
+def test_surface_equals_the_line_by_line_builder(box, grid, capsys, tmp_path):
     args = ["surface"]
     if box is not None:
         args.append("--box=" + ",".join(map(repr, box)))
@@ -137,14 +130,6 @@ def test_surface_equals_the_line_by_line_builder(box, grid, block_nodes, capsys,
         args += ["--grid", f"{grid[0]},{grid[1]}"]
     expected = reference_surface(box or DEFAULT_BOX, grid or (101, 101))
     assert_same_table(args, expected, capsys, tmp_path)
-
-
-def test_block_cases_span_several_blocks():
-    # five eta nodes, the middle one on eta = 0: the four kept rows come in
-    # blocks of 2 at 30000 lambda nodes and of 3 at 20000, where the skipped
-    # row lies between two rows of the first block
-    assert _BLOCK_NODES // 30000 == 2
-    assert _BLOCK_NODES // 20000 == 3
 
 
 @st.composite
@@ -255,6 +240,18 @@ def test_a_2001_by_2001_surface_is_streamed_to_a_file(tmp_path):
     out = tmp_path / "big.csv"
     assert stat.S_IMODE(out.stat().st_mode) == 0o644  # what open gives a new file
     out.unlink()  # 226 MB
+
+
+def test_a_surface_row_longer_than_a_piece_is_evaluated_a_piece_at_a_time(tmp_path):
+    # the grid ceiling's longest rows: 2 x 2,050,000 nodes.  Holding f for a
+    # whole row (15.6 MiB) with its temporaries peaked at 174 MB; a piece is
+    # at most _FORMAT_ROWS nodes, and the run peaks near 95 MB, most of it the
+    # lambda axis and its text
+    status, peak_mb = run_fresh(["surface", "--grid", "2,2050000", "--out", "long.csv"],
+                                tmp_path)
+    assert status == 0
+    assert peak_mb < 120
+    (tmp_path / "long.csv").unlink()
 
 
 def test_a_million_row_potential_is_sampled_a_block_at_a_time(tmp_path):
