@@ -634,9 +634,12 @@ def cmd_surface(cfg: RunConfig) -> int:
         lam_nodes = _distinct_sorted(np.linspace(scan_box.lam_min, scan_box.lam_max, grid[1]))
     keep = np.abs(eta_nodes) > ETA_ZERO_SNAP
     boundary = lam_nodes == 0.0
-    eta_text, lam_text = g17(eta_nodes), g17(lam_nodes)
-    # a piece is a few eta rows, or a chunk of one long row
+    eta_text = g17(eta_nodes)
+    # a piece is a few eta rows, or a chunk of one long row; a long row's
+    # lambda text is formatted a chunk at a time, as the axis text (24 bytes
+    # a node) would outweigh the pieces
     rows_per_piece = max(1, _FORMAT_ROWS // lam_nodes.size)
+    lam_text = g17(lam_nodes) if lam_nodes.size <= _FORMAT_ROWS else None
 
     def lines():
         yield "eta,lambda,f\n"
@@ -653,7 +656,8 @@ def cmd_surface(cfg: RunConfig) -> int:
                     columns = slice(j, j + _FORMAT_ROWS)
                     f = _f_grid(eta_nodes[rows], lam_nodes[columns])
                     f[:, boundary[columns]] = 0.0  # the exact identity f(eta, 0) = 0
-                    yield csv_text(eta_text[rows, None], lam_text[None, columns],
+                    chunk = g17(lam_nodes[columns]) if lam_text is None else lam_text[columns]
+                    yield csv_text(eta_text[rows, None], chunk[None],
                                    g17(f.ravel()).reshape(*f.shape, 3))
 
     _emit(cfg.out, lines())

@@ -16,10 +16,18 @@ The number of eigenvalues below a threshold is the integer-exact
 Sturm-sequence negative-pivot count, returned as 0 without the pivot loop
 when the shifted diagonal is at least twice the off-diagonal's size in every
 row, which rules out a negative pivot (the model's count at its edge); only
-the values counted below the edge are computed (LAPACK ``dstebz``, Kahan
-bisection), with their eigenvectors (LAPACK ``dstein``, inverse iteration).
-Both the count and the bisection square entries of size ``2/h^2``, so a
-spacing for which that square overflows is rejected.
+the values counted below the edge are computed, with their eigenvectors
+(LAPACK ``dstein``, inverse iteration).  The same count locates the values
+(:func:`eigenvalues_below`).  It is 0 at the Gershgorin lower bound ``min
+d_i - 2|e|`` (moved out by a rounding margin, where the shortcut applies)
+and k at the threshold, and counts at midpoints split that interval until
+each part holds one eigenvalue.  Shift-and-invert iteration (LAPACK
+``dgtsv``) refines each value inside its part, with Rayleigh-quotient shifts
+once the residual interval ``[rho - r, rho + r]`` lies inside it, so the
+eigenvalue it encloses is the counted one; it stops at ``r <= eps (max|d_i|
++ 2|e|)``, the tolerance of LAPACK ``dstebz``, and then ``|lambda - rho| <=
+r`` up to rounding.  Where the iteration does not settle, the part is
+bisected with counts down to that width.
 
 The count at the edge is certified in closed form.  The operator is ``T/h^2
 + diag(V_eff)`` with ``lambda_min(T) = 4 sin^2(pi/(2(N+1)))``, so by Weyl's
@@ -30,8 +38,8 @@ count must be 0; a margin above the count's rounding error together with a
 counted eigenvalue is a contradiction, not evidence.
 
 SciPy's wrappers of the two LAPACK routines are imported inside the only
-functions that call them, :func:`eigenvalues_below` (past its zero-count
-return) and :func:`eigenvector`: a run whose count finds nothing below the
+functions that call them, :func:`_refine` (reached only past a nonzero
+count) and :func:`eigenvector`: a run whose count finds nothing below the
 edge, as for the model's step profile, never loads SciPy.
 """
 
@@ -108,8 +116,10 @@ class Discretization:
         h2 = self.spacing * self.spacing
         if not sys.float_info.min <= h2 < math.inf:
             raise ParameterError(f"spacing h = {self.spacing:.3g}: h^2 is not a normal double")
-        # LAPACK's bisection squares the off-diagonal 1/h^2 and multiplies
-        # neighbouring diagonal entries (about 2/h^2)
+        # a bound on the spacing, no longer a need of the solver: the count
+        # scales the diagonal by |e| = 1/h^2 and the locator solves with the
+        # entries, so nothing squares them.  It does not keep dstein finite,
+        # whose vectors are NaN from |e| near 1e152 on
         if (2.0 / h2) * (2.0 / h2) == math.inf:
             raise ParameterError(f"spacing h = {self.spacing:.3g}: (2/h^2)^2 overflows")
 
@@ -233,17 +243,141 @@ def eigenvalues_below(op: TridiagonalOperator, threshold: float) -> np.ndarray:
 
     The count is :func:`sturm_count` at the threshold (every eigenvalue at
     ``+inf``, none at ``-inf`` or NaN), exact up to floating comparisons at
-    the threshold itself; the values are the lowest that many eigenvalues
-    from LAPACK ``dstebz``.
+    the threshold itself.  Each counted value is isolated by the same count
+    and refined by shift-and-invert iteration (:func:`_locate`).
+
+    With ``tol = eps (max|d_i| + 2|e|)``, the tolerance of LAPACK ``dstebz``,
+    every value ``rho`` comes with a radius ``r`` and an interval ``(a, b)``
+    whose Sturm counts differ by one, so ``(a, b)`` holds exactly one
+    eigenvalue.  A refined value has ``r <= tol`` and ``[rho - r, rho + r]``
+    inside ``(a, b)``; ``r`` is the residual ``|| T z - rho z ||`` of a unit
+    vector ``z``, so that interval holds an eigenvalue, and it is the one
+    counted in ``(a, b)``: ``|lambda - rho| <= r``, up to rounding.  A value
+    the iteration does not settle, and each value of a cluster (counts that
+    differ by more than one across an interval no wider than ``tol``), is
+    the midpoint of its interval, as ``dstebz`` gives it.  A count that is
+    not 0 at the Gershgorin end, or not monotone, raises
+    :class:`EvaluationError`.
+    """
+    return np.array([value for value, _, _, _ in _locate(op, threshold)], dtype=float)
+
+
+# Shift-and-invert solves spent on one isolating interval before it is
+# bisected; the control wells, the Rosen-Morse II well and the box modes of
+# the tests take two to five a value.
+_SOLVES_PER_BISECTION = 6
+
+
+def _locate(op: TridiagonalOperator, threshold: float) -> list[tuple[float, float, float, float]]:
+    """``(value, radius, a, b)`` for each eigenvalue below ``threshold``, ascending.
+
+    Isolation: the Gershgorin interval ``[min d_i - 2|e|, max d_i + 2|e|]``
+    holds every eigenvalue; its ends are moved out by ``2 tol`` so that the
+    rounding of ``d_i - a`` and of the scaling cannot bring a scaled diagonal
+    entry below 2, and :func:`sturm_count`'s shortcut proves the count 0 at
+    ``a`` with no pivot loop.  Intervals are bisected with counts until each
+    holds one eigenvalue (counts ``j`` at ``a``, ``j + 1`` at ``b``) or is no
+    wider than ``tol``.  With one value below the threshold, ``(a,
+    threshold)`` isolates it already.
+
+    Refinement: from a fixed pseudo-random start vector ``x``, each step
+    solves ``(T - sigma) y = x`` (LAPACK ``dgtsv``, partial pivoting), and
+    with ``z = y / ||y||``
+
+        rho = sigma + (x . y) / (y . y),    r = || x / ||y|| - (rho - sigma) z ||,
+
+    the Rayleigh quotient of ``z`` and its residual ``|| T z - rho z ||``
+    computed from the solve instead of from ``T``, which spares the
+    cancellation of ``T z`` against ``rho z``.  The solve's backward error
+    (about ``eps || T - sigma ||``) is what separates ``r`` from the true
+    residual.  The shift starts at the interval's midpoint and becomes
+    ``rho`` once ``[rho - r, rho + r]`` lies inside ``(a, b)``; the value is
+    returned once ``r <= tol`` as well.  A Rayleigh quotient outside ``(a,
+    b)``, a singular or overflowing solve, or ``_SOLVES_PER_BISECTION``
+    solves without an answer bisect the interval with a count, which ends
+    the loop at the latest when the interval is no wider than ``tol``.
     """
     k = sturm_count(op, threshold)
     if k == 0:
-        return np.empty(0)
-    from scipy.linalg import eigvalsh_tridiagonal
+        return []
+    d, scale = op.diag, abs(op.off)
+    tol = max(sys.float_info.epsilon * (float(np.max(np.abs(d))) + 2.0 * scale),
+              sys.float_info.min)
+    lower = float(d.min()) - 2.0 * scale - 2.0 * tol
+    upper = min(threshold, float(d.max()) + 2.0 * scale + 2.0 * tol)
+    if not (math.isfinite(lower) and math.isfinite(upper)):
+        raise EvaluationError(f"the Gershgorin interval of the operator overflows (tol {tol!r})")
+    _check_count(op, lower, 0, 0)
+    if upper < threshold:
+        _check_count(op, upper, k, k)
 
-    return eigvalsh_tridiagonal(
-        op.diag, np.full(op.size - 1, op.off), select="i", select_range=(0, k - 1)
-    )
+    located = []
+    pending = [(lower, upper, 0, k)]  # (a, b, count at a, count at b), lowest last
+    while pending:
+        a, b, count_a, count_b = pending.pop()
+        mid = 0.5 * a + 0.5 * b
+        if count_b - count_a == 1:
+            located.append(_refine(op, a, b, count_a, tol))
+        elif not (b - a > tol and a < mid < b):
+            located += [(mid, 0.5 * (b - a), a, b)] * (count_b - count_a)
+        else:
+            count_mid = _check_count(op, mid, count_a, count_b)
+            for half in ((mid, b, count_mid, count_b), (a, mid, count_a, count_mid)):
+                if half[3] > half[2]:
+                    pending.append(half)
+    return located
+
+
+def _check_count(op: TridiagonalOperator, sigma: float, low: int, high: int) -> int:
+    """:func:`sturm_count` at sigma, which must lie in ``[low, high]``."""
+    count = sturm_count(op, sigma)
+    if not low <= count <= high:
+        raise EvaluationError(
+            f"inconsistent Sturm count {count} at {sigma!r}, outside [{low}, {high}]"
+        )
+    return count
+
+
+def _refine(
+    op: TridiagonalOperator, a: float, b: float, count_a: int, tol: float
+) -> tuple[float, float, float, float]:
+    """``(value, radius, a, b)`` for the one eigenvalue in ``(a, b)`` (:func:`_locate`)."""
+    from scipy.linalg.lapack import dgtsv
+
+    n = op.size
+    off = np.full(n - 1, op.off)
+    start = np.random.default_rng(0).uniform(-1.0, 1.0, n)
+    x = start / np.linalg.norm(start)
+    sigma = 0.5 * a + 0.5 * b
+    solves = 0
+    while True:
+        mid = 0.5 * a + 0.5 * b
+        if not (b - a > tol and a < mid < b):
+            return mid, 0.5 * (b - a), a, b
+        settled = False
+        # SciPy's dgtsv refuses n = 1 (an empty off-diagonal): it is bisected
+        if solves < _SOLVES_PER_BISECTION and n > 1:
+            solves += 1
+            _, _, _, y, info = dgtsv(off, op.diag - sigma, off, x)
+            with np.errstate(over="ignore", invalid="ignore"):  # a non-finite norm is refused
+                y_norm = float(np.linalg.norm(y))
+            if info == 0 and 0.0 < y_norm < math.inf:
+                z = y / y_norm
+                step = float(x @ z) / y_norm
+                rho = sigma + step
+                r = float(np.linalg.norm(x / y_norm - step * z))
+                if a < rho - r and rho + r < b:
+                    if r <= tol:
+                        return rho, r, a, b
+                    sigma = rho
+                settled = a < rho < b
+                x = z
+        if not settled:
+            if _check_count(op, mid, count_a, count_a + 1) == count_a:
+                a = mid
+            else:
+                b = mid
+            sigma, solves = 0.5 * a + 0.5 * b, 0
 
 
 def eigenvector(op: TridiagonalOperator, value: float) -> np.ndarray:
@@ -437,7 +571,10 @@ def bound_state_report(
     True iff no candidate passes the gate.  The report carries the Weyl
     margin and its error bound (:func:`_weyl_certificate`); a margin above
     the bound with any eigenvalue counted below the edge raises
-    :class:`CertificateViolation`.  For the model the margin is positive and
+    :class:`CertificateViolation` before any value is located, and only an
+    uncertified edge count goes to :func:`eigenvalues_below`, whose own
+    count checks then raise :class:`EvaluationError` on a count that
+    contradicts itself.  For the model the margin is positive and
     the count takes :func:`sturm_count`'s diagonal shortcut, so the report
     runs no pivot loop.
 
@@ -470,12 +607,16 @@ def bound_state_report(
         edge = continuum_edge(params)
     v_eff_min = float(np.min(op.v_eff))
     margin, error_bound = _weyl_certificate(op, v_eff_min, edge)
-    values = eigenvalues_below(op, edge)
-    if values.size and margin > error_bound:
-        raise CertificateViolation(
-            f"Weyl margin {margin!r} exceeds the count error bound {error_bound!r}, "
-            f"yet {values.size} eigenvalue(s) counted below the edge {edge!r}"
-        )
+    if margin > error_bound:
+        count = sturm_count(op, edge)
+        if count:
+            raise CertificateViolation(
+                f"Weyl margin {margin!r} exceeds the count error bound {error_bound!r}, "
+                f"yet {count} eigenvalue(s) counted below the edge {edge!r}"
+            )
+        values = np.empty(0)
+    else:
+        values = eigenvalues_below(op, edge)
     candidates = [
         BoundCandidate(
             e_squared=value,

@@ -1283,6 +1283,20 @@ def test_edge_count_that_contradicts_the_weyl_margin_is_inconclusive(monkeypatch
     assert "comparison" not in doc and doc["statement"] == "Inconclusive"
 
 
+def test_an_inconsistent_count_in_the_locator_is_inconclusive(monkeypatch, tmp_path, capsys):
+    # the control well's margin certifies nothing, so its edge count of 1
+    # goes to the locator, which finds the count 1 at the Gershgorin end too
+    monkeypatch.setattr(solver, "sturm_count", lambda op, sigma: 1)
+    out = tmp_path / "verdict.json"
+    rc, _, err = run(["verdict", "--eta", "0.5", "--lambda", "1", "--control-well", "--N", "2000",
+                      "--grid", "11,11", "--out", str(out)], capsys)
+    assert rc == 4 and "Traceback" not in err
+    doc = json.loads(out.read_text())
+    [error] = doc["error_trail"]
+    assert error.startswith("solver: EvaluationError: inconsistent Sturm count 1 at ")
+    assert "comparison" not in doc and doc["statement"] == "Inconclusive"
+
+
 def test_level_energy_overflow_keeps_the_numeric_side(tmp_path, capsys):
     # E_0^2 leaves the double range: the run is inconclusive, but the numeric
     # route still runs and is reported beside the analytic error

@@ -9,11 +9,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.linalg import eigh_tridiagonal
+from scipy.linalg import eigh_tridiagonal, eigvalsh_tridiagonal
 
 from pdm_dirac import (
     Discretization,
     DomainTooSmall,
+    EvaluationError,
     GridTooCoarse,
     ParameterError,
     PhysicalParams,
@@ -301,6 +302,22 @@ def test_model_verdict_runs_no_pivot_loop(argv, loops, monkeypatch, tmp_path):
     assert looped == [loops]
 
 
+def test_control_well_verdict_runs_one_pivot_loop(monkeypatch, tmp_path):
+    # the edge count runs the loop; the count at the Gershgorin end takes the
+    # shortcut, and with one value below the edge no other count is needed
+    looped = []
+
+    def watched(op, sigma):
+        count, ran = _count_and_loop(op, sigma)
+        looped.append(ran)
+        return count
+
+    monkeypatch.setattr(solver, "sturm_count", watched)
+    argv = ["verdict", "--eta", "0.5", "--lambda", "1", "--control-well"]
+    assert main([*argv, "--out", str(tmp_path / "v.json")]) == 3
+    assert looped == [True, False]
+
+
 def _rosen_morse_well(a, b):
     # A^2 + B^2/A^2 + 2B tanh x - A(A+1) sech^2 x: #{n : (A-n)^2 > |B|} levels
     def well(x):
@@ -371,6 +388,128 @@ def test_slice_values_bracketed_by_sturm_count():
         for j, v in enumerate(values):
             d = 1e-9 * max(1.0, abs(v))
             assert sturm_count(op, v - d) <= j < sturm_count(op, v + d)
+
+
+def _dstebz(op, threshold):
+    """The reference: LAPACK ``dstebz`` bisection for the counted values, and
+    its tolerance eps (max|d_i| + 2|e|)."""
+    k = sturm_count(op, threshold)
+    values = eigvalsh_tridiagonal(op.diag, np.full(op.size - 1, op.off),
+                                  select="i", select_range=(0, k - 1))
+    return values, sys.float_info.epsilon * (np.max(np.abs(op.diag)) + 2.0 * abs(op.off))
+
+
+def _control_well_case(alpha):
+    # the N = 8000 control well: one value below its edge
+    params = PhysicalParams(1.0, 0.5, alpha)
+    disc = Discretization.for_params(params)
+    return build_hamiltonian(params, disc, potential=poschl_teller_well), 1.0, 1
+
+
+def _production_case():
+    params = PhysicalParams(1.0, 0.1, 0.2)
+    op = build_hamiltonian(params, Discretization.for_params(params))
+    return op, 1.1 * continuum_edge(params), 11
+
+
+LOCATOR_CASES = {  # (operator, threshold, count below it)
+    "control-0.5": lambda: _control_well_case(0.5),
+    "control-1": lambda: _control_well_case(1.0),
+    "control-2": lambda: _control_well_case(2.0),
+    "rosen-morse-4-2": lambda: (build_hamiltonian(P_HALF, Discretization.for_params(P_HALF),
+                                                  potential=_rosen_morse_well(4.0, 2.0)),
+                                12.25, 3),
+    "production-box-modes": _production_case,
+    "toy": lambda: (toy_operator(), 100.0, 5),
+}
+
+
+@pytest.mark.parametrize("case", LOCATOR_CASES)
+def test_located_values_agree_with_dstebz_and_are_enclosed(case):
+    op, threshold, k = LOCATOR_CASES[case]()
+    reference, tol = _dstebz(op, threshold)
+    located = solver._locate(op, threshold)
+    values = eigenvalues_below(op, threshold)
+    assert values.size == k == len(located)
+    assert np.all(np.abs(values - reference) <= tol)
+    assert np.array_equal(values, eigenvalues_below(op, threshold))  # deterministic
+    assert values.tolist() == [value for value, _, _, _ in located]
+    for j, (value, radius, a, b) in enumerate(located):
+        # the residual interval lies inside an interval that isolates the
+        # j-th eigenvalue in the Sturm count
+        assert sturm_count(op, a) == j and sturm_count(op, b) == j + 1
+        assert a < value - radius and value + radius < b
+        assert radius <= tol
+
+
+def test_a_pair_closer_than_the_tolerance_comes_back_as_two_values():
+    # Poschl-Teller wells at +-14 on the production box: the tunnelling
+    # splitting (about e^-28) is below dstebz's tolerance, so both values lie
+    # in one window of that width
+    def double_well(x):
+        return 1.0 - 2.0 * sech_squared(x - 14.0) - 2.0 * sech_squared(x + 14.0)
+
+    op = build_hamiltonian(P_HALF, Discretization.for_params(P_HALF), potential=double_well)
+    reference, tol = _dstebz(op, 1.0)
+    centre = float(reference.mean())
+    assert sturm_count(op, centre - 0.5 * tol) == 0 and sturm_count(op, centre + 0.5 * tol) == 2
+    values = eigenvalues_below(op, 1.0)
+    assert values.size == 2
+    assert np.all(np.abs(values - reference) <= tol)
+    assert np.array_equal(values, eigenvalues_below(op, 1.0))
+
+
+@pytest.mark.parametrize("threshold,fake,match", [
+    (12.25, lambda count, sigma: max(count, 1), "count 1 at "),  # not 0 at the Gershgorin end
+    (12.25, lambda count, sigma: count + 10 * (0 < count < 3), "count 1[12] at "),
+    (12.25, lambda count, sigma: 3 - count if count < 3 else count, "count 3 at "),
+    (math.inf, lambda count, sigma: count - (count == 2000 and sigma < math.inf),
+     "count 1999 at "),  # not every value below the Gershgorin top
+], ids=["gershgorin-end", "above-the-threshold-count", "decreasing", "gershgorin-top"])
+def test_an_inconsistent_count_raises_an_evaluation_error(threshold, fake, match, monkeypatch):
+    # the Rosen-Morse well has 3 values below its edge: with the count at the
+    # threshold kept, a count that contradicts it inside the locator is an error
+    op = build_hamiltonian(P_HALF, Discretization(25.0, 2000),
+                           potential=_rosen_morse_well(4.0, 2.0))
+    count = solver.sturm_count
+    monkeypatch.setattr(solver, "sturm_count",
+                        lambda op, sigma: fake(count(op, sigma), sigma))
+    assert solver.sturm_count(op, threshold) == count(op, threshold)
+    with pytest.raises(EvaluationError, match="inconsistent Sturm " + match):
+        eigenvalues_below(op, threshold)
+
+
+def test_the_bisection_fallback_brackets_each_value_by_the_count(monkeypatch):
+    # with no solve allowed, refinement is bisection with counts down to the
+    # tolerance, and a count outside [j, j + 1] there is an error
+    monkeypatch.setattr(solver, "_SOLVES_PER_BISECTION", 0)
+    op, threshold, k = LOCATOR_CASES["rosen-morse-4-2"]()
+    reference, tol = _dstebz(op, threshold)
+    located = solver._locate(op, threshold)
+    assert len(located) == k
+    for j, (value, radius, a, b) in enumerate(located):
+        assert sturm_count(op, a) == j and sturm_count(op, b) == j + 1
+        assert b - a <= tol and (value, radius) == (0.5 * a + 0.5 * b, 0.5 * (b - a))
+        assert abs(value - reference[j]) <= tol
+    count = solver.sturm_count
+    monkeypatch.setattr(solver, "sturm_count",
+                        lambda op, sigma: count(op, sigma) + (count(op, sigma) == 1 and sigma < 1.0))
+    op, threshold, _ = LOCATOR_CASES["control-1"]()
+    with pytest.raises(EvaluationError, match="inconsistent Sturm count 2 at "):
+        eigenvalues_below(op, threshold)
+
+
+def test_refinement_returns_the_eigenvalue_inside_its_interval():
+    # 49 eigenvalues at 0 below the isolating interval (0.01, 1) and one at
+    # 0.02 inside it: the first Rayleigh quotients from the midpoint shift lie
+    # below the interval, near 0, so it is bisected until the iteration
+    # settles inside; only the value inside may come back
+    op = _bare_operator([0.02] + [0.0] * 49, 0.0)
+    tol = sys.float_info.epsilon * 0.02
+    value, radius, a, b = solver._refine(op, 0.01, 1.0, 49, tol)
+    assert sturm_count(op, a) == 49 and sturm_count(op, b) == 50
+    assert a < value - radius and value + radius < b
+    assert abs(value - 0.02) <= tol
 
 
 def test_dense_equivalence_random_instances():

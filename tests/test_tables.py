@@ -244,13 +244,13 @@ def test_a_2001_by_2001_surface_is_streamed_to_a_file(tmp_path):
 
 def test_a_surface_row_longer_than_a_piece_is_evaluated_a_piece_at_a_time(tmp_path):
     # the grid ceiling's longest rows: 2 x 2,050,000 nodes.  Holding f for a
-    # whole row (15.6 MiB) with its temporaries peaked at 174 MB; a piece is
-    # at most _FORMAT_ROWS nodes, and the run peaks near 95 MB, most of it the
-    # lambda axis and its text
+    # whole row (15.6 MiB) with its temporaries peaked at 174 MB, and the
+    # whole lambda axis's text (46.9 MiB) at 96 MB; a piece is at most
+    # _FORMAT_ROWS nodes with their lambda text, and the run peaks near 79 MB
     status, peak_mb = run_fresh(["surface", "--grid", "2,2050000", "--out", "long.csv"],
                                 tmp_path)
     assert status == 0
-    assert peak_mb < 120
+    assert peak_mb < 90
     (tmp_path / "long.csv").unlink()
 
 
