@@ -380,10 +380,16 @@ class RunConfig:
         return reduce_params(self.physical())
 
     def half_width(self, steps: float) -> float:
-        """``L``, or by default ``steps / alpha``; a default that overflows names alpha."""
+        """``L``, or by default ``steps / alpha``; a default that overflows names alpha.
+
+        The control well ``1 - 2 sech^2 x`` has unit width whatever the step's,
+        so its default box is ``steps / min(alpha, 1)``.
+        """
         if self.L is not None:
             return self.L
         alpha = self.physical().alpha
+        if self.control_well:
+            alpha = min(alpha, 1.0)
         half_width = steps / alpha
         if half_width == math.inf:
             raise ParameterError(f"default half-width {steps:g}/alpha overflows: "

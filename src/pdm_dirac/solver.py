@@ -16,18 +16,19 @@ The number of eigenvalues below a threshold is the integer-exact
 Sturm-sequence negative-pivot count, returned as 0 without the pivot loop
 when the shifted diagonal is at least twice the off-diagonal's size in every
 row, which rules out a negative pivot (the model's count at its edge); only
-the values counted below the edge are computed, with their eigenvectors
-(LAPACK ``dstein``, inverse iteration).  The same count locates the values
-(:func:`eigenvalues_below`).  It is 0 at the Gershgorin lower bound ``min
-d_i - 2|e|`` (moved out by a rounding margin, where the shortcut applies)
-and k at the threshold, and counts at midpoints split that interval until
-each part holds one eigenvalue.  Shift-and-invert iteration (LAPACK
-``dgtsv``) refines each value inside its part, with Rayleigh-quotient shifts
-once the residual interval ``[rho - r, rho + r]`` lies inside it, so the
+the values counted below the edge are computed, with their eigenvectors.
+The same count locates the values (:func:`eigenvalues_below`).  It is 0 at
+the Gershgorin lower bound ``min d_i - 2|e|`` (moved out by a rounding
+margin, where the shortcut applies) and k at the threshold, and one loop
+splits that interval at midpoints by counts.  A part that holds one value
+is refined by shift-and-invert iteration, with Rayleigh-quotient shifts once
+the residual interval ``[rho - r, rho + r]`` lies inside it, so the
 eigenvalue it encloses is the counted one; it stops at ``r <= eps (max|d_i|
 + 2|e|)``, the tolerance of LAPACK ``dstebz``, and then ``|lambda - rho| <=
-r`` up to rounding.  Where the iteration does not settle, the part is
-bisected with counts down to that width.
+r`` up to rounding.  Where the iteration does not settle, the loop splits
+the part on, down to that width.  Values and eigenvectors share one step, a
+LAPACK ``dgtsv`` solve from a fixed start vector (:func:`_solve`); an
+eigenvector is two steps at its value.
 
 The count at the edge is certified in closed form.  The operator is ``T/h^2
 + diag(V_eff)`` with ``lambda_min(T) = 4 sin^2(pi/(2(N+1)))``, so by Weyl's
@@ -37,10 +38,9 @@ M^2 >= M0^2 (1 - |eta|)^2`` pointwise, so that margin is positive and the
 count must be 0; a margin above the count's rounding error together with a
 counted eigenvalue is a contradiction, not evidence.
 
-SciPy's wrappers of the two LAPACK routines are imported inside the only
-functions that call them, :func:`_refine` (reached only past a nonzero
-count) and :func:`eigenvector`: a run whose count finds nothing below the
-edge, as for the model's step profile, never loads SciPy.
+SciPy's ``dgtsv`` is imported inside the kernel, which runs only past a
+nonzero count: a run whose count finds nothing below the edge, as for the
+model's step profile, never loads SciPy.
 """
 
 from __future__ import annotations
@@ -117,9 +117,8 @@ class Discretization:
         if not sys.float_info.min <= h2 < math.inf:
             raise ParameterError(f"spacing h = {self.spacing:.3g}: h^2 is not a normal double")
         # a bound on the spacing, no longer a need of the solver: the count
-        # scales the diagonal by |e| = 1/h^2 and the locator solves with the
-        # entries, so nothing squares them.  It does not keep dstein finite,
-        # whose vectors are NaN from |e| near 1e152 on
+        # scales the diagonal by |e| = 1/h^2 and the kernel solves with the
+        # entries, so nothing squares them
         if (2.0 / h2) * (2.0 / h2) == math.inf:
             raise ParameterError(f"spacing h = {self.spacing:.3g}: (2/h^2)^2 overflows")
 
@@ -253,11 +252,11 @@ def eigenvalues_below(op: TridiagonalOperator, threshold: float) -> np.ndarray:
     inside ``(a, b)``; ``r`` is the residual ``|| T z - rho z ||`` of a unit
     vector ``z``, so that interval holds an eigenvalue, and it is the one
     counted in ``(a, b)``: ``|lambda - rho| <= r``, up to rounding.  A value
-    the iteration does not settle, and each value of a cluster (counts that
-    differ by more than one across an interval no wider than ``tol``), is
-    the midpoint of its interval, as ``dstebz`` gives it.  A count that is
-    not 0 at the Gershgorin end, or not monotone, raises
-    :class:`EvaluationError`.
+    the iteration does not settle before the count's bisection has narrowed
+    its interval to ``tol``, and each value of a cluster (counts that differ
+    by more than one across an interval no wider than ``tol``), is the
+    midpoint of its interval, as ``dstebz`` gives it.  A count that is not 0
+    at the Gershgorin end, or not monotone, raises :class:`EvaluationError`.
     """
     return np.array([value for value, _, _, _ in _locate(op, threshold)], dtype=float)
 
@@ -275,27 +274,11 @@ def _locate(op: TridiagonalOperator, threshold: float) -> list[tuple[float, floa
     holds every eigenvalue; its ends are moved out by ``2 tol`` so that the
     rounding of ``d_i - a`` and of the scaling cannot bring a scaled diagonal
     entry below 2, and :func:`sturm_count`'s shortcut proves the count 0 at
-    ``a`` with no pivot loop.  Intervals are bisected with counts until each
-    holds one eigenvalue (counts ``j`` at ``a``, ``j + 1`` at ``b``) or is no
-    wider than ``tol``.  With one value below the threshold, ``(a,
-    threshold)`` isolates it already.
-
-    Refinement: from a fixed pseudo-random start vector ``x``, each step
-    solves ``(T - sigma) y = x`` (LAPACK ``dgtsv``, partial pivoting), and
-    with ``z = y / ||y||``
-
-        rho = sigma + (x . y) / (y . y),    r = || x / ||y|| - (rho - sigma) z ||,
-
-    the Rayleigh quotient of ``z`` and its residual ``|| T z - rho z ||``
-    computed from the solve instead of from ``T``, which spares the
-    cancellation of ``T z`` against ``rho z``.  The solve's backward error
-    (about ``eps || T - sigma ||``) is what separates ``r`` from the true
-    residual.  The shift starts at the interval's midpoint and becomes
-    ``rho`` once ``[rho - r, rho + r]`` lies inside ``(a, b)``; the value is
-    returned once ``r <= tol`` as well.  A Rayleigh quotient outside ``(a,
-    b)``, a singular or overflowing solve, or ``_SOLVES_PER_BISECTION``
-    solves without an answer bisect the interval with a count, which ends
-    the loop at the latest when the interval is no wider than ``tol``.
+    ``a`` with no pivot loop.  One loop bisects intervals with counts: an
+    interval that holds one eigenvalue (counts ``j`` at ``a``, ``j + 1`` at
+    ``b``) is first given to :func:`_refine`, and is bisected only if that
+    finds no value, until the interval is no wider than ``tol``.  With one
+    value below the threshold, ``(a, threshold)`` isolates it already.
     """
     k = sturm_count(op, threshold)
     if k == 0:
@@ -316,10 +299,10 @@ def _locate(op: TridiagonalOperator, threshold: float) -> list[tuple[float, floa
     while pending:
         a, b, count_a, count_b = pending.pop()
         mid = 0.5 * a + 0.5 * b
-        if count_b - count_a == 1:
-            located.append(_refine(op, a, b, count_a, tol))
-        elif not (b - a > tol and a < mid < b):
+        if not (b - a > tol and a < mid < b):
             located += [(mid, 0.5 * (b - a), a, b)] * (count_b - count_a)
+        elif count_b - count_a == 1 and (refined := _refine(op, a, b, tol)):
+            located.append((*refined, a, b))
         else:
             count_mid = _check_count(op, mid, count_a, count_b)
             for half in ((mid, b, count_mid, count_b), (a, mid, count_a, count_mid)):
@@ -339,65 +322,79 @@ def _check_count(op: TridiagonalOperator, sigma: float, low: int, high: int) -> 
 
 
 def _refine(
-    op: TridiagonalOperator, a: float, b: float, count_a: int, tol: float
-) -> tuple[float, float, float, float]:
-    """``(value, radius, a, b)`` for the one eigenvalue in ``(a, b)`` (:func:`_locate`)."""
+    op: TridiagonalOperator, a: float, b: float, tol: float
+) -> Optional[tuple[float, float]]:
+    """``(value, radius)`` of the one eigenvalue in ``(a, b)``, or None (:func:`_locate`).
+
+    Iterates :func:`_solve`, shifted at the midpoint and, once ``[rho - r,
+    rho + r]`` lies inside ``(a, b)``, at ``rho``, until also ``r <= tol``.
+    A refused solve, a ``rho`` outside ``(a, b)`` or ``_SOLVES_PER_BISECTION``
+    solves without an answer give None.
+    """
+    sigma, z = 0.5 * a + 0.5 * b, None
+    for _ in range(_SOLVES_PER_BISECTION):
+        step = _solve(op, sigma, z)
+        if step is None or not a < step[1] < b:
+            return None
+        z, rho, r = step
+        if a < rho - r and rho + r < b:
+            if r <= tol:
+                return rho, r
+            sigma = rho
+    return None
+
+
+def _solve(
+    op: TridiagonalOperator, sigma: float, x: Optional[np.ndarray] = None
+) -> Optional[tuple[np.ndarray, float, float]]:
+    """One shift-and-invert step: ``(z, rho, r)``, or None where the solve is refused.
+
+    Solves ``(T - sigma) y = x`` (LAPACK ``dgtsv``, partial pivoting) for a
+    unit vector ``x``, by default a fixed pseudo-random one, and with ``z = y
+    / ||y||`` gives
+
+        rho = sigma + (x . y) / (y . y),    r = || x / ||y|| - (rho - sigma) z ||,
+
+    the Rayleigh quotient of ``z`` and its residual ``|| T z - rho z ||``
+    computed from the solve instead of from ``T``, which spares the
+    cancellation of ``T z`` against ``rho z``.  The solve's backward error
+    (about ``eps || T - sigma ||``) is what separates ``r`` from the true
+    residual.  A singular solve, or a norm of ``y`` that is zero or not
+    finite, is refused.
+    """
+    n = op.size
+    if n == 1:  # SciPy's dgtsv refuses an empty off-diagonal; the pair is exact
+        return np.ones(1), float(op.diag[0]), 0.0
     from scipy.linalg.lapack import dgtsv
 
-    n = op.size
+    if x is None:
+        x = np.random.default_rng(0).uniform(-1.0, 1.0, n)
+        x /= np.linalg.norm(x)
     off = np.full(n - 1, op.off)
-    start = np.random.default_rng(0).uniform(-1.0, 1.0, n)
-    x = start / np.linalg.norm(start)
-    sigma = 0.5 * a + 0.5 * b
-    solves = 0
-    while True:
-        mid = 0.5 * a + 0.5 * b
-        if not (b - a > tol and a < mid < b):
-            return mid, 0.5 * (b - a), a, b
-        settled = False
-        # SciPy's dgtsv refuses n = 1 (an empty off-diagonal): it is bisected
-        if solves < _SOLVES_PER_BISECTION and n > 1:
-            solves += 1
-            _, _, _, y, info = dgtsv(off, op.diag - sigma, off, x)
-            with np.errstate(over="ignore", invalid="ignore"):  # a non-finite norm is refused
-                y_norm = float(np.linalg.norm(y))
-            if info == 0 and 0.0 < y_norm < math.inf:
-                z = y / y_norm
-                step = float(x @ z) / y_norm
-                rho = sigma + step
-                r = float(np.linalg.norm(x / y_norm - step * z))
-                if a < rho - r and rho + r < b:
-                    if r <= tol:
-                        return rho, r, a, b
-                    sigma = rho
-                settled = a < rho < b
-                x = z
-        if not settled:
-            if _check_count(op, mid, count_a, count_a + 1) == count_a:
-                a = mid
-            else:
-                b = mid
-            sigma, solves = 0.5 * a + 0.5 * b, 0
+    _, _, _, y, info = dgtsv(off, op.diag - sigma, off, x)
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite norm is refused
+        y_norm = float(np.linalg.norm(y))
+    if info != 0 or not 0.0 < y_norm < math.inf:
+        return None
+    z = y / y_norm
+    step = float(x @ z) / y_norm
+    return z, sigma + step, float(np.linalg.norm(x / y_norm - step * z))
 
 
 def eigenvector(op: TridiagonalOperator, value: float) -> np.ndarray:
     """Unit-norm eigenvector for an eigenvalue from :func:`eigenvalues_below`.
 
-    LAPACK ``dstein`` (inverse iteration from its fixed-seed start vector) on
-    the whole operator as one block; deterministic, and ``dstein`` itself
-    makes the largest-magnitude entry positive.  A nonzero ``info`` (no
-    convergence) raises :class:`EvaluationError`.
+    Two :func:`_solve` steps at ``value`` from the fixed start vector, so the
+    result is deterministic, with its largest-magnitude entry made positive.
+    A refused solve raises :class:`EvaluationError`.
     """
-    from scipy.linalg.lapack import dstein
-
-    n = op.size
-    z, info = dstein(
-        op.diag, np.full(n - 1, op.off), np.array([value]),
-        np.ones(n, dtype=np.int32), np.full(n, n, dtype=np.int32),
-    )
-    if info != 0:
-        raise EvaluationError(f"LAPACK dstein failed (info={info}) at E^2 = {value!r}")
-    return z[:, 0]
+    z = None
+    for _ in range(2):
+        step = _solve(op, value, z)
+        if step is None:
+            raise EvaluationError(f"the shift-and-invert solve at E^2 = {value!r} was refused")
+        z = step[0]
+    return z if z[np.argmax(np.abs(z))] > 0.0 else -z
 
 
 @dataclass(frozen=True)

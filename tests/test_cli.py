@@ -662,6 +662,9 @@ EXIT_CASES = [
     (["verdict", "--eta", "0.5", "--lambda", "1", "--box=0.5,1,1e-9,1e-8", "--grid", "2,2",
       "--N", "800"], 0, []),
     (["verdict", "--eta", "0.5", "--M0", "1e200", "--alpha", "1"], 4, ["ParameterError"]),
+    # the control well has unit width whatever alpha: its box is 25/min(alpha, 1)
+    *[(["verdict", "--eta", "0.5", "--alpha", alpha, "--control-well"], 3, [])
+      for alpha in ("2.5", "3", "10", "30")],
     (["surface", "--box=0,0,-1,1"], 2, ["lambda must be >= 0"]),
     (["surface", "--box=0.1,0.1,-1,1"], 2, ["lambda must be >= 0"]),
     (["surface", "--box=0.5,0.6,1e300,1e300", "--grid", "3,3"], 2, ["InvalidBox"]),
@@ -1379,24 +1382,28 @@ def test_a_box_where_f_overflows_lands_in_error_trail(tmp_path, capsys):
     assert "feasibility: InvalidBox: f is not finite on the box" in trail
 
 
-def test_dstein_failure_lands_in_error_trail(monkeypatch, tmp_path, capsys):
-    def failing_dstein(d, e, w, iblock, isplit):
-        return np.zeros((d.size, w.size), order="F"), 1
+def test_a_refused_solve_lands_in_error_trail(monkeypatch, tmp_path, capsys):
+    def singular_dgtsv(dl, d, du, b):
+        return dl, d, du, np.zeros_like(b), 1
 
-    # eigenvector imports dstein from scipy.linalg.lapack when it is called
-    monkeypatch.setattr(lapack, "dstein", failing_dstein)
+    # the shift-and-invert kernel imports dgtsv from scipy.linalg.lapack when
+    # it is called: every refinement is refused, so the locator bisects with
+    # counts, and the eigenvector cannot be computed
+    monkeypatch.setattr(lapack, "dgtsv", singular_dgtsv)
     op = solver.build_hamiltonian(
         PhysicalParams(1.0, 0.5, 1.0), solver.Discretization(25.0, 2000),
         potential=solver.poschl_teller_well,
     )
-    with pytest.raises(EvaluationError):
-        solver.eigenvector(op, 0.0)
+    [value] = solver.eigenvalues_below(op, 1.0)
+    assert abs(value) < 2e-3
+    with pytest.raises(EvaluationError, match="shift-and-invert solve"):
+        solver.eigenvector(op, value)
     out = tmp_path / "verdict.json"
-    rc, _, _ = run(
+    rc, _, err = run(
         ["verdict", "--eta", "0.5", "--lambda", "1", "--control-well", "--N", "2000",
          "--grid", "11,11", "--out", str(out)],
         capsys,
     )
-    assert rc == 4
+    assert rc == 4 and "Traceback" not in err
     [entry] = json.loads(out.read_text())["error_trail"]
-    assert entry.startswith("solver: EvaluationError: LAPACK dstein failed (info=1)")
+    assert entry.startswith("solver: EvaluationError: the shift-and-invert solve at E^2 = ")

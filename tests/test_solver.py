@@ -501,15 +501,30 @@ def test_the_bisection_fallback_brackets_each_value_by_the_count(monkeypatch):
 
 def test_refinement_returns_the_eigenvalue_inside_its_interval():
     # 49 eigenvalues at 0 below the isolating interval (0.01, 1) and one at
-    # 0.02 inside it: the first Rayleigh quotients from the midpoint shift lie
-    # below the interval, near 0, so it is bisected until the iteration
-    # settles inside; only the value inside may come back
+    # 0.02 inside it: the Rayleigh quotients from the midpoint shift may lie
+    # below the interval, near 0, and then the refinement gives up; only the
+    # value inside may come back
     op = _bare_operator([0.02] + [0.0] * 49, 0.0)
     tol = sys.float_info.epsilon * 0.02
-    value, radius, a, b = solver._refine(op, 0.01, 1.0, 49, tol)
+    refined = solver._refine(op, 0.01, 1.0, tol)
+    if refined is not None:
+        value, radius = refined
+        assert 0.01 < value - radius and value + radius < 1.0
+        assert abs(value - 0.02) <= tol
+    # the locator's count bisection narrows the interval until it settles
+    located = solver._locate(op, 1.0)
+    assert len(located) == 50
+    assert all(abs(value) <= tol for value, _, _, _ in located[:49])
+    value, radius, a, b = located[49]
     assert sturm_count(op, a) == 49 and sturm_count(op, b) == 50
     assert a < value - radius and value + radius < b
     assert abs(value - 0.02) <= tol
+    # the control well's interval (Gershgorin end, edge) settles at once: the
+    # locator's value is the refinement's, from the same fixed start vector
+    op, threshold, _ = LOCATOR_CASES["control-1"]()
+    [(value, radius, a, b)] = solver._locate(op, threshold)
+    assert b == threshold
+    assert solver._refine(op, a, b, _dstebz(op, threshold)[1]) == (value, radius)
 
 
 def test_dense_equivalence_random_instances():
@@ -574,21 +589,62 @@ def test_eigenvector_residual_and_sign():
     assert np.linalg.norm(residual) <= 1e-8 * max(1.0, abs(vals[0]) + abs(op.off))
     # deterministic: same value in, same vector out
     assert np.array_equal(v, eigenvector(op, float(vals[0])))
-    # production control well: the candidate's vector matches LAPACK's
-    # eigh_tridiagonal up to sign
-    params = PhysicalParams(1.0, 0.5, 1.0)
-    disc = Discretization.for_params(params)
-    assert disc.num_points == 8000
-    report = bound_state_report(params, disc, potential=poschl_teller_well, edge=1.0)
-    [cand] = report.bound_candidates
-    op = build_hamiltonian(params, disc, potential=poschl_teller_well)
-    v = eigenvector(op, cand.e_squared)
-    _, ref = eigh_tridiagonal(
-        op.diag, np.full(op.size - 1, op.off), select="i", select_range=(0, 0)
-    )
-    ref = ref[:, 0]
-    assert min(np.max(np.abs(v - ref)), np.max(np.abs(v + ref))) <= 1e-10
-    assert v[np.argmax(np.abs(v))] > 0.0
+    # every locator case, box modes too: each located value's vector matches
+    # LAPACK's eigh_tridiagonal up to sign
+    for case in LOCATOR_CASES.values():
+        op, threshold, k = case()
+        values = eigenvalues_below(op, threshold)
+        _, ref = eigh_tridiagonal(
+            op.diag, np.full(op.size - 1, op.off), select="i", select_range=(0, k - 1)
+        )
+        for j, value in enumerate(values.tolist()):
+            v = eigenvector(op, value)
+            assert min(np.max(np.abs(v - ref[:, j])), np.max(np.abs(v + ref[:, j]))) <= 1e-10
+            assert v[np.argmax(np.abs(v))] > 0.0
+
+
+def _scaled_control_well(spacing):
+    # the control well on [-5, 5] with 200 points, scaled by c = h / h_1 to
+    # the spacing h: the operator is the h_1 one over c^2, so |e| = 1/h^2
+    c = spacing * 201 / 10.0
+    disc = Discretization(5.0 * c, 200)
+    op = build_hamiltonian(P_HALF, disc, potential=lambda x: poschl_teller_well(x / c) / (c * c))
+    return op, 1.0 / (c * c)
+
+
+def _smallest_spacing():
+    # Discretization refuses a spacing whose (2/h^2)^2 overflows
+    h = math.sqrt(2.0 / math.sqrt(sys.float_info.max))
+    while True:
+        try:
+            return Discretization(h * 201 / 2.0, 200).spacing
+        except ParameterError:
+            h = math.nextafter(h, 1.0)
+
+
+@pytest.mark.parametrize("spacing", [1e-76, _smallest_spacing()], ids=["1e-76", "smallest"])
+def test_eigenvector_stays_finite_at_the_smallest_spacing(spacing):
+    # |e| = 1e152 and up: LAPACK dstein gave an all-NaN vector with info = 0
+    # here; the vector is the unscaled operator's, or the solve is refused
+    op, edge = _scaled_control_well(spacing)
+    assert abs(op.off) >= 1e152
+    [value] = eigenvalues_below(op, edge)
+    try:
+        v = eigenvector(op, value)
+    except EvaluationError:
+        return
+    unscaled, unscaled_edge = _scaled_control_well(10.0 / 201)
+    [unscaled_value] = eigenvalues_below(unscaled, unscaled_edge)
+    assert np.all(np.isfinite(v))
+    assert np.linalg.norm(v) == pytest.approx(1.0, rel=1e-12)
+    assert np.max(np.abs(v - eigenvector(unscaled, unscaled_value))) <= 1e-10
+
+
+def test_a_one_point_operator_has_its_entry_and_a_unit_vector():
+    # SciPy's dgtsv refuses n = 1; the kernel gives the exact pair instead
+    op = _bare_operator([3.0], -1.0)
+    assert eigenvalues_below(op, 4.0).tolist() == [3.0]
+    assert eigenvector(op, 3.0).tolist() == [1.0]
 
 
 def test_localization_separates_bound_from_box_modes():
