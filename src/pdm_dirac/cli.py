@@ -109,10 +109,10 @@ from .params import (
 from .solver import (
     DEFAULT_HALF_WIDTH_STEPS,
     Discretization,
-    analytic_vs_numeric,
+    bound_state_report,
     poschl_teller_well,
 )
-from .spectrum import classify_levels, potential_sample
+from .spectrum import Classification, classify_levels, potential_sample
 
 __all__ = ["main", "RunConfig", "resolve_config"]
 
@@ -383,13 +383,13 @@ class RunConfig:
         """``L``, or by default ``steps / alpha``; a default that overflows names alpha.
 
         The control well ``1 - 2 sech^2 x`` has unit width whatever the step's,
-        so its default box is ``steps / min(alpha, 1)``.
+        so its default box is ``steps`` for every alpha.
         """
         if self.L is not None:
             return self.L
-        alpha = self.physical().alpha
         if self.control_well:
-            alpha = min(alpha, 1.0)
+            return steps
+        alpha = self.physical().alpha
         half_width = steps / alpha
         if half_width == math.inf:
             raise ParameterError(f"default half-width {steps:g}/alpha overflows: "
@@ -728,6 +728,14 @@ def cmd_potential(cfg: RunConfig) -> int:
 
 
 def cmd_verdict(cfg: RunConfig) -> int:
+    """Scan f, certify its sign at the point, and set the closed-form levels
+    against :func:`~pdm_dirac.solver.bound_state_report`'s numeric scan.
+
+    The numeric side runs on the model's ``V_eff``, with its edge ``M0^2 (1 -
+    |eta|)^2`` and its scale ``alpha``, or with ``--control-well`` on
+    :func:`~pdm_dirac.solver.poschl_teller_well`, whose edge is the lower of
+    its limits at -inf and +inf (1) and whose scale is its unit width.
+    """
     report: dict = {"config": cfg.to_json_doc()}
     errors: list[str] = []
     localized_states: list[dict] = []
@@ -753,22 +761,37 @@ def cmd_verdict(cfg: RunConfig) -> int:
         disc = Discretization.for_params(
             params, half_width=cfg.half_width(DEFAULT_HALF_WIDTH_STEPS), num_points=cfg.N
         )
-        if cfg.control_well:
-            comparison = analytic_vs_numeric(
-                params, disc, n_max=cfg.n_max,
-                potential=poschl_teller_well, edge=1.0,
-            )
-        else:
-            comparison = analytic_vs_numeric(params, disc, n_max=cfg.n_max)
-        report["comparison"] = comparison.to_dict()
+        entries, analytic_failure = [], None
+        try:
+            entries = classify_levels(dless, cfg.n_max, M0=params.M0)
+        except EvaluationError as exc:  # the report carries it; the numeric side runs
+            analytic_failure = exc
+        numeric = bound_state_report(
+            params, disc, potential=poschl_teller_well if cfg.control_well else None
+        )
+        analytic_error = (None if analytic_failure is None
+                          else f"{type(analytic_failure).__name__}: {analytic_failure}")
+        # consistent: every Imaginary level lies below min V_eff, so no numeric
+        # eigenvalue is one (Rayleigh bound), and no candidate is localized
+        imaginary_consistent = all(
+            entry.e_squared < numeric.v_eff_min
+            for entry in entries
+            if entry.classification is Classification.IMAGINARY
+        )
+        report["comparison"] = {
+            "analytic_entries": [entry.to_dict() for entry in entries],
+            "analytic_error": analytic_error,
+            "numeric": numeric.to_dict(),
+            "imaginary_levels_consistent": imaginary_consistent,
+            "real_levels_unbound": numeric.empty_real_spectrum,
+            "consistent": imaginary_consistent and numeric.empty_real_spectrum,
+        }
         # a plain EvaluationError: the closed form applies here but left the
         # double range, so the run is inconclusive (its subclasses mark points
         # outside the formula's domain, which the report states)
-        if type(comparison.analytic_failure) is EvaluationError:
-            errors.append(f"solver: {comparison.analytic_error}")
-        for cand in comparison.numeric.bound_candidates:
-            if cand.localized:
-                localized_states.append(cand.to_dict())
+        if type(analytic_failure) is EvaluationError:
+            errors.append(f"solver: {analytic_error}")
+        localized_states = [c.to_dict() for c in numeric.bound_candidates if c.localized]
     except PdmDiracError as exc:
         errors.append(f"solver: {type(exc).__name__}: {exc}")
 

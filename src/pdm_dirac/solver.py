@@ -59,14 +59,8 @@ from .errors import (
     GridTooCoarse,
     ParameterError,
 )
-from .params import PhysicalParams, reduce_params
-from .spectrum import (
-    Classification,
-    SpectrumEntry,
-    classify_levels,
-    effective_potential,
-    sech_squared,
-)
+from .params import PhysicalParams
+from .spectrum import effective_potential, sech_squared
 
 __all__ = [
     "Discretization",
@@ -74,7 +68,6 @@ __all__ = [
     "LocalizationMetric",
     "BoundCandidate",
     "DiscreteSpectrum",
-    "ComparisonReport",
     "build_hamiltonian",
     "sturm_count",
     "eigenvalues_below",
@@ -83,7 +76,6 @@ __all__ = [
     "continuum_edge",
     "poschl_teller_well",
     "bound_state_report",
-    "analytic_vs_numeric",
 ]
 
 # Production defaults: L = 25/alpha puts the step ~25 decay lengths from each
@@ -522,7 +514,7 @@ class DiscreteSpectrum:
     v_eff_min: float
     v_eff_monotone: bool
     disc: Discretization
-    domain_warning: bool               # alpha*L < 10: tail truncation may be visible
+    domain_warning: bool               # scale*L < 10: tail truncation may be visible
 
     @property
     def empty_real_spectrum(self) -> bool:
@@ -554,11 +546,19 @@ def _monotone_nonconstant(v: np.ndarray) -> bool:
     return bool(((np.all(d >= 0.0)) or (np.all(d <= 0.0))) and np.any(d != 0.0))
 
 
+def _limit_edge(potential: Callable[[np.ndarray], np.ndarray]) -> float:
+    """The lower of a potential's limits at -inf and +inf, which must be finite."""
+    with np.errstate(all="ignore"):  # non-finite limits are rejected below
+        limits = np.asarray(potential(np.array([-math.inf, math.inf])), dtype=float)
+    if not np.all(np.isfinite(limits)):
+        raise ParameterError(f"continuum edge must be finite, got the limits {limits.tolist()!r}")
+    return float(limits.min())
+
+
 def bound_state_report(
     params: PhysicalParams,
     disc: Discretization,
     potential: Optional[Callable[[np.ndarray], np.ndarray]] = None,
-    edge: Optional[float] = None,
 ) -> DiscreteSpectrum:
     """Scan for genuine bound states below the continuum edge.
 
@@ -575,33 +575,32 @@ def bound_state_report(
     the count takes :func:`sturm_count`'s diagonal shortcut, so the report
     runs no pivot loop.
 
-    ``potential``/``edge`` override the model profile for control cases; the
-    default edge is ``M0^2 (1 - |eta|)^2``.
-
-    The grid must resolve the step: ``h * alpha > 0.2`` raises
-    :class:`GridTooCoarse` and ``alpha * L < 3`` raises
-    :class:`DomainTooSmall`, while ``alpha * L < 10`` only sets
-    ``domain_warning`` in the report.  A non-finite ``edge`` raises
+    The model's edge is :func:`continuum_edge` and its scale is ``alpha``.
+    ``potential`` replaces the model profile for control cases such as
+    :func:`poschl_teller_well`: it is written in ``x`` with unit width, so
+    its scale is 1, and its edge is the lower of its limits at -inf and +inf
+    (:func:`_limit_edge`); a limit that is not finite raises
     :class:`ParameterError`.
+
+    The grid must resolve the step: ``h * scale > 0.2`` raises
+    :class:`GridTooCoarse` and ``scale * L < 3`` raises
+    :class:`DomainTooSmall`, while ``scale * L < 10`` only sets
+    ``domain_warning`` in the report.
     """
-    if potential is not None and edge is None:
-        raise ValueError("a custom potential needs an explicit continuum edge")
-    if edge is not None and not math.isfinite(edge):
-        raise ParameterError(f"continuum edge must be finite, got {edge!r}")
-    h_alpha = disc.spacing * params.alpha
+    scale = params.alpha if potential is None else 1.0
+    h_alpha = disc.spacing * scale
     if h_alpha > _MAX_H_ALPHA:
         raise GridTooCoarse(
             f"h*alpha = {h_alpha:.3g} > {_MAX_H_ALPHA}: grid cannot resolve the step"
         )
-    alpha_l = params.alpha * disc.half_width
+    alpha_l = scale * disc.half_width
     if alpha_l < _MIN_ALPHA_L_ERROR:
         raise DomainTooSmall(
             f"alpha*L = {alpha_l:.3g} < {_MIN_ALPHA_L_ERROR}: box does not contain the step"
         )
     # assemble first: it rejects an overflowing V_eff before the edge squares M0
     op = build_hamiltonian(params, disc, potential=potential)
-    if edge is None:
-        edge = continuum_edge(params)
+    edge = continuum_edge(params) if potential is None else _limit_edge(potential)
     v_eff_min = float(np.min(op.v_eff))
     margin, error_bound = _weyl_certificate(op, v_eff_min, edge)
     if margin > error_bound:
@@ -631,84 +630,3 @@ def bound_state_report(
         disc=disc,
         domain_warning=alpha_l < _MIN_ALPHA_L_WARN,
     )
-
-
-@dataclass
-class ComparisonReport:
-    """Closed-form classifications set against the numeric scan."""
-
-    analytic_entries: list[SpectrumEntry]
-    analytic_failure: Optional[EvaluationError]   # why the closed-form side is missing
-    numeric: DiscreteSpectrum
-
-    @property
-    def imaginary_levels_consistent(self) -> bool:
-        """Every Imaginary level has ``E^2 < min V_eff`` (the Rayleigh bound)."""
-        return all(
-            entry.e_squared < self.numeric.v_eff_min
-            for entry in self.analytic_entries
-            if entry.classification is Classification.IMAGINARY
-        )
-
-    @property
-    def real_levels_unbound(self) -> bool:
-        """Real-classified radicands have no numeric state: no candidate is localized."""
-        return self.numeric.empty_real_spectrum
-
-    @property
-    def consistent(self) -> bool:
-        """Both checks hold: no closed-form level contradicts the numeric scan."""
-        return self.imaginary_levels_consistent and self.real_levels_unbound
-
-    @property
-    def analytic_error(self) -> Optional[str]:
-        """``"<error class>: <message>"`` of :attr:`analytic_failure`, or None."""
-        exc = self.analytic_failure
-        return None if exc is None else f"{type(exc).__name__}: {exc}"
-
-    def to_dict(self) -> dict:
-        return {
-            "analytic_entries": [e.to_dict() for e in self.analytic_entries],
-            "analytic_error": self.analytic_error,
-            "numeric": self.numeric.to_dict(),
-            "imaginary_levels_consistent": self.imaginary_levels_consistent,
-            "real_levels_unbound": self.real_levels_unbound,
-            "consistent": self.consistent,
-        }
-
-
-def analytic_vs_numeric(
-    params: PhysicalParams,
-    disc: Discretization,
-    n_max: int = 5,
-    potential: Optional[Callable[[np.ndarray], np.ndarray]] = None,
-    edge: Optional[float] = None,
-) -> ComparisonReport:
-    """Juxtapose closed-form level classifications with the numeric scan.
-
-    Consistency means: every Imaginary-classified level has ``E^2 <
-    min(V_eff)`` on the grid, so it cannot belong to the numeric operator's
-    spectrum (Rayleigh bound: T is positive definite, so every eigenvalue of
-    ``T/h^2 + diag(V_eff)`` lies strictly above ``min(V_eff)``); and every
-    Real-classified radicand finds no localized numeric state, i.e. the
-    candidate set it suggests is empty.
-    At eta = 0 (:class:`EtaZeroDegenerate`, or :class:`EtaZeroSingular` where
-    eta is 0 in doubles) and lambda = 0 (:class:`LambdaZero`) the analytic side
-    is degenerate by construction, and a level energy may leave the double
-    range (a plain :class:`EvaluationError`); the report then carries the
-    error as ``analytic_failure`` and the numeric side only.
-    ``potential``/``edge`` pass through to :func:`bound_state_report` for
-    control cases.
-    """
-    entries: list[SpectrumEntry] = []
-    analytic_failure: Optional[EvaluationError] = None
-    try:
-        entries = classify_levels(reduce_params(params), n_max, M0=params.M0)
-    except EvaluationError as exc:
-        analytic_failure = exc
-    return ComparisonReport(
-        analytic_entries=entries,
-        analytic_failure=analytic_failure,
-        numeric=bound_state_report(params, disc, potential=potential, edge=edge),
-    )
-

@@ -210,7 +210,6 @@ def test_criterion_07_detector_control(capsys):
         PhysicalParams(1.0, 0.5, 1.0),
         Discretization(25.0, 8000),
         potential=poschl_teller_well,
-        edge=1.0,
     )
     localized = [c for c in report_.bound_candidates if c.localization.localized]
     err = abs(localized[0].e_squared - 0.0) if len(localized) == 1 else math.inf
@@ -246,7 +245,8 @@ def test_criterion_08_dense_oracle_equivalence(capsys):
     ok = worst <= 1e-9 and elapsed < 5.0
     report(
         capsys, 8, ok,
-        f"Sturm-counted LAPACK slice vs dense reference on 20 instances, worst |diff| = {worst:.3g}",
+        f"Sturm-isolated shift-and-invert values vs dense reference on 20 instances, "
+        f"worst |diff| = {worst:.3g}",
     )
     assert worst <= 1e-9
     assert elapsed < 5.0

@@ -513,6 +513,49 @@ def test_verdict_consistent_where_the_mass_vanishes(eta, lam, tmp_path, capsys):
     assert doc["comparison"]["consistent"] is True
 
 
+def test_verdict_sets_the_reference_levels_beside_the_numeric_scan(tmp_path, capsys):
+    out = tmp_path / "verdict.json"
+    rc, _, _ = run(["verdict", "--eta", "0.5", "--lambda", "1", "--N", "4000", "--grid", "11,11",
+                    "--out", str(out)], capsys)
+    assert rc == 0
+    comparison = json.loads(out.read_text())["comparison"]
+    assert comparison["analytic_error"] is None
+    assert comparison["analytic_entries"][0]["e_squared"] == pytest.approx(
+        -4.6213203435596426, rel=1e-12)
+    assert comparison["numeric"]["empty_real_spectrum"] is True
+    assert comparison["imaginary_levels_consistent"] is True
+    assert comparison["real_levels_unbound"] is True
+    assert comparison["consistent"] is True
+
+
+def test_verdict_sets_the_exact_rational_case_beside_the_numeric_scan(tmp_path, capsys):
+    eta = math.sqrt(3.0) / 2.0
+    out = tmp_path / "verdict.json"
+    rc, _, _ = run(["verdict", "--eta", repr(eta), "--lambda", "1", "--n-max", "2",
+                    "--N", "4000", "--grid", "11,11", "--out", str(out)], capsys)
+    assert rc == 0
+    comparison = json.loads(out.read_text())["comparison"]
+    assert comparison["analytic_entries"][0]["e_squared"] == pytest.approx(-1.5, abs=1e-12)
+    assert comparison["numeric"]["continuum_edge"] == pytest.approx((1.0 - eta) ** 2, rel=1e-12)
+    assert comparison["consistent"] is True
+
+
+def test_verdict_at_eta_zero_reports_the_numeric_side_alone(tmp_path, capsys):
+    # the closed form is degenerate at eta = 0: the report states why, and
+    # the verdict rests on the numeric scan
+    out = tmp_path / "verdict.json"
+    rc, _, _ = run(["verdict", "--eta", "0", "--lambda", "1", "--n-max", "3", "--N", "1000",
+                    "--grid", "11,11", "--out", str(out)], capsys)
+    assert rc == 0
+    doc = json.loads(out.read_text())
+    comparison = doc["comparison"]
+    assert "EtaZeroDegenerate" in comparison["analytic_error"]
+    assert comparison["analytic_entries"] == []
+    assert comparison["numeric"]["empty_real_spectrum"] is True
+    assert comparison["consistent"] is True
+    assert doc["error_trail"] == []
+
+
 def test_verdict_reads_an_underflowed_grid_maximum_as_negative(tmp_path, capsys):
     # f underflows to -0.0 at |eta| = 1 on this box; the sign bit keeps f < 0
     out = tmp_path / "verdict.json"
@@ -662,9 +705,11 @@ EXIT_CASES = [
     (["verdict", "--eta", "0.5", "--lambda", "1", "--box=0.5,1,1e-9,1e-8", "--grid", "2,2",
       "--N", "800"], 0, []),
     (["verdict", "--eta", "0.5", "--M0", "1e200", "--alpha", "1"], 4, ["ParameterError"]),
-    # the control well has unit width whatever alpha: its box is 25/min(alpha, 1)
+    # the control well has unit width whatever alpha: its box is 25, and the
+    # solver's resolution guards read its unit scale, not alpha (at alpha
+    # 0.01 a 2500-wide box once let a second, threshold state pass the gate)
     *[(["verdict", "--eta", "0.5", "--alpha", alpha, "--control-well"], 3, [])
-      for alpha in ("2.5", "3", "10", "30")],
+      for alpha in ("0.01", "2.5", "3", "10", "30", "40", "1000")],
     (["surface", "--box=0,0,-1,1"], 2, ["lambda must be >= 0"]),
     (["surface", "--box=0.1,0.1,-1,1"], 2, ["lambda must be >= 0"]),
     (["surface", "--box=0.5,0.6,1e300,1e300", "--grid", "3,3"], 2, ["InvalidBox"]),
@@ -758,9 +803,12 @@ def test_exit_status_contract(args, status, errors, tmp_path, capsys):
             assert name in err
     else:
         # strict JSON: NaN, Infinity and -Infinity are refused
-        trail = json.loads(out.read_text(), parse_constant=_refuse_constant)["error_trail"]
+        doc = json.loads(out.read_text(), parse_constant=_refuse_constant)
+        trail = doc["error_trail"]
         assert [name for name in errors if any(name in entry for entry in trail)] == errors
         assert len(trail) == len(errors)
+        # a dissenting verdict (the control well) has the well's one state
+        assert len(doc["evidence"]["localized_bound_states"]) == (1 if status == 3 else 0)
 
 
 @pytest.mark.parametrize("args", [["--help"], ["verdict", "--help"], ["verdict", "-h"]])

@@ -1,4 +1,8 @@
-"""The package namespace re-exports each module's public names, declared once."""
+"""The package namespace re-exports each module's public names, declared once,
+and the README's library example runs as written."""
+
+import re
+from pathlib import Path
 
 import pdm_dirac
 from pdm_dirac import errors, feasibility, params, solver, spectrum
@@ -16,3 +20,9 @@ def test_package_all_is_the_union_of_the_module_alls():
     # module-level helpers that the package does not export
     for name in ("number_from_json", "DEFAULT_HALF_WIDTH_STEPS", "DEFAULT_NUM_POINTS"):
         assert not hasattr(pdm_dirac, name)
+
+
+def test_the_readme_library_example_runs():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    [code] = re.findall(r"^## Library\n\n```python\n(.*?)^```$", readme, re.M | re.S)
+    exec(compile(code, "README.md", "exec"), {})

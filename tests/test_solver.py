@@ -19,7 +19,6 @@ from pdm_dirac import (
     ParameterError,
     PhysicalParams,
     TridiagonalOperator,
-    analytic_vs_numeric,
     bound_state_report,
     build_hamiltonian,
     continuum_edge,
@@ -342,11 +341,13 @@ def test_weyl_margin_bounds_the_dense_minimum(m0_exp, eta, lam_exp, num_points, 
 
 def test_wells_that_bind_report_a_negative_margin():
     # the control well and a Rosen-Morse II member (A, B) = (4, 2), which
-    # binds three levels below its edge A^2 + B^2/A^2 - 2|B| = 12.25
+    # binds three levels below its edge A^2 + B^2/A^2 - 2|B| = 12.25; each
+    # edge is the lower of the well's limits at -inf and +inf, exactly
     disc = Discretization(25.0, 2000)
     for potential, edge, levels in ((poschl_teller_well, 1.0, 1),
                                     (_rosen_morse_well(4.0, 2.0), 12.25, 3)):
-        report = bound_state_report(P_HALF, disc, potential=potential, edge=edge)
+        report = bound_state_report(P_HALF, disc, potential=potential)
+        assert report.continuum_edge == edge
         assert report.weyl_margin < 0.0 < report.count_error_bound
         assert sum(c.localized for c in report.bound_candidates) == levels
 
@@ -369,11 +370,17 @@ def test_eigenvalues_below_counts_every_threshold_as_sturm_count_does():
     assert eigenvalues_below(op, math.nan).size == sturm_count(op, math.nan) == 0
 
 
-@pytest.mark.parametrize("edge", [math.nan, math.inf, -math.inf])
-def test_bound_state_report_rejects_a_non_finite_edge(edge):
+@pytest.mark.parametrize("potential", [
+    pytest.param(lambda x: poschl_teller_well(x) + 0.0 * x, id="nan"),
+    pytest.param(lambda x: poschl_teller_well(x) + 1e-300 * x * x, id="inf"),
+    pytest.param(lambda x: poschl_teller_well(x) + 1e-300 * x, id="-inf"),
+])
+def test_bound_state_report_rejects_a_non_finite_edge(potential):
+    # each well is finite on the grid; its limit at -inf or +inf is not
+    disc = Discretization(25.0, 2000)
+    assert np.all(np.isfinite(build_hamiltonian(P_HALF, disc, potential=potential).diag))
     with pytest.raises(ParameterError, match="edge must be finite"):
-        bound_state_report(P_HALF, Discretization(25.0, 200), potential=poschl_teller_well,
-                           edge=edge)
+        bound_state_report(P_HALF, disc, potential=potential)
 
 
 def test_slice_values_bracketed_by_sturm_count():
@@ -653,7 +660,6 @@ def test_localization_separates_bound_from_box_modes():
         P_HALF,
         Discretization(25.0, 2000),
         potential=poschl_teller_well,
-        edge=1.0,
     )
     assert len(report.bound_candidates) == 1
     metric = report.bound_candidates[0].localization
@@ -717,7 +723,7 @@ def test_eta_zero_free_case_verdict():
 
 def test_control_well_finds_the_known_state():
     report = bound_state_report(
-        P_HALF, Discretization(25.0, 8000), potential=poschl_teller_well, edge=1.0
+        P_HALF, Discretization(25.0, 8000), potential=poschl_teller_well
     )
     assert report.empty_real_spectrum is False
     assert len(report.bound_candidates) == 1
@@ -729,12 +735,12 @@ def test_report_certifies_and_solves_only_below_edge():
     # edge, certified) and the control well (5 up to 1.1 * edge, its one
     # state below the edge, which its negative margin leaves uncertified)
     cases = [
-        (PhysicalParams(1.0, 0.1, 0.2), None, None, 11, 0),
-        (P_HALF, poschl_teller_well, 1.0, 5, 1),
+        (PhysicalParams(1.0, 0.1, 0.2), None, 11, 0),
+        (P_HALF, poschl_teller_well, 5, 1),
     ]
-    for p, potential, edge, slice_size, candidates in cases:
+    for p, potential, slice_size, candidates in cases:
         disc = Discretization.for_params(p)
-        report = bound_state_report(p, disc, potential=potential, edge=edge)
+        report = bound_state_report(p, disc, potential=potential)
         op = build_hamiltonian(p, disc, potential=potential)
         edge = report.continuum_edge
         assert sturm_count(op, 1.1 * edge) == slice_size
@@ -748,18 +754,13 @@ def test_report_certifies_and_solves_only_below_edge():
             report.weyl_margin, report.count_error_bound)
 
 
-def test_custom_potential_requires_explicit_edge():
-    with pytest.raises(ValueError):
-        bound_state_report(P_HALF, Discretization(25.0, 500), potential=poschl_teller_well)
-
-
 def test_grid_refinement_second_order_on_control_well():
     # exact ground level of 1 - 2 sech^2 x sits at 0; discretization error
     # should shrink like h^2 (log-log slope 2 +/- 0.3)
     errors, spacings = [], []
     for n in (250, 500, 1000, 2000):
         report = bound_state_report(
-            P_HALF, Discretization(25.0, n), potential=poschl_teller_well, edge=1.0
+            P_HALF, Discretization(25.0, n), potential=poschl_teller_well
         )
         [candidate] = report.bound_candidates
         errors.append(abs(candidate.e_squared))
@@ -777,37 +778,6 @@ def test_parity_spectra_match():
     assert a.size == b.size
     for x, y in zip(a, b):
         assert abs(x - y) <= 1e-9 * max(1.0, abs(x))
-
-
-def test_analytic_vs_numeric_reference_case():
-    report = analytic_vs_numeric(P_HALF, Discretization(25.0, 4000), n_max=5)
-    assert report.analytic_error is None
-    assert report.analytic_entries[0].e_squared == pytest.approx(-4.6213203435596426, rel=1e-12)
-    assert report.numeric.empty_real_spectrum
-    assert report.imaginary_levels_consistent
-    assert report.real_levels_unbound
-    assert report.consistent
-
-
-def test_analytic_vs_numeric_exact_rational_case():
-    eta = math.sqrt(3.0) / 2.0
-    report = analytic_vs_numeric(
-        PhysicalParams(1.0, eta, 1.0), Discretization(25.0, 4000), n_max=2
-    )
-    assert report.analytic_entries[0].e_squared == pytest.approx(-1.5, abs=1e-12)
-    assert report.numeric.continuum_edge == pytest.approx((1.0 - eta) ** 2, rel=1e-12)
-    assert report.consistent
-
-
-def test_analytic_vs_numeric_eta_zero_branch():
-    report = analytic_vs_numeric(
-        PhysicalParams(1.0, 0.0, 1.0), Discretization(25.0, 1000), n_max=3
-    )
-    assert report.analytic_error is not None
-    assert "EtaZeroDegenerate" in report.analytic_error
-    assert report.analytic_entries == []
-    assert report.numeric.empty_real_spectrum
-    assert report.consistent
 
 
 def test_report_serialization():
