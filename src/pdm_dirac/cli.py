@@ -342,7 +342,7 @@ _SUBCOMMANDS = {
     "verdict": _Subcommand(
         "full feasibility verdict with numeric cross-check", True, "verdict.json", ("json",),
         {"n_max": _N_MAX_HELP,
-         "L": "solver box half-width (default 25/alpha)",
+         "L": "solver box half-width (default 25/alpha; 25 with --control-well)",
          "N": "solver interior points (default 8000)",
          "box": "scan box etamin,etamax,lammin,lammax (default -1,1,1e-3,10)",
          "grid": "scan grid (default 201,201)",
