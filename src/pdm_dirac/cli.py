@@ -108,6 +108,7 @@ from .params import (
 )
 from .solver import (
     DEFAULT_HALF_WIDTH_STEPS,
+    DEFAULT_NUM_POINTS,
     Discretization,
     bound_state_report,
     poschl_teller_well,
@@ -731,10 +732,11 @@ def cmd_verdict(cfg: RunConfig) -> int:
     """Scan f, certify its sign at the point, and set the closed-form levels
     against :func:`~pdm_dirac.solver.bound_state_report`'s numeric scan.
 
-    The numeric side runs on the model's ``V_eff``, with its edge ``M0^2 (1 -
-    |eta|)^2`` and its scale ``alpha``, or with ``--control-well`` on
-    :func:`~pdm_dirac.solver.poschl_teller_well`, whose edge is the lower of
-    its limits at -inf and +inf (1) and whose scale is its unit width.
+    The numeric side runs on the model's ``V_eff`` or, with
+    ``--control-well``, on :func:`~pdm_dirac.solver.poschl_teller_well`, in
+    the box :meth:`RunConfig.half_width` gives.  Either edge is the lower of
+    the potential's limits (:func:`~pdm_dirac.solver.continuum_edge`): ``M0^2
+    (1 - |eta|)^2``, which no V_eff node lies below in doubles, or 1.
     """
     report: dict = {"config": cfg.to_json_doc()}
     errors: list[str] = []
@@ -758,9 +760,8 @@ def cmd_verdict(cfg: RunConfig) -> int:
 
     # 2. closed-form levels vs numeric scan (optionally on the control well)
     try:
-        disc = Discretization.for_params(
-            params, half_width=cfg.half_width(DEFAULT_HALF_WIDTH_STEPS), num_points=cfg.N
-        )
+        disc = Discretization(cfg.half_width(DEFAULT_HALF_WIDTH_STEPS),
+                              DEFAULT_NUM_POINTS if cfg.N is None else cfg.N)
         entries, analytic_failure = [], None
         try:
             entries = classify_levels(dless, cfg.n_max, M0=params.M0)

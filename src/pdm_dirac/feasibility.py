@@ -143,7 +143,8 @@ def f_factored(eta: float, lam: float, n: int = 0) -> float:
     at |eta| near 1, and f < 0 for every lam > 0.  The exact pole ``w = 0``
     raises :class:`EvaluationError`; next to it the radicand is huge but
     finite, so callers that classify levels test the pole themselves
-    (:func:`level_energy` uses ``|w| <= ABS_TOL u``).  n = 0 is never a pole.
+    (:func:`~pdm_dirac.spectrum.classify_levels` uses ``|w| <= ABS_TOL u``).
+    n = 0 is never a pole.
 
     :func:`_f_grid` repeats the n = 0 arithmetic for arrays: on Python floats
     this route is over ten times faster a call than on numpy scalars.

@@ -12,7 +12,8 @@ tridiagonal eigenproblem
 A genuine bound state must sit below the continuum edge
 ``min(V_eff(-inf), V_eff(+inf)) = M0^2 (1 - |eta|)^2`` *and* be localized away
 from the artificial walls; everything else below the edge is a box artifact.
-The number of eigenvalues below a threshold is the integer-exact
+Model and control well share one edge path, :func:`continuum_edge`.  The
+number of eigenvalues below a threshold is the integer-exact
 Sturm-sequence negative-pivot count, returned as 0 without the pivot loop
 when the shifted diagonal is at least twice the off-diagonal's size in every
 row, which rules out a negative pivot (the model's count at its edge); only
@@ -34,9 +35,10 @@ The count at the edge is certified in closed form.  The operator is ``T/h^2
 + diag(V_eff)`` with ``lambda_min(T) = 4 sin^2(pi/(2(N+1)))``, so by Weyl's
 inequality every eigenvalue clears the edge by at least ``min(V_eff) - edge
 + lambda_min(T)/h^2`` (:func:`_weyl_certificate`).  For the model ``V_eff =
-M^2 >= M0^2 (1 - |eta|)^2`` pointwise, so that margin is positive and the
-count must be 0; a margin above the count's rounding error together with a
-counted eigenvalue is a contradiction, not evidence.
+M^2 >= M0^2 (1 - |eta|)^2`` at every node, in doubles too (proof in
+:func:`bound_state_report`), so that margin is positive and the count must be
+0; a margin above the count's rounding error together with a counted
+eigenvalue is a contradiction, not evidence.
 
 SciPy's ``dgtsv`` is imported inside the kernel, which runs only past a
 nonzero count: a run whose count finds nothing below the edge, as for the
@@ -45,6 +47,7 @@ model's step profile, never loads SciPy.
 
 from __future__ import annotations
 
+import functools
 import math
 import sys
 from dataclasses import dataclass
@@ -122,20 +125,6 @@ class Discretization:
         """Interior nodes x_i = -L + i*h, i = 1..N."""
         return -self.half_width + self.spacing * np.arange(1, self.num_points + 1)
 
-    @classmethod
-    def for_params(
-        cls,
-        params: PhysicalParams,
-        half_width: Optional[float] = None,
-        num_points: Optional[int] = None,
-    ) -> "Discretization":
-        """Production discretization: L = 25/alpha, N = 8000 unless overridden."""
-        if half_width is None:
-            half_width = DEFAULT_HALF_WIDTH_STEPS / params.alpha
-        if num_points is None:
-            num_points = DEFAULT_NUM_POINTS
-        return cls(half_width=half_width, num_points=num_points)
-
 
 @dataclass
 class TridiagonalOperator:
@@ -203,10 +192,10 @@ def sturm_count(op: TridiagonalOperator, sigma: float) -> int:
     1 and, rounding being monotone, q_i >= 1.  No pivot is ever negative.  A
     NaN entry fails the test and goes through the recurrence.  The model's
     operator usually meets the test at its continuum edge: V_eff >= edge
-    holds in doubles, so the scaled diagonal is 2 + (V_eff - edge) h^2 up to
-    rounding, 2.0 exactly at its minimum for the default verdict.  Where the
-    rounding of 2/h^2 + V_eff - edge leaves that minimum an ulp below 2, the
-    recurrence runs as before.
+    holds in doubles (:func:`bound_state_report`), so the scaled diagonal is
+    2 + (V_eff - edge) h^2 up to rounding, 2.0 exactly at its minimum for the
+    default verdict.  Where the rounding of 2/h^2 + V_eff - edge leaves that
+    minimum an ulp below 2, the recurrence runs as before.
     """
     pivmin = sys.float_info.min
     scale = abs(op.off)
@@ -425,11 +414,6 @@ def localization_metric(x: np.ndarray, phi: np.ndarray, half_width: float) -> Lo
     )
 
 
-def continuum_edge(params: PhysicalParams) -> float:
-    """Bottom of the essential spectrum: M0^2 (1 - |eta|)^2."""
-    return (params.M0 * (1.0 - abs(params.eta))) ** 2
-
-
 def _weyl_certificate(
     op: TridiagonalOperator, v_eff_min: float, edge: float
 ) -> tuple[float, float]:
@@ -546,13 +530,16 @@ def _monotone_nonconstant(v: np.ndarray) -> bool:
     return bool(((np.all(d >= 0.0)) or (np.all(d <= 0.0))) and np.any(d != 0.0))
 
 
-def _limit_edge(potential: Callable[[np.ndarray], np.ndarray]) -> float:
-    """The lower of a potential's limits at -inf and +inf, which must be finite."""
-    with np.errstate(all="ignore"):  # non-finite limits are rejected below
+def continuum_edge(potential: Callable[[np.ndarray], np.ndarray]) -> float:
+    """Bottom of the essential spectrum: the lower of the potential's values at
+    -inf and +inf, which must be finite (:class:`ParameterError`); the upper
+    one may overflow, and a NaN makes the lower one NaN."""
+    with np.errstate(all="ignore"):  # a non-finite edge is rejected below
         limits = np.asarray(potential(np.array([-math.inf, math.inf])), dtype=float)
-    if not np.all(np.isfinite(limits)):
+    edge = float(np.min(limits))
+    if not math.isfinite(edge):
         raise ParameterError(f"continuum edge must be finite, got the limits {limits.tolist()!r}")
-    return float(limits.min())
+    return edge
 
 
 def bound_state_report(
@@ -575,19 +562,29 @@ def bound_state_report(
     the count takes :func:`sturm_count`'s diagonal shortcut, so the report
     runs no pivot loop.
 
-    The model's edge is :func:`continuum_edge` and its scale is ``alpha``.
-    ``potential`` replaces the model profile for control cases such as
-    :func:`poschl_teller_well`: it is written in ``x`` with unit width, so
-    its scale is 1, and its edge is the lower of its limits at -inf and +inf
-    (:func:`_limit_edge`); a limit that is not finite raises
-    :class:`ParameterError`.
+    The model resolves once to its potential, ``V_eff`` with ``params``
+    bound, at scale ``alpha``; ``potential`` replaces it for control cases
+    such as :func:`poschl_teller_well`, of unit width, so scale 1.  The
+    operator and :func:`continuum_edge` both evaluate that potential.
+
+    So ``V_eff(x_i) >= edge`` holds in doubles at every node: the edge is
+    V_eff at ``x = -inf`` or ``+inf``, through the same operations ``t =
+    np.tanh(alpha x)``, ``1 + eta t``, ``M0 *`` and ``m * m``.  At the lower
+    limit ``eta t = -|eta|`` exactly, while a node's ``t`` lies in ``[-1,
+    1]``; each later step is correctly rounded and monotone in that operand,
+    and ``1 - |eta| >= 0`` and ``M0 > 0`` keep the order through the product
+    and the square.  Where tanh saturates at a node (``|alpha x|`` above
+    about 19, as at the ends of the default box ``L = 25/alpha``), ``min
+    V_eff == edge``.
 
     The grid must resolve the step: ``h * scale > 0.2`` raises
     :class:`GridTooCoarse` and ``scale * L < 3`` raises
     :class:`DomainTooSmall`, while ``scale * L < 10`` only sets
     ``domain_warning`` in the report.
     """
-    scale = params.alpha if potential is None else 1.0
+    scale = 1.0
+    if potential is None:
+        potential, scale = functools.partial(effective_potential, params), params.alpha
     h_alpha = disc.spacing * scale
     if h_alpha > _MAX_H_ALPHA:
         raise GridTooCoarse(
@@ -598,9 +595,9 @@ def bound_state_report(
         raise DomainTooSmall(
             f"alpha*L = {alpha_l:.3g} < {_MIN_ALPHA_L_ERROR}: box does not contain the step"
         )
-    # assemble first: it rejects an overflowing V_eff before the edge squares M0
+    # assemble first: a V_eff that overflows on the grid is the assembly's error
     op = build_hamiltonian(params, disc, potential=potential)
-    edge = continuum_edge(params) if potential is None else _limit_edge(potential)
+    edge = continuum_edge(potential)
     v_eff_min = float(np.min(op.v_eff))
     margin, error_bound = _weyl_certificate(op, v_eff_min, edge)
     if margin > error_bound:

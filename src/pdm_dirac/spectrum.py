@@ -30,7 +30,8 @@ energy as real-positive, imaginary (E^2 < 0), threshold, or undefined (level
 index on a formula pole).  The profile functions take an array of x (a float
 gives a numpy scalar), each quantity with one expression;
 :func:`potential_sample` evaluates the step factor ``1 + eta tanh(alpha x)``
-once for all of its columns.  A classification only describes the sign of the
+once for all of its columns, and is the one path to Im V; a level table
+computes its constants once.  A classification only describes the sign of the
 radicand; whether a level belongs to the true spectrum is settled by the
 independent finite-difference solver in :mod:`pdm_dirac.solver`.
 """
@@ -54,11 +55,9 @@ __all__ = [
     "SpectrumEntry",
     "sech_squared",
     "mass_profile",
-    "vector_potential",
     "effective_potential",
     "potential_sample",
     "delta1",
-    "level_energy",
     "classify_levels",
 ]
 
@@ -140,11 +139,6 @@ def mass_profile(params: PhysicalParams, x):
     return params.M0 * _step(params, x)
 
 
-def vector_potential(params: PhysicalParams, x):
-    """The purely imaginary vector potential (i/2) * M'(x) / M(x)."""
-    return 1j * _im_v(params, x, _step(params, x))
-
-
 def effective_potential(params: PhysicalParams, x):
     """V_eff(x) = M(x)^2, the potential of the squared (Schrodinger-like) problem."""
     m = mass_profile(params, x)
@@ -175,57 +169,47 @@ def delta1(params: DimensionlessParams) -> float:
     return -2.0 * q / (1.0 + math.sqrt(1.0 + 4.0 * q))
 
 
-def _classify(e_squared: float, band: float) -> Classification:
-    if e_squared > band:
-        return Classification.REAL
-    if e_squared < -band:
-        return Classification.IMAGINARY
-    return Classification.ZERO_THRESHOLD
+def classify_levels(
+    params: DimensionlessParams, n_max: int, M0: float = 1.0
+) -> list[SpectrumEntry]:
+    """Levels n = 0 .. n_max: ``E_n^2 = M0^2 f_factored(eta, lam, n)``, classified.
 
-
-def level_energy(params: DimensionlessParams, n: int, M0: float = 1.0) -> SpectrumEntry:
-    """Squared energy of candidate level ``n`` with sign classification.
-
-    ``E_n^2 = M0^2 f_factored(eta, lam, n)``; the classification band is
-    ``ABS_TOL * M0^2``.  An index with ``|lam n - u| <= ABS_TOL * u`` sits on
-    the formula's pole ``y_n = 0`` and gives an UNDEFINED entry (n = 0 never
-    does).  Raises :class:`ParameterError` when ``M0^2`` is not a normal double
-    (the band would not scale with the level), :class:`EtaZeroDegenerate` at
-    eta = 0 (constant-mass limit, excluded), :class:`LambdaZero` where
+    The checks, ``M0^2``, the band ``ABS_TOL * M0^2``, :func:`delta1` and u run
+    once; a row is the pole test and :func:`~pdm_dirac.feasibility.f_factored`.
+    An index with ``|u - lam n| <= ABS_TOL * u`` sits on the formula's pole
+    ``y_n = 0`` and gives an UNDEFINED entry (n = 0 never does).
+    Raises :class:`ParameterError` when ``M0^2`` is not a normal double (the
+    band would not scale with the level), :class:`EtaZeroDegenerate` at eta =
+    0 (constant-mass limit, excluded), :class:`LambdaZero` where
     :func:`delta1` diverges, :class:`EtaZeroSingular` where ``u^2`` underflows
-    (eta is 0 in doubles), and :class:`EvaluationError` where ``E_n^2`` leaves
-    the double range.
+    (eta is 0 in doubles), and :class:`EvaluationError` where a row's ``E_n^2``
+    leaves the double range.
     """
-    if n < 0:
-        raise ValueError(f"level index must be >= 0, got {n}")
+    if n_max < 0:
+        raise ValueError(f"n_max must be >= 0, got {n_max}")
     m2 = M0 * M0
     if not sys.float_info.min <= m2 < math.inf:
         raise ParameterError(f"M0 = {M0:.3g}: M0^2 is not a normal double")
-    if params.eta == 0.0:
+    eta, lam = params.eta, params.lam
+    if eta == 0.0:
         raise EtaZeroDegenerate(
             "eta = 0 is the constant-mass limit; the level formula degenerates"
         )
     shift = delta1(params)
-    u = aux_root(params.eta, params.lam)
-    if abs(u - params.lam * n) <= ABS_TOL * u:
-        return SpectrumEntry(n, shift, math.nan, Classification.UNDEFINED)
-    e_squared = m2 * f_factored(params.eta, params.lam, n)
-    if not math.isfinite(e_squared):
-        raise EvaluationError(
-            f"E_n^2 leaves the double range at n={n}, M0={M0!r}, lambda={params.lam!r}"
-        )
-    return SpectrumEntry(
-        n=n,
-        delta1=shift,
-        e_squared=e_squared,
-        classification=_classify(e_squared, ABS_TOL * m2),
-    )
-
-
-def classify_levels(
-    params: DimensionlessParams, n_max: int, M0: float = 1.0
-) -> list[SpectrumEntry]:
-    """Entries for n = 0 .. n_max; errors of :func:`level_energy` propagate."""
-    if n_max < 0:
-        raise ValueError(f"n_max must be >= 0, got {n_max}")
-    return [level_energy(params, n, M0=M0) for n in range(n_max + 1)]
+    u = aux_root(eta, lam)
+    band, pole = ABS_TOL * m2, ABS_TOL * u
+    entries = []
+    for n in range(n_max + 1):
+        if abs(u - lam * n) <= pole:
+            entries.append(SpectrumEntry(n, shift, math.nan, Classification.UNDEFINED))
+            continue
+        e_squared = m2 * f_factored(eta, lam, n)
+        if not math.isfinite(e_squared):
+            raise EvaluationError(
+                f"E_n^2 leaves the double range at n={n}, M0={M0!r}, lambda={lam!r}"
+            )
+        classification = (Classification.REAL if e_squared > band
+                          else Classification.IMAGINARY if e_squared < -band
+                          else Classification.ZERO_THRESHOLD)
+        entries.append(SpectrumEntry(n, shift, e_squared, classification))
+    return entries

@@ -33,12 +33,11 @@ from pdm_dirac import (
     effective_potential,
     f_direct,
     f_factored,
-    level_energy,
     mass_profile,
     poschl_teller_well,
+    potential_sample,
     sign_certificate,
     supremum_scan,
-    vector_potential,
 )
 from pdm_dirac.cli import main as cli_main
 
@@ -131,7 +130,8 @@ def test_criterion_04_bridge_identity(capsys):
         eta = float(rng.uniform(1e-3, 1.0)) * (1.0 if rng.random() < 0.5 else -1.0)
         lam = float(rng.uniform(1e-3, 10.0))
         m0 = float(rng.uniform(0.2, 3.0))
-        lhs = level_energy(DimensionlessParams(eta, lam), 0, M0=m0).e_squared
+        [level] = classify_levels(DimensionlessParams(eta, lam), 0, M0=m0)
+        lhs = level.e_squared
         rhs = m0 * m0 * f_factored(eta, lam)
         mismatches += lhs != rhs
     elapsed = time.perf_counter() - t0
@@ -146,11 +146,11 @@ def test_criterion_04_bridge_identity(capsys):
 
 def test_criterion_05_reference_points(capsys):
     t0 = time.perf_counter()
-    entry = level_energy(DimensionlessParams(0.5, 1.0), 0)
+    [entry] = classify_levels(DimensionlessParams(0.5, 1.0), 0)
     d_err = abs(entry.delta1 - DELTA1_HALF)
     e_err = abs(entry.e_squared - E2_HALF)
     m_err = abs(entry.energy_magnitude - ABS_E_HALF)
-    exact = level_energy(DimensionlessParams(math.sqrt(3.0) / 2.0, 1.0), 0)
+    [exact] = classify_levels(DimensionlessParams(math.sqrt(3.0) / 2.0, 1.0), 0)
     x_d_err = abs(exact.delta1 - (-0.5))
     x_e_err = abs(exact.e_squared - (-1.5))
     elapsed = time.perf_counter() - t0
@@ -267,18 +267,18 @@ def test_criterion_09_parity_suite(capsys):
         even_bitwise &= delta1(DimensionlessParams(-eta, lam)) == delta1(
             DimensionlessParams(eta, lam)
         )
-        even_bitwise &= (
-            level_energy(DimensionlessParams(-eta, lam), 0, M0=m0).e_squared
-            == level_energy(DimensionlessParams(eta, lam), 0, M0=m0).e_squared
-        )
+        [minus_level] = classify_levels(DimensionlessParams(-eta, lam), 0, M0=m0)
+        [plus_level] = classify_levels(DimensionlessParams(eta, lam), 0, M0=m0)
+        even_bitwise &= minus_level.e_squared == plus_level.e_squared
         plus = PhysicalParams(m0, eta, alpha)
         minus = PhysicalParams(m0, -eta, alpha)
         a = effective_potential(minus, x)
         b = effective_potential(plus, -x)
         worst_veff = max(worst_veff, abs(a - b) / max(1.0, abs(b)))
-        v = vector_potential(plus, x)
+        # V = i Im V: potential_sample carries Im V as a real array
+        im_v = potential_sample(plus, np.array([x, 0.0])).im_v
+        v, v0 = 1j * im_v
         worst_re = max(worst_re, abs(v.real))
-        v0 = vector_potential(plus, 0.0)
         worst_v0 = max(
             worst_v0,
             abs(v0.imag - alpha * eta / 2.0) / max(1.0, abs(alpha * eta / 2.0)),

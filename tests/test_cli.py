@@ -705,6 +705,9 @@ EXIT_CASES = [
     (["verdict", "--eta", "0.5", "--lambda", "1", "--box=0.5,1,1e-9,1e-8", "--grid", "2,2",
       "--N", "800"], 0, []),
     (["verdict", "--eta", "0.5", "--M0", "1e200", "--alpha", "1"], 4, ["ParameterError"]),
+    # V_eff is finite on [-3, 3] and so is the edge, its lower limit; the
+    # upper limit (M0 (1 + eta))^2 overflows
+    (["verdict", "--M0", "8.945e153", "--eta", "0.5", "--alpha", "1", "--L", "3"], 0, []),
     # the control well has unit width whatever alpha: its box is 25, and the
     # solver's resolution guards read its unit scale, not alpha (at alpha
     # 0.01 a 2500-wide box once let a second, threshold state pass the gate)
@@ -1306,8 +1309,9 @@ def test_small_alpha_verdict_is_certified_above_the_box_modes(eta, alpha, box_mo
     # up to 1.1 * edge the operator holds hundreds of box modes; the Weyl
     # margin still certifies that none lies below the edge
     params = PhysicalParams(1.0, float(eta), float(alpha))
-    op = solver.build_hamiltonian(params, solver.Discretization.for_params(params))
-    assert solver.sturm_count(op, 1.1 * solver.continuum_edge(params)) == box_modes
+    op = solver.build_hamiltonian(params, solver.Discretization(25.0 / params.alpha, 8000))
+    edge = solver.continuum_edge(functools.partial(pdm_dirac.effective_potential, params))
+    assert solver.sturm_count(op, 1.1 * edge) == box_modes
     out = tmp_path / "verdict.json"
     rc, _, _ = run(["verdict", "--eta", eta, "--alpha", alpha, "--out", str(out)], capsys)
     assert rc == 0

@@ -11,6 +11,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from pdm_dirac import (
+    ABS_TOL,
     ETA_ZERO_SNAP,
     REL_TOL,
     BothZero,
@@ -27,10 +28,10 @@ from pdm_dirac import (
     NegativeLambda,
     SignVerdict,
     aux_root,
+    classify_levels,
     evaluate_point,
     f_direct,
     f_factored,
-    level_energy,
     sign_certificate,
     supremum_scan,
 )
@@ -114,7 +115,7 @@ def test_f_factored_exact_pole_is_structured():
     assert aux_root(eta, lam) - lam * n == 0.0
     with pytest.raises(EvaluationError, match="pole"):
         f_factored(eta, lam, n)
-    entry = level_energy(DimensionlessParams(eta, lam), n)
+    entry = classify_levels(DimensionlessParams(eta, lam), n)[n]
     assert entry.classification is Classification.UNDEFINED
 
 
@@ -264,17 +265,18 @@ def test_grid_accuracy_at_the_ends_of_lambda(lam, eta):
 def test_feasibility_inequality_reference_points():
     # the margin is the ground level's E_0^2; Real or ZeroThreshold would
     # satisfy the inequality
-    level = level_energy(DimensionlessParams(0.5, 1.0), 0)
+    [level] = classify_levels(DimensionlessParams(0.5, 1.0), 0)
     assert level.classification is Classification.IMAGINARY
     assert level.e_squared == pytest.approx(F_HALF_1, rel=1e-12)
-    level = level_energy(DimensionlessParams(math.sqrt(3.0) / 2.0, 1.0), 0)
+    [level] = classify_levels(DimensionlessParams(math.sqrt(3.0) / 2.0, 1.0), 0)
     assert level.classification is Classification.IMAGINARY
     assert level.e_squared == pytest.approx(-1.5, abs=1e-12)
 
 
 def test_feasibility_inequality_boundary_limit():
     # margin -> 0 as lam -> 0 (equality case of the threshold inequality)
-    assert abs(level_energy(DimensionlessParams(0.5, 1e-8), 0).e_squared) < 1e-6
+    [level] = classify_levels(DimensionlessParams(0.5, 1e-8), 0)
+    assert abs(level.e_squared) < 1e-6
 
 
 # derandomized: every run tries the same inputs, so a failure reproduces
@@ -307,26 +309,27 @@ def test_f_monotone_in_eta_and_lambda(a1, a2, lam1, lam2, negative):
 def test_no_closed_form_level_is_normalizable_or_real(eta, lam, M0, data):
     # the paper's claim: level n of the Rosen-Morse II member with w = u - lam n
     # in place of u is normalizable iff w > 0 and w^2 > |eta|; but w <= u <
-    # |eta| <= 1, and every index with w > 0 has E_n^2 <= M0^2 f < 0
+    # |eta| <= 1, and every index with w > 0 has E_n^2 <= M0^2 f < 0.  n runs
+    # up to 2^62, so E_n^2 is computed as a row of classify_levels computes it
     try:
         u = aux_root(eta, lam)
     except EvaluationError:
         assume(False)
     n = data.draw(st.integers(0, int(min(u / lam, 2.0**62))))
     w = u - lam * n
-    assume(w > 0.0)
+    assume(w > ABS_TOL * u)  # w > 0, and off classify_levels' pole band
     try:
-        entry = level_energy(DimensionlessParams(eta, lam), n, M0=M0)
+        e_squared = M0 * M0 * f_factored(eta, lam, n)
         ground = M0 * M0 * f_factored(eta, lam)
     except EvaluationError:
         assume(False)
-    assume(entry.classification is not Classification.UNDEFINED)
+    assume(math.isfinite(e_squared))
     # w^2 > |eta| never holds; equality does in doubles, where lambda is
     # below an ulp of u and u rounds to |eta| = 1
     assert w * w <= abs(eta)
     # the sign, not the class: an E_n^2 that underflows is ZeroThreshold
-    assert math.copysign(1.0, entry.e_squared) == -1.0
-    assert entry.e_squared <= ground
+    assert math.copysign(1.0, e_squared) == -1.0
+    assert e_squared <= ground
 
 
 @PROPERTY

@@ -22,6 +22,16 @@ def test_package_all_is_the_union_of_the_module_alls():
         assert not hasattr(pdm_dirac, name)
 
 
+def test_second_paths_of_model_quantities_are_gone():
+    # one edge (continuum_edge of a potential), one default box (the verdict's
+    # RunConfig.half_width), one level table (classify_levels), one Im V
+    # (potential_sample)
+    for module in (pdm_dirac, spectrum, solver):
+        for name in ("level_energy", "vector_potential", "_classify", "_limit_edge"):
+            assert not hasattr(module, name)
+    assert not hasattr(solver.Discretization, "for_params")
+
+
 def test_the_readme_library_example_runs():
     readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
     [code] = re.findall(r"^## Library\n\n```python\n(.*?)^```$", readme, re.M | re.S)

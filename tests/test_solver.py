@@ -1,13 +1,15 @@
 """Finite-difference oracle: operator assembly, Sturm slicing, localization."""
 
 import dataclasses
+import functools
+import json
 import math
 import sys
 import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.linalg import eigh_tridiagonal, eigvalsh_tridiagonal
 
@@ -22,6 +24,7 @@ from pdm_dirac import (
     bound_state_report,
     build_hamiltonian,
     continuum_edge,
+    effective_potential,
     eigenvalues_below,
     eigenvector,
     localization_metric,
@@ -33,6 +36,15 @@ from pdm_dirac import (
 from pdm_dirac.cli import main
 
 P_HALF = PhysicalParams(1.0, 0.5, 1.0)
+
+
+def default_box(params):
+    # the verdict's default box: L = 25/alpha, N = 8000
+    return Discretization(25.0 / params.alpha, 8000)
+
+
+def model_edge(params):
+    return continuum_edge(functools.partial(effective_potential, params))
 
 
 def toy_operator():
@@ -54,10 +66,13 @@ def test_discretization_rejects_tiny_n():
         Discretization(2.5, 2)
 
 
-def test_for_params_defaults():
-    disc = Discretization.for_params(PhysicalParams(1.0, 0.5, 2.0))
-    assert disc.half_width == pytest.approx(12.5)   # 25 / alpha
-    assert disc.num_points == 8000
+def test_for_params_defaults(tmp_path):
+    # the verdict's default box is L = 25/alpha and N = 8000
+    out = tmp_path / "verdict.json"
+    argv = ["verdict", "--M0", "1", "--eta", "0.5", "--alpha", "2", "--grid", "2,2"]
+    assert main([*argv, "--out", str(out)]) == 0
+    grid = json.loads(out.read_text())["comparison"]["numeric"]["grid"]
+    assert (grid["half_width"], grid["num_points"]) == (12.5, 8000)
 
 
 def test_build_hamiltonian_structure():
@@ -271,9 +286,8 @@ def test_default_verdict_edge_count_takes_the_shortcut():
     # verdict --eta 0.5 --lambda 1: V_eff >= edge in doubles, and the scaled
     # diagonal at the edge is 2.0 at its minimum, so the edge count skips the
     # pivot loop; a count among the box modes just above the edge runs it
-    disc = Discretization.for_params(P_HALF)
-    op = build_hamiltonian(P_HALF, disc)
-    edge = continuum_edge(P_HALF)
+    op = build_hamiltonian(P_HALF, default_box(P_HALF))
+    edge = model_edge(P_HALF)
     assert np.min(op.v_eff) >= edge
     assert _scaled(op, edge).min() >= 2.0
     assert _count_and_loop(op, edge) == (0, False)
@@ -387,8 +401,8 @@ def test_slice_values_bracketed_by_sturm_count():
     # sturm_count is the oracle: the slice holds exactly the counted values,
     # and the j-th one sits where the count steps from <= j to > j
     params = PhysicalParams(1.0, 0.1, 0.2)
-    production = build_hamiltonian(params, Discretization.for_params(params))
-    cases = [(toy_operator(), 100.0, 5), (production, 1.1 * continuum_edge(params), 11)]
+    production = build_hamiltonian(params, default_box(params))
+    cases = [(toy_operator(), 100.0, 5), (production, 1.1 * model_edge(params), 11)]
     for op, threshold, expected in cases:
         values = eigenvalues_below(op, threshold)
         assert values.size == sturm_count(op, threshold) == expected
@@ -409,21 +423,20 @@ def _dstebz(op, threshold):
 def _control_well_case(alpha):
     # the N = 8000 control well: one value below its edge
     params = PhysicalParams(1.0, 0.5, alpha)
-    disc = Discretization.for_params(params)
-    return build_hamiltonian(params, disc, potential=poschl_teller_well), 1.0, 1
+    return build_hamiltonian(params, default_box(params), potential=poschl_teller_well), 1.0, 1
 
 
 def _production_case():
     params = PhysicalParams(1.0, 0.1, 0.2)
-    op = build_hamiltonian(params, Discretization.for_params(params))
-    return op, 1.1 * continuum_edge(params), 11
+    op = build_hamiltonian(params, default_box(params))
+    return op, 1.1 * model_edge(params), 11
 
 
 LOCATOR_CASES = {  # (operator, threshold, count below it)
     "control-0.5": lambda: _control_well_case(0.5),
     "control-1": lambda: _control_well_case(1.0),
     "control-2": lambda: _control_well_case(2.0),
-    "rosen-morse-4-2": lambda: (build_hamiltonian(P_HALF, Discretization.for_params(P_HALF),
+    "rosen-morse-4-2": lambda: (build_hamiltonian(P_HALF, default_box(P_HALF),
                                                   potential=_rosen_morse_well(4.0, 2.0)),
                                 12.25, 3),
     "production-box-modes": _production_case,
@@ -456,7 +469,7 @@ def test_a_pair_closer_than_the_tolerance_comes_back_as_two_values():
     def double_well(x):
         return 1.0 - 2.0 * sech_squared(x - 14.0) - 2.0 * sech_squared(x + 14.0)
 
-    op = build_hamiltonian(P_HALF, Discretization.for_params(P_HALF), potential=double_well)
+    op = build_hamiltonian(P_HALF, default_box(P_HALF), potential=double_well)
     reference, tol = _dstebz(op, 1.0)
     centre = float(reference.mean())
     assert sturm_count(op, centre - 0.5 * tol) == 0 and sturm_count(op, centre + 0.5 * tol) == 2
@@ -677,10 +690,29 @@ def test_localization_separates_bound_from_box_modes():
 
 
 def test_continuum_edge_values():
-    assert continuum_edge(P_HALF) == pytest.approx(0.25)
-    assert continuum_edge(PhysicalParams(2.0, 0.5, 1.0)) == pytest.approx(1.0)
-    assert continuum_edge(PhysicalParams(1.0, -0.5, 1.0)) == pytest.approx(0.25)
-    assert continuum_edge(PhysicalParams(1.0, 1.0, 1.0)) == 0.0
+    assert model_edge(P_HALF) == 0.25
+    assert model_edge(PhysicalParams(2.0, 0.5, 1.0)) == 1.0
+    assert model_edge(PhysicalParams(1.0, -0.5, 1.0)) == 0.25
+    assert model_edge(PhysicalParams(1.0, 1.0, 1.0)) == 0.0
+    assert continuum_edge(poschl_teller_well) == 1.0
+    # the upper limit may overflow: only the lower one is the edge
+    assert model_edge(PhysicalParams(8.945e153, 0.5, 1.0)) == 2.000325625e+307
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(M0=st.floats(1e-3, 1e3), eta=st.floats(-1.0, 1.0), alpha=st.floats(1e-3, 1e3),
+       alpha_l=st.floats(3.0, 25.0))
+# min V_eff - edge was -1.1e-16 here while the edge was squared with pow
+@example(M0=2.387541746667582, eta=0.6757242001375277, alpha=0.11098262335599376,
+         alpha_l=25.0)
+def test_model_v_eff_never_lies_below_its_edge(M0, eta, alpha, alpha_l):
+    # bitwise, on any box; on the default box tanh saturates at the end
+    # nodes, where V_eff is the edge itself
+    params = PhysicalParams(M0, eta, alpha)
+    default = bound_state_report(params, default_box(params))
+    assert default.v_eff_min == default.continuum_edge
+    short = bound_state_report(params, Discretization(alpha_l / alpha, 2000))
+    assert short.v_eff_min >= short.continuum_edge
 
 
 def test_core_experiment_is_empty():
@@ -739,7 +771,7 @@ def test_report_certifies_and_solves_only_below_edge():
         (P_HALF, poschl_teller_well, 5, 1),
     ]
     for p, potential, slice_size, candidates in cases:
-        disc = Discretization.for_params(p)
+        disc = default_box(p)
         report = bound_state_report(p, disc, potential=potential)
         op = build_hamiltonian(p, disc, potential=potential)
         edge = report.continuum_edge

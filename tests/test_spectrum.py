@@ -1,5 +1,9 @@
 """Closed-form evaluators: mass profile, complex vector potential, levels.
 
+The vector potential ``(i/2) M'/M`` is purely imaginary, and
+:func:`potential_sample` carries it as its imaginary part ``im_v``, a real
+array; a level is a row of :func:`classify_levels`.
+
 High-precision reference values were generated once with mpmath at 50
 significant digits and frozen here as doubles.
 """
@@ -15,16 +19,18 @@ from pdm_dirac import (
     DimensionlessParams,
     EtaZeroDegenerate,
     EtaZeroSingular,
+    EvaluationError,
     LambdaZero,
+    ParameterError,
     PhysicalParams,
+    aux_root,
     classify_levels,
     delta1,
     effective_potential,
-    level_energy,
+    f_factored,
     mass_profile,
     potential_sample,
     sech_squared,
-    vector_potential,
 )
 
 P_HALF = PhysicalParams(1.0, 0.5, 1.0)
@@ -78,24 +84,21 @@ def test_sech_squared_overflow_safe():
 
 
 def test_vector_potential_is_purely_imaginary():
-    v = vector_potential(PhysicalParams(1.0, 0.5, 2.0), 0.0)
-    assert v == 0.5j  # i * alpha * eta / 2 at the origin
+    assert potential_sample(PhysicalParams(1.0, 0.5, 2.0), 0.0).im_v == 0.5  # alpha eta / 2
     rng = np.random.default_rng(17)
     for _ in range(100):
         p = PhysicalParams(1.0, float(rng.uniform(-0.99, 0.99)), float(rng.uniform(0.1, 3.0)))
-        v = vector_potential(p, float(rng.uniform(-20.0, 20.0)))
-        assert v.real == 0.0
+        # V = i Im V, so the real array im_v is all of V
+        assert np.isrealobj(potential_sample(p, rng.uniform(-20.0, 20.0, 8)).im_v)
 
 
 def test_vector_potential_hermitian_limit():
     p = PhysicalParams(1.0, 0.0, 1.0)
-    for x in (-3.0, 0.0, 7.5):
-        assert vector_potential(p, x) == 0.0
+    assert potential_sample(p, np.array([-3.0, 0.0, 7.5])).im_v.tolist() == [0.0] * 3
 
 
 def test_vector_potential_reference_point():
-    v = vector_potential(P_HALF, 1.0)
-    assert v.imag == pytest.approx(IM_V_AT_1, rel=1e-14)
+    assert potential_sample(P_HALF, 1.0).im_v == pytest.approx(IM_V_AT_1, rel=1e-14)
 
 
 def test_vector_potential_matches_log_derivative():
@@ -113,7 +116,7 @@ def test_vector_potential_matches_log_derivative():
             x = float(rng.uniform(-15.0, 15.0))
             log_mass = lambda t: mp.log(p.M0 * (1 + p.eta * mp.tanh(p.alpha * t)))
             ref = float(mp.diff(log_mass, x) / 2)
-            assert vector_potential(p, x).imag == pytest.approx(ref, rel=1e-12, abs=1e-300)
+            assert potential_sample(p, x).im_v == pytest.approx(ref, rel=1e-12, abs=1e-300)
 
 
 def test_effective_potential_is_mass_squared():
@@ -152,7 +155,7 @@ def test_delta1_rejects_lambda_zero():
     with pytest.raises(LambdaZero):  # (eta/lam)^2 overflows: lam is 0 in doubles
         delta1(DimensionlessParams(0.5, 1e-300))
     with pytest.raises(EtaZeroSingular):  # delta1 is finite, but u^2 underflows
-        level_energy(DimensionlessParams(1e-300, 1e-300), 0)
+        classify_levels(DimensionlessParams(1e-300, 1e-300), 0)
 
 
 def test_delta1_nonpositive_and_monotone_in_eta():
@@ -164,7 +167,7 @@ def test_delta1_nonpositive_and_monotone_in_eta():
 
 
 def test_level_energy_reference_point():
-    entry = level_energy(D_HALF, 0)
+    [entry] = classify_levels(D_HALF, 0)
     assert entry.n == 0
     assert entry.delta1 == pytest.approx(DELTA1_HALF, abs=1e-15)
     assert entry.e_squared == pytest.approx(E2_N0, rel=1e-12)
@@ -173,7 +176,7 @@ def test_level_energy_reference_point():
 
 
 def test_level_energy_exact_rational_case():
-    entry = level_energy(DimensionlessParams(math.sqrt(3.0) / 2.0, 1.0), 0)
+    [entry] = classify_levels(DimensionlessParams(math.sqrt(3.0) / 2.0, 1.0), 0)
     assert entry.delta1 == pytest.approx(-0.5, abs=1e-12)
     assert entry.e_squared == pytest.approx(-1.5, abs=1e-12)
     assert entry.classification is Classification.IMAGINARY
@@ -181,18 +184,56 @@ def test_level_energy_exact_rational_case():
 
 def test_level_energy_scales_with_mass():
     for m0 in (0.5, 2.0, 7.0):
-        entry = level_energy(D_HALF, 0, M0=m0)
+        [entry] = classify_levels(D_HALF, 0, M0=m0)
         assert entry.e_squared == pytest.approx(m0 * m0 * E2_N0, rel=1e-12)
 
 
 def test_level_energy_eta_zero_rejected():
     with pytest.raises(EtaZeroDegenerate):
-        level_energy(DimensionlessParams(0.0, 1.0), 0)
+        classify_levels(DimensionlessParams(0.0, 1.0), 0)
 
 
 def test_level_energy_negative_index_rejected():
     with pytest.raises(ValueError):
-        level_energy(D_HALF, -1)
+        classify_levels(D_HALF, -1)
+
+
+@pytest.mark.parametrize("params,M0,error,match", [
+    (D_HALF, 1e-200, ParameterError, "not a normal double"),   # M0^2 underflows
+    (D_HALF, 1e160, ParameterError, "not a normal double"),    # M0^2 overflows
+    (DimensionlessParams(0.0, 1.0), 1.0, EtaZeroDegenerate, "constant-mass"),
+    (DimensionlessParams(0.5, 0.0), 1.0, LambdaZero, "abrupt-step"),
+    (DimensionlessParams(1e-300, 1e-300), 1.0, EtaZeroSingular, "underflows"),
+    # f_factored is -1e200, finite, and M0^2 f is not
+    (DimensionlessParams(1.0, 1e100), 1e60, EvaluationError, "double range at n=0"),
+])
+def test_classify_levels_checks_the_table_once_before_any_row(params, M0, error, match):
+    # the checks run before the first row, so a one-row table and a long one
+    # raise the same error
+    for n_max in (0, 50):
+        with pytest.raises(error, match=match):
+            classify_levels(params, n_max, M0=M0)
+
+
+def test_classify_levels_pole_band():
+    # lam n = u for n = 5 up to rounding: u^2 (1 + 1/5) = eta^2.  The row is
+    # Undefined inside the band |u - lam n| <= ABS_TOL u and classified just
+    # outside it, where its radicand is huge but finite
+    eta = 0.5
+    on_pole = math.sqrt(eta * eta / 1.2) / 5.0
+    for lam, undefined in ((on_pole, True), (on_pole * (1.0 + 1e-9), False)):
+        u = aux_root(eta, lam)
+        assert (abs(u - 5 * lam) <= 1e-12 * u) is undefined
+        entries = classify_levels(DimensionlessParams(eta, lam), 8)
+        row = entries[5]
+        assert (row.classification is Classification.UNDEFINED) is undefined
+        assert math.isnan(row.e_squared) is undefined
+        if not undefined:
+            assert row.e_squared == f_factored(eta, lam, 5)
+            assert abs(row.e_squared) > 1e6
+        others = entries[:5] + entries[6:]
+        assert all(e.classification is not Classification.UNDEFINED for e in others)
+        assert {e.delta1 for e in entries} == {delta1(DimensionlessParams(eta, lam))}
 
 
 def test_classify_levels_table():
@@ -240,13 +281,14 @@ def test_parity_relations():
         d_plus = delta1(DimensionlessParams(eta, lam))
         d_minus = delta1(DimensionlessParams(-eta, lam))
         assert d_plus == d_minus  # even in eta, bitwise (depends on eta^2 only)
-        e_plus = level_energy(DimensionlessParams(eta, lam), 0, M0=m0).e_squared
-        e_minus = level_energy(DimensionlessParams(-eta, lam), 0, M0=m0).e_squared
+        [plus_level] = classify_levels(DimensionlessParams(eta, lam), 0, M0=m0)
+        [minus_level] = classify_levels(DimensionlessParams(-eta, lam), 0, M0=m0)
+        e_plus, e_minus = plus_level.e_squared, minus_level.e_squared
         assert e_plus == e_minus
 
 
 def test_spectrum_entry_serialization():
-    entry = level_energy(D_HALF, 0)
+    [entry] = classify_levels(D_HALF, 0)
     doc = entry.to_dict()
     assert doc["n"] == 0
     assert doc["classification"] == "Imaginary"
@@ -258,7 +300,9 @@ def test_level_energy_relative_accuracy_against_mpmath():
 
     Reference: the textbook radicand ``(1 + eta^2) - eta^2/y^2 - y^2`` with
     ``y = lam (n + delta1)`` in 60-digit mpmath, on seeded (eta, lam, n) with
-    lam from 1e-8 to 1e8 and n up to 1000.  The ground level is never on the
+    lam from 1e-8 to 1e8 and n up to 1000.  Rows 0 and n of a table from
+    :func:`classify_levels` are checked; a classified row is
+    :func:`f_factored`'s value bitwise.  The ground level is never on the
     pole, however large lam makes ``|delta1|`` small.
     """
     mp = pytest.importorskip("mpmath")
@@ -271,13 +315,15 @@ def test_level_energy_relative_accuracy_against_mpmath():
         for eta, lam, n in zip(etas.tolist(), lams.tolist(), indices.tolist()):
             e, l = mp.mpf(eta), mp.mpf(lam)
             shift = (1 - mp.sqrt(1 + 4 * e * e / (l * l))) / 2
+            entries = classify_levels(DimensionlessParams(eta, lam), n)
             for level in (0, n):
-                entry = level_energy(DimensionlessParams(eta, lam), level)
+                entry = entries[level]
                 y = l * (level + shift)
                 ref = (1 + e * e) - e * e / (y * y) - y * y
                 if level == 0:
                     assert entry.classification is Classification.IMAGINARY
                 elif entry.classification is Classification.UNDEFINED:
                     continue  # |lam n - u| <= ABS_TOL u: the formula's pole
+                assert entry.e_squared == f_factored(eta, lam, level)
                 worst = max(worst, float(abs((entry.e_squared - ref) / ref)))
     assert worst <= 1e-12
