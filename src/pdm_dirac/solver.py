@@ -24,12 +24,16 @@ margin, where the shortcut applies) and k at the threshold, and one loop
 splits that interval at midpoints by counts.  A part that holds one value
 is refined by shift-and-invert iteration, with Rayleigh-quotient shifts once
 the residual interval ``[rho - r, rho + r]`` lies inside it, so the
-eigenvalue it encloses is the counted one; it stops at ``r <= eps (max|d_i|
-+ 2|e|)``, the tolerance of LAPACK ``dstebz``, and then ``|lambda - rho| <=
-r`` up to rounding.  Where the iteration does not settle, the loop splits
-the part on, down to that width.  Values and eigenvectors share one step, a
-LAPACK ``dgtsv`` solve from a fixed start vector (:func:`_solve`); an
-eigenvector is two steps at its value.
+eigenvalue it encloses is the counted one.  As the part holds no other
+eigenvalue, the Kato-Temple bound ``|lambda - rho| <= r^2 / delta``, with
+``delta`` the distance from ``rho`` to the nearer end, holds too (Temple
+1928; Kato 1949; Parlett, *The Symmetric Eigenvalue Problem*, sec. 10.5);
+the iteration stops once that bound is at most ``eps (max|d_i| + 2|e|)``,
+the tolerance of LAPACK ``dstebz``, up to rounding.  Where the iteration
+does not settle, the loop splits the part on, down to that width.  Values
+and eigenvectors share one step, a LAPACK ``dgtsv`` solve from a fixed
+start vector, drawn once per size (:func:`_solve`); an eigenvector is two
+steps at its value.
 
 The count at the edge is certified in closed form.  The operator is ``T/h^2
 + diag(V_eff)`` with ``lambda_min(T) = 4 sin^2(pi/(2(N+1)))``, so by Weyl's
@@ -209,7 +213,7 @@ def sturm_count(op: TridiagonalOperator, sigma: float) -> int:
         return 0
     count = 0
     q = math.inf
-    for s in shifted.tolist():
+    for s in memoryview(shifted):  # the doubles as Python floats, without a list
         q = s - 1.0 / q
         if q < pivmin:
             if q > -pivmin:
@@ -229,10 +233,12 @@ def eigenvalues_below(op: TridiagonalOperator, threshold: float) -> np.ndarray:
     With ``tol = eps (max|d_i| + 2|e|)``, the tolerance of LAPACK ``dstebz``,
     every value ``rho`` comes with a radius ``r`` and an interval ``(a, b)``
     whose Sturm counts differ by one, so ``(a, b)`` holds exactly one
-    eigenvalue.  A refined value has ``r <= tol`` and ``[rho - r, rho + r]``
-    inside ``(a, b)``; ``r`` is the residual ``|| T z - rho z ||`` of a unit
-    vector ``z``, so that interval holds an eigenvalue, and it is the one
-    counted in ``(a, b)``: ``|lambda - rho| <= r``, up to rounding.  A value
+    eigenvalue.  A refined value has ``[rho - r, rho + r]`` inside ``(a,
+    b)``; ``r`` is the residual ``|| T z - rho z ||`` of a unit vector ``z``,
+    so that interval holds an eigenvalue, and it is the one counted in ``(a,
+    b)``.  Its radius is the Kato-Temple bound ``r (r / delta) <= tol``, with
+    ``delta = min(rho - a, b - rho) > r`` (:func:`_refine`): ``|lambda - rho|``
+    is at most that radius, up to rounding.  A value
     the iteration does not settle before the count's bisection has narrowed
     its interval to ``tol``, and each value of a cluster (counts that differ
     by more than one across an interval no wider than ``tol``), is the
@@ -243,8 +249,9 @@ def eigenvalues_below(op: TridiagonalOperator, threshold: float) -> np.ndarray:
 
 
 # Shift-and-invert solves spent on one isolating interval before it is
-# bisected; the control wells, the Rosen-Morse II well and the box modes of
-# the tests take two to five a value.
+# bisected; with the Kato-Temple exit, the control wells, the Rosen-Morse II
+# well and the box modes of the tests still take two to five a value, one
+# fewer than stopping at r for the N = 8000 control well and most box modes.
 _SOLVES_PER_BISECTION = 6
 
 
@@ -257,9 +264,10 @@ def _locate(op: TridiagonalOperator, threshold: float) -> list[tuple[float, floa
     entry below 2, and :func:`sturm_count`'s shortcut proves the count 0 at
     ``a`` with no pivot loop.  One loop bisects intervals with counts: an
     interval that holds one eigenvalue (counts ``j`` at ``a``, ``j + 1`` at
-    ``b``) is first given to :func:`_refine`, and is bisected only if that
-    finds no value, until the interval is no wider than ``tol``.  With one
-    value below the threshold, ``(a, threshold)`` isolates it already.
+    ``b``) is first given to :func:`_refine`, whose Kato-Temple exit rests
+    on that isolation, and is bisected only if that finds no value, until
+    the interval is no wider than ``tol``.  With one value below the
+    threshold, ``(a, threshold)`` isolates it already.
     """
     k = sturm_count(op, threshold)
     if k == 0:
@@ -308,9 +316,29 @@ def _refine(
     """``(value, radius)`` of the one eigenvalue in ``(a, b)``, or None (:func:`_locate`).
 
     Iterates :func:`_solve`, shifted at the midpoint and, once ``[rho - r,
-    rho + r]`` lies inside ``(a, b)``, at ``rho``, until also ``r <= tol``.
-    A refused solve, a ``rho`` outside ``(a, b)`` or ``_SOLVES_PER_BISECTION``
-    solves without an answer give None.
+    rho + r]`` lies inside ``(a, b)``, at ``rho``, until also the
+    Kato-Temple bound ``r (r / delta)``, with ``delta = min(rho - a, b -
+    rho)``, is at most ``tol``; that bound is the radius.  A refused solve, a
+    ``rho`` outside ``(a, b)`` or ``_SOLVES_PER_BISECTION`` solves without
+    an answer give None.
+
+    The bound (Temple 1928; Kato 1949; Parlett, *The Symmetric Eigenvalue
+    Problem*, sec. 10.5): let ``z`` be a unit vector with Rayleigh quotient
+    ``rho`` and residual ``r = || (T - rho) z ||``, and let ``lambda`` be the
+    one eigenvalue in ``[a, b)``, which the Sturm counts ``j`` at ``a`` and
+    ``j + 1`` at ``b`` give; every other eigenvalue ``mu`` is below ``a`` or
+    at least ``b``.  Expanding ``z`` in eigenvectors, ``z^T (T - lambda) (T
+    - b) z`` is a sum of ``c_mu^2 (mu - lambda) (mu - b) >= 0``, and since
+    ``z^T (T - rho) z = 0`` it equals ``r^2 + (rho - lambda) (rho - b)``.  So
+    ``(rho - lambda) (b - rho) <= r^2``, and with ``a`` in place of ``b``,
+    ``(lambda - rho) (rho - a) <= r^2``.  For ``a < rho < b``, ``|lambda -
+    rho| <= r^2 / delta``.  In the branch where ``[rho - r, rho + r]`` lies
+    inside ``(a, b)``, ``delta >= r`` in doubles too, so the bound never
+    exceeds ``r``.  It is computed as ``r * (r / delta)``, which rounds to 0
+    only where the bound lies below the smallest normal double, itself at
+    most ``tol``; ``r * r`` alone underflows to 0 for ``r`` below about
+    1e-162, whatever ``delta``, and would take the exit with ``rho`` known
+    only to within ``r``.
     """
     sigma, z = 0.5 * a + 0.5 * b, None
     for _ in range(_SOLVES_PER_BISECTION):
@@ -319,10 +347,20 @@ def _refine(
             return None
         z, rho, r = step
         if a < rho - r and rho + r < b:
-            if r <= tol:
-                return rho, r
+            bound = r * (r / min(rho - a, b - rho))
+            if bound <= tol:
+                return rho, bound
             sigma = rho
     return None
+
+
+@functools.lru_cache(maxsize=1)
+def _start_vector(n: int) -> np.ndarray:
+    """The fixed unit start vector of size ``n``, read-only: drawn once per size."""
+    x = np.random.default_rng(0).uniform(-1.0, 1.0, n)
+    x /= np.linalg.norm(x)
+    x.flags.writeable = False
+    return x
 
 
 def _solve(
@@ -331,8 +369,9 @@ def _solve(
     """One shift-and-invert step: ``(z, rho, r)``, or None where the solve is refused.
 
     Solves ``(T - sigma) y = x`` (LAPACK ``dgtsv``, partial pivoting) for a
-    unit vector ``x``, by default a fixed pseudo-random one, and with ``z = y
-    / ||y||`` gives
+    unit vector ``x``, by default a fixed pseudo-random one that
+    :func:`_start_vector` draws once per size and keeps read-only (``dgtsv``
+    solves a copy of it), and with ``z = y / ||y||`` gives
 
         rho = sigma + (x . y) / (y . y),    r = || x / ||y|| - (rho - sigma) z ||,
 
@@ -349,8 +388,7 @@ def _solve(
     from scipy.linalg.lapack import dgtsv
 
     if x is None:
-        x = np.random.default_rng(0).uniform(-1.0, 1.0, n)
-        x /= np.linalg.norm(x)
+        x = _start_vector(n)
     off = np.full(n - 1, op.off)
     _, _, _, y, info = dgtsv(off, op.diag - sigma, off, x)
     with np.errstate(over="ignore", invalid="ignore"):  # a non-finite norm is refused

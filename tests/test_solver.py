@@ -1,6 +1,5 @@
 """Finite-difference oracle: operator assembly, Sturm slicing, localization."""
 
-import dataclasses
 import functools
 import json
 import math
@@ -178,21 +177,72 @@ def test_sturm_count_matches_reference_recurrence():
         assert sturm_count(op, sigma) == _sturm_count_reference(op, sigma)
 
 
-class _WatchedDiag(np.ndarray):
-    """A diagonal whose shifted copies note when the pivot loop reads them."""
+def _sturm_count_list_loop(op, sigma):
+    # sturm_count with its pivot loop over shifted.tolist(), as it read
+    # before the loop iterated a memoryview of the same doubles; unlike the
+    # reference above, with off = 0 it counts each entry on its own, so a
+    # NaN entry does not turn the later pivots into NaN
+    pivmin = sys.float_info.min
+    scale = abs(op.off)
+    with np.errstate(over="ignore", invalid="ignore"):
+        shifted = op.diag - sigma
+        if scale == 0.0:
+            return int(np.count_nonzero(shifted < pivmin))
+        shifted /= scale
+    if shifted.size == 0 or shifted.min() >= 2.0:
+        return 0
+    count = 0
+    q = math.inf
+    for s in shifted.tolist():
+        q = s - 1.0 / q
+        if q < pivmin:
+            if q > -pivmin:
+                q = -pivmin
+            count += 1
+    return count
 
-    reads = 0
 
-    def tolist(self):
-        _WatchedDiag.reads += 1
-        return super().tolist()
+def test_the_memoryview_pivot_loop_counts_as_the_list_loop():
+    # the loop over a memoryview of the shifted diagonal against the list
+    # loop, on seeded operators with non-finite entries, entries exactly at
+    # sigma (the -pivmin tie-break), shifts that overflow, off = 0 and n = 1
+    rng = np.random.default_rng(39)
+    specials = [math.nan, math.inf, -math.inf, 1.5e308, -1.5e308, 0.0]
+    looped = 0
+    for _ in range(2000):
+        size = int(rng.integers(1, 30)) if rng.random() < 0.9 else 1
+        diag = rng.integers(-4, 5, size).astype(float) * 2.0 ** int(rng.integers(-60, 61))
+        for i in np.flatnonzero(rng.random(size) < 0.15):
+            diag[i] = specials[int(rng.integers(len(specials)))]
+        off = 0.0 if rng.random() < 0.15 else float(rng.choice([-1.0, 1.0, -3.0, 2.0 ** -40]))
+        op = _bare_operator(diag, off)
+        finite = diag[np.isfinite(diag)]
+        shifts = [float(rng.choice(finite)) if finite.size else 0.0,  # a tie at an entry
+                  float(rng.normal()), -1.5e308, 1.5e308, math.nan]
+        for sigma in shifts:
+            count, ran = _count_and_loop(op, sigma)
+            assert count == _sturm_count_list_loop(op, sigma)
+            looped += ran
+    assert looped > 3000
 
 
 def _count_and_loop(op, sigma):
-    """sturm_count(op, sigma), and whether its pivot recurrence ran."""
-    _WatchedDiag.reads = 0
-    watched = dataclasses.replace(op, diag=op.diag.view(_WatchedDiag))
-    return sturm_count(watched, sigma), _WatchedDiag.reads > 0
+    """sturm_count(op, sigma), and whether its pivot recurrence ran.
+
+    The recurrence reads the shifted diagonal through ``memoryview``; a
+    module global of that name in ``solver`` notes each read.
+    """
+    reads = []
+
+    def watched(shifted):
+        reads.append(shifted.size)
+        return memoryview(shifted)
+
+    solver.memoryview = watched
+    try:
+        return sturm_count(op, sigma), bool(reads)
+    finally:
+        del solver.memoryview
 
 
 def _bare_operator(diag, off):
@@ -460,6 +510,9 @@ def test_located_values_agree_with_dstebz_and_are_enclosed(case):
         assert sturm_count(op, a) == j and sturm_count(op, b) == j + 1
         assert a < value - radius and value + radius < b
         assert radius <= tol
+        # the radius is the Kato-Temple bound: it bounds the distance to the
+        # eigenvalue, up to the reference's own tolerance
+        assert abs(value - reference[j]) <= radius + tol
 
 
 def test_a_pair_closer_than_the_tolerance_comes_back_as_two_values():
@@ -545,6 +598,91 @@ def test_refinement_returns_the_eigenvalue_inside_its_interval():
     [(value, radius, a, b)] = solver._locate(op, threshold)
     assert b == threshold
     assert solver._refine(op, a, b, _dstebz(op, threshold)[1]) == (value, radius)
+
+
+def _stubbed_solve(monkeypatch, rho, r):
+    # every solve gives the same crafted (z, rho, r); the list notes the calls
+    calls = []
+
+    def solve(op, sigma, x=None):
+        calls.append(sigma)
+        return np.ones(2), rho, r
+
+    monkeypatch.setattr(solver, "_solve", solve)
+    return calls
+
+
+def test_refinement_exits_on_the_kato_temple_bound(monkeypatch):
+    # r is above tol, r^2 / delta below it: the first solve settles the value
+    a, b, rho, r, tol = 0.0, 1.0, 0.25, 1e-6, 1e-11
+    calls = _stubbed_solve(monkeypatch, rho, r)
+    assert r > tol
+    assert solver._refine(_bare_operator([0.0, 1.0], -1.0), a, b, tol) == (
+        rho, r * (r / min(rho - a, b - rho)))
+    assert calls == [0.5]
+    # with the bound above tol, the iteration shifts to rho and gives up
+    calls = _stubbed_solve(monkeypatch, rho, 1e-5)
+    assert solver._refine(_bare_operator([0.0, 1.0], -1.0), a, b, tol) is None
+    assert calls == [0.5] + [rho] * (solver._SOLVES_PER_BISECTION - 1)
+
+
+def test_the_kato_temple_bound_does_not_underflow(monkeypatch):
+    # r near 1e-170 and delta just above r: the bound is about r, far above
+    # the tolerance, while r * r / delta underflows to 0
+    r = 1e-170
+    a, rho, b = 0.0, r * (1.0 + 2.0**-20), 1.0
+    tol = sys.float_info.min
+    assert a < rho - r and r * r / (rho - a) == 0.0 <= tol
+    assert r * (r / (rho - a)) > tol
+    calls = _stubbed_solve(monkeypatch, rho, r)
+    assert solver._refine(_bare_operator([0.0, 1.0], -1.0), a, b, tol) is None
+    assert len(calls) == solver._SOLVES_PER_BISECTION
+
+
+def test_control_well_report_takes_two_refinement_solves(monkeypatch):
+    # the N = 8000 control well: two solves settle its value, two more give
+    # its eigenvector
+    op, threshold, _ = LOCATOR_CASES["control-1"]()
+    params = PhysicalParams(1.0, 0.5, 1.0)
+    callers = []
+    solve = solver._solve
+
+    def spy(op, sigma, x=None):
+        callers.append(sys._getframe(1).f_code.co_name)
+        return solve(op, sigma, x)
+
+    monkeypatch.setattr(solver, "_solve", spy)
+    report = bound_state_report(params, default_box(params), potential=poschl_teller_well)
+    assert callers == ["_refine"] * 2 + ["eigenvector"] * 2
+    [candidate] = report.bound_candidates
+    assert candidate.e_squared == eigenvalues_below(op, threshold)[0]
+
+
+def test_the_start_vector_is_drawn_once_per_size_and_read_only(monkeypatch):
+    default_rng = np.random.default_rng
+    draws = []
+
+    def counted_rng(seed):
+        draws.append(seed)
+        return default_rng(seed)
+
+    monkeypatch.setattr(np.random, "default_rng", counted_rng)
+    solver._start_vector.cache_clear()
+    n = 8000
+    x = solver._start_vector(n)
+    expected = default_rng(0).uniform(-1.0, 1.0, n)
+    expected /= np.linalg.norm(expected)
+    assert x.dtype == expected.dtype and x.tobytes() == expected.tobytes()
+    assert not x.flags.writeable
+    with pytest.raises(ValueError):
+        x[0] = 0.0
+    assert solver._start_vector(n) is x
+    assert draws == [0]
+    # the solves read it and leave it as drawn, without drawing again
+    op, threshold, _ = LOCATOR_CASES["control-1"]()
+    eigenvector(op, float(eigenvalues_below(op, threshold)[0]))
+    assert draws == [0]
+    assert x.tobytes() == expected.tobytes()
 
 
 def test_dense_equivalence_random_instances():
